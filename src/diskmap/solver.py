@@ -26,7 +26,7 @@ from .spectral import (
     schwarz_integral,
 )
 
-POLYGON_CAP = 1024
+PAIR_BLOCK = 1 << 14  # edge pairs tested at once in polygon_is_simple
 DIVERGENCE_FACTOR = 1e6
 WINDING_SAMPLES = 50
 
@@ -228,21 +228,47 @@ def _cross(u, v):
 
 
 def polygon_is_simple(points):
-    """No two non-adjacent edges of the closed polygon properly cross."""
+    """No two non-adjacent edges of the closed polygon properly cross.
+
+    A proper crossing needs overlapping closed x-extents, so the edges are
+    sorted by their left x and each is tested only against the later edges
+    whose left x lies within its own extent (a vectorized sweep in the sense
+    of Shamos & Hoey).  On solved maps that leaves about two pairs per edge,
+    O(m log m) work in all.  Pairs go through in blocks of PAIR_BLOCK and the
+    test stops at the first crossing, so memory stays bounded even on
+    wiggly curves.
+    """
     P = np.asarray(points, dtype=np.complex128)
     m = P.size
     A = P
     B = np.roll(P, -1)
-    i = np.arange(m)
-    ii, jj = np.meshgrid(i, i, indexing="ij")
-    candidate = jj > ii + 1
-    candidate &= ~((ii == 0) & (jj == m - 1))
-    d1 = _cross(B[ii] - A[ii], A[jj] - A[ii])
-    d2 = _cross(B[ii] - A[ii], B[jj] - A[ii])
-    d3 = _cross(B[jj] - A[jj], A[ii] - A[jj])
-    d4 = _cross(B[jj] - A[jj], B[ii] - A[jj])
-    crossing = candidate & (d1 * d2 < 0) & (d3 * d4 < 0)
-    return not bool(crossing.any())
+    left = np.minimum(A.real, B.real)
+    right = np.maximum(A.real, B.real)
+    order = np.argsort(left, kind="stable")
+    # the x-extent of sorted edge s reaches sorted edges s+1 .. stop[s]-1
+    stop = np.searchsorted(left[order], right[order], side="right")
+    counts = stop - np.arange(m) - 1
+    ends = np.cumsum(counts)
+    s0 = 0
+    while s0 < m:
+        s1 = max(int(np.searchsorted(ends, ends[s0] - counts[s0] + PAIR_BLOCK, side="right")), s0 + 1)
+        c = counts[s0:s1]
+        first = np.repeat(np.arange(s0, s1), c)
+        offset = np.arange(first.size) - np.repeat(np.cumsum(c) - c, c)
+        a = order[first]
+        b = order[first + 1 + offset]
+        ii = np.minimum(a, b)
+        jj = np.maximum(a, b)
+        candidate = (jj > ii + 1) & ~((ii == 0) & (jj == m - 1))
+        ii, jj = ii[candidate], jj[candidate]
+        d1 = _cross(B[ii] - A[ii], A[jj] - A[ii])
+        d2 = _cross(B[ii] - A[ii], B[jj] - A[ii])
+        d3 = _cross(B[jj] - A[jj], A[ii] - A[jj])
+        d4 = _cross(B[jj] - A[jj], B[ii] - A[jj])
+        if ((d1 * d2 < 0) & (d3 * d4 < 0)).any():
+            return False
+        s0 = s1
+    return True
 
 
 def winding_number(points, w):
@@ -257,9 +283,12 @@ def winding_number(points, w):
 
 def univalence(f, n, seed=0):
     """Injectivity proxy: simple boundary polygon plus unit winding about
-    sampled interior image points."""
-    m = min(check_grid_size(n), POLYGON_CAP)
-    P = f.trace(m).values
+    sampled interior image points.
+
+    The polygon is the boundary trace on the full n-point grid, with no
+    vertex cap, so folds as fine as one grid step are seen.
+    """
+    P = f.trace(check_grid_size(n)).values
     if not polygon_is_simple(P):
         return False
     rng = np.random.default_rng(seed)

@@ -15,6 +15,7 @@ import numpy as np
 MIN_GRID = 8
 MAX_GRID = 1 << 15
 RESOLVED_RATIO = 1e-10
+EVAL_BLOCK = 1 << 16  # values per temporary in DiskFunction.__call__
 
 
 def is_power_of_two(n):
@@ -139,12 +140,37 @@ class DiskFunction:
         return (np.fft.ifft(padded) * big)[:: big // n]
 
     def __call__(self, z):
-        """Evaluate by Horner's rule; z may be any complex array."""
+        """Evaluate at z (a scalar or any complex array) by blocked Horner.
+
+        The coefficients are split into blocks of k ~ sqrt(degree).  Each
+        block is a Vandermonde product with the powers z**0 .. z**(k-1), and
+        the block sums are combined by Horner's rule in z**k.  Points go
+        through in chunks, so no temporary holds more than EVAL_BLOCK values.
+        The result has the shape of z.
+        """
         z = np.asarray(z, dtype=np.complex128)
-        out = np.full(z.shape, self.coeffs[-1])
-        for ck in self.coeffs[-2::-1]:
-            out = out * z + ck
-        return out
+        c = self.coeffs
+        k = max(1, int(np.ceil(np.sqrt(c.size))))
+        blocks = -(-c.size // k)
+        padded = np.zeros(blocks * k, dtype=np.complex128)
+        padded[: c.size] = c
+        table = padded.reshape(blocks, k).T
+        flat = z.ravel()
+        out = np.empty(flat.size, dtype=np.complex128)
+        chunk = max(1, EVAL_BLOCK // (k + blocks))
+        for lo in range(0, flat.size, chunk):
+            zc = flat[lo : lo + chunk]
+            powers = np.empty((zc.size, k), dtype=np.complex128)
+            powers[:, 0] = 1.0
+            powers[:, 1:] = zc[:, None]
+            np.cumprod(powers, axis=1, out=powers)
+            sums = powers @ table
+            step = powers[:, -1] * zc
+            acc = sums[:, -1]
+            for b in range(blocks - 2, -1, -1):
+                acc = acc * step + sums[:, b]
+            out[lo : lo + chunk] = acc
+        return out.reshape(z.shape)
 
 
 def derivative(f):

@@ -5,7 +5,7 @@ import pytest
 
 from diskmap import certify, solver, weight
 from diskmap.errors import DegenerateBoundaryError, NotUnivalentError
-from diskmap.spectral import DiskFunction
+from diskmap.spectral import DiskFunction, derivative
 
 LOG2 = float(np.log(2.0))
 
@@ -134,6 +134,28 @@ def test_free_boundary_threshold_tracks_residual(staircase):
     assert cert.details["residual"] == 1.0
     assert abs(cert.details["boundary_gap"] - 1.0 / 6.0) < 1e-12
     assert abs(cert.details["boundary_threshold"] - (1.0 / 6.0 + certify.TOL_CERT)) < 1e-12
+
+
+@pytest.mark.parametrize("which,grad_error,margin", [
+    # values of the scalar, probe-by-probe Newton inversion
+    ("maximal", 1.4497662620475515e-10, 1.000000000308395e-08),
+    ("double_identity", 8.247118787885198e-11, 9.999999994736442e-09),
+])
+def test_free_boundary_details_pinned(staircase, maximal_report, which, grad_error, margin):
+    f = maximal_report.f if which == "maximal" else solver.scaled_identity(2.0)
+    cert = certify.free_boundary_check(f, staircase)
+    assert cert.passed
+    assert abs(cert.details["gradient_relative_error"] - grad_error) < 1e-9
+    assert abs(cert.worst_margin - margin) < 1e-9
+
+
+def test_newton_inverse_reports_critical_point_and_stall():
+    f = DiskFunction([0.0, 0.0, 1.0])  # z^2: f' vanishes at the start 0
+    with pytest.raises(DegenerateBoundaryError, match="critical point"):
+        certify._newton_inverse(f, derivative(f), np.array([0.25, 1.0]), np.array([0.5, 0.0]))
+    g = DiskFunction([1.0, 0.0, 1.0])  # 1 + z^2 = 0 has no real root
+    with pytest.raises(DegenerateBoundaryError, match="converge"):
+        certify._newton_inverse(g, derivative(g), np.array([0.0]), np.array([0.5]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Fixed-point solver: stationarity, convergence, geometry, scans."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskmap import blaschke, solver, weight
 from diskmap.solver import SolveOptions, scaled_identity
@@ -120,6 +124,82 @@ def test_polygon_simplicity():
     assert solver.polygon_is_simple(square)
     bowtie = np.array([0.0, 1.0 + 1.0j, 1.0, 1.0j])
     assert not solver.polygon_is_simple(bowtie)
+
+
+def _polygon_is_simple_reference(points):
+    """The all-pairs O(m^2) predicate the pruned sweep replaced."""
+    P = np.asarray(points, dtype=np.complex128)
+    m = P.size
+    A = P
+    B = np.roll(P, -1)
+    i = np.arange(m)
+    ii, jj = np.meshgrid(i, i, indexing="ij")
+    candidate = jj > ii + 1
+    candidate &= ~((ii == 0) & (jj == m - 1))
+    d1 = solver._cross(B[ii] - A[ii], A[jj] - A[ii])
+    d2 = solver._cross(B[ii] - A[ii], B[jj] - A[ii])
+    d3 = solver._cross(B[jj] - A[jj], A[ii] - A[jj])
+    d4 = solver._cross(B[jj] - A[jj], B[ii] - A[jj])
+    crossing = candidate & (d1 * d2 < 0) & (d3 * d4 < 0)
+    return not bool(crossing.any())
+
+
+def _star_polygon(rng, m, spread):
+    """Simple polygon: random radii around the origin, in angle order."""
+    t = np.sort(rng.random(m)) * 2.0 * np.pi
+    return (1.0 + spread * rng.random(m)) * np.exp(1j * t)
+
+
+@given(
+    st.integers(min_value=4, max_value=200),
+    st.integers(min_value=0, max_value=2 ** 31 - 1),
+    st.sampled_from([None, 7, 300]),
+)
+@settings(max_examples=60, deadline=None)
+def test_polygon_is_simple_matches_all_pairs_reference(m, seed, block):
+    rng = np.random.default_rng(seed)
+    P = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    Q = _star_polygon(rng, m, 0.5)
+    # near-simple variants with one or two crossings: two neighbours
+    # swapped, or one vertex pulled far out through the far side
+    k = int(rng.integers(m))
+    swapped = Q.copy()
+    swapped[[k, (k + 1) % m]] = swapped[[(k + 1) % m, k]]
+    spiked = Q.copy()
+    spiked[k] *= -10.0
+    with mock.patch.object(solver, "PAIR_BLOCK", block or solver.PAIR_BLOCK):
+        for poly in (P, Q, swapped, spiked):
+            assert solver.polygon_is_simple(poly) == _polygon_is_simple_reference(poly)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_polygon_is_simple_across_pair_blocks(seed):
+    # a wide star has ~60k x-overlapping edge pairs at m = 800, more than
+    # three default pair blocks
+    rng = np.random.default_rng(seed)
+    Q = _star_polygon(rng, 800, 4.0)
+    assert solver.polygon_is_simple(Q)
+    assert _polygon_is_simple_reference(Q)
+    Q[500] *= -10.0  # a spike out through the far side crosses it
+    assert not solver.polygon_is_simple(Q)
+    assert not _polygon_is_simple_reference(Q)
+
+
+def test_collinear_disjoint_edges_are_not_a_crossing():
+    # edges 0 and 3 both lie on x + y = -1.2 and do not touch; the all-pairs
+    # predicate sees cross products of ~1e-18 with opposite signs there
+    P = np.array([-1 - 0.2j, -0.9 - 0.3j, 0, -0.3 - 0.9j, -0.2 - 1j, -2 - 2j])
+    assert solver.polygon_is_simple(P)
+    assert not _polygon_is_simple_reference(P)
+
+
+def test_univalence_sees_folds_finer_than_a_thousandth_of_the_circle():
+    # f = z + z^2000 / 1000 has f' = 0 inside the disk, so it folds
+    c = np.zeros(2001)
+    c[1] = 1.0
+    c[2000] = 1e-3
+    assert not solver.univalence(DiskFunction(c), 4096)
+    assert solver.univalence(DiskFunction([0.0, 1.0, 0.4]), 16384)
 
 
 def test_winding_number_values():

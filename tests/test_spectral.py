@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diskmap import spectral
 from diskmap.spectral import (
     BoundaryGrid,
     DiskFunction,
@@ -88,6 +89,56 @@ def test_call_is_horner():
     f = DiskFunction([1.0, 2.0, 3.0])
     z = 0.5 + 0.25j
     assert abs(f(z) - (1.0 + 2.0 * z + 3.0 * z * z)) < 1e-15
+
+
+def _horner_reference(coeffs, z):
+    """Plain coefficient-by-coefficient Horner rule."""
+    z = np.asarray(z, dtype=np.complex128)
+    out = np.full(z.shape, coeffs[-1], dtype=np.complex128)
+    for ck in coeffs[-2::-1]:
+        out = out * z + ck
+    return out
+
+
+def _assert_matches_horner(f, z):
+    got = f(z)
+    ref = _horner_reference(f.coeffs, z)
+    assert got.shape == np.shape(z)
+    # relative to the Horner error scale sum_k |c_k| |z|^k
+    scale = _horner_reference(np.abs(f.coeffs), np.abs(z)).real
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+
+@given(
+    st.integers(min_value=0, max_value=3000),
+    st.integers(min_value=0, max_value=2 ** 31 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_call_matches_horner_reference(degree, seed):
+    rng = np.random.default_rng(seed)
+    f = DiskFunction(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+    angles = 2.0 * np.pi * rng.random(40)
+    radii = np.concatenate([np.ones(10), rng.random(30)])  # |z| = 1 included
+    _assert_matches_horner(f, radii * np.exp(1j * angles))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 7, 64, 3000])
+def test_call_keeps_input_shape(degree):
+    rng = np.random.default_rng(degree)
+    f = DiskFunction(rng.standard_normal(degree + 1))
+    z = np.exp(1j * rng.random((3, 5)) * 2.0 * np.pi) * rng.random((3, 5))
+    z[0, 0] = 1.0
+    _assert_matches_horner(f, z)
+    _assert_matches_horner(f, np.array(-1.0j))
+    scalar = f(0.3 - 0.4j)
+    assert np.shape(scalar) == ()
+    assert abs(scalar - _horner_reference(f.coeffs, 0.3 - 0.4j)) <= 1e-13 * np.abs(f.coeffs).sum()
+
+
+def test_call_chunks_many_points(monkeypatch):
+    monkeypatch.setattr(spectral, "EVAL_BLOCK", 64)
+    f = DiskFunction(np.arange(1.0, 101.0))
+    _assert_matches_horner(f, 0.99 * np.exp(1j * np.linspace(0.0, 6.0, 37)))
 
 
 def test_degree_and_resolved():
