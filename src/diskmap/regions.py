@@ -18,27 +18,33 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import EmptyIntersectionError, InvalidSequenceError
 
 CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 BOX = np.ones((3, 3), dtype=bool)
 
+# scipy.ndimage is imported inside the helpers that use it, so that
+# `import diskmap`, which loads this module, does not load scipy.
+
 
 def _label4(mask):
+    from scipy import ndimage
     return ndimage.label(mask, structure=CROSS)
 
 
 def _label8(mask):
+    from scipy import ndimage
     return ndimage.label(mask, structure=BOX)
 
 
 def dilate(mask):
+    from scipy import ndimage
     return ndimage.binary_dilation(mask, structure=CROSS)
 
 
 def erode(mask):
+    from scipy import ndimage
     return ndimage.binary_erosion(mask, structure=CROSS)
 
 
@@ -219,6 +225,7 @@ def _paint_curve(shape, points, half_width):
     canvas[ij[keep, 0], ij[keep, 1]] = True
     if not canvas.any():
         return canvas
+    from scipy import ndimage
     dist = ndimage.distance_transform_edt(~canvas)
     return dist <= half_width
 

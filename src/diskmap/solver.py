@@ -11,7 +11,7 @@ The solver iterates f <- (1-theta) f + theta U(f) spectrally, doubling the
 grid whenever the tail of f' stops resolving.
 """
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 

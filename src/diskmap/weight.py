@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 TABULATED_FLOOR = 1e-9
 CONTINUITY_TOL = 1e-12
@@ -36,10 +35,15 @@ class WeightField:
         self.params = dict(params or {})
 
     def evaluate(self, xi, w):
-        """Phi at unimodular xi and image points w, broadcast together."""
+        """Phi at unimodular xi and image points w, broadcast together.
+
+        Raises ValueError on any NaN or infinite value, for every kind.
+        """
         xi = np.asarray(xi, dtype=np.complex128)
         w = np.asarray(w, dtype=np.complex128)
         out = np.asarray(self._fn(xi, w), dtype=np.float64)
+        if not np.isfinite(out).all():
+            raise ValueError(f"weight field {self.name!r} is not finite")
         if out.size and out.min() <= 0.0:
             if self.kind == "tabulated":
                 warnings.warn("tabulated weight clamped at positivity floor")
@@ -128,6 +132,8 @@ def tabulated_field(path):
     edges.  Values are clamped below at 1e-9 with a warning.  The sup bound is
     the table maximum.
     """
+    from scipy.interpolate import RegularGridInterpolator  # here, to keep scipy off `import diskmap`
+
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:

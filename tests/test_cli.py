@@ -1,10 +1,15 @@
 """Command line driver: subcommands, file formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diskmap
 from diskmap import cli, regions
 from diskmap.spectral import DiskFunction
 
@@ -254,3 +259,46 @@ def test_malformed_config_line_rejected(tmp_path, capsys):
     cfgfile.write_text("field staircase\n")
     assert run(["solve", "--config", cfgfile, "--out", tmp_path]) == 2
     assert "expected key=value" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# cold path: the solver, certificates and spectrum run on numpy alone
+
+COLD_PATH_SCRIPT = """
+import sys
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import diskmap
+from diskmap import cli
+assert not scipy_loaded(), scipy_loaded()[:5]
+
+cfg, out, table = sys.argv[1:]
+assert cli.main(["solve", "--config", cfg, "--out", out]) == 0
+assert cli.main(["certify", "--field", "staircase", "--map", out + "/coefficients.csv", "--out", out]) == 0
+assert cli.main(["spectrum", "--field", "staircase", "--init", "6.5", "--n", "64", "--out", out]) == 0
+assert not scipy_loaded(), scipy_loaded()[:5]
+
+from diskmap import regions, weight
+regions.build_shrinking_spiral_family(size=256)
+assert "scipy.ndimage" in sys.modules
+assert abs(weight.tabulated_field(table).evaluate(1.0, 0.5 + 0.0j) - 2.5) < 1e-12
+assert "scipy.interpolate" in sys.modules
+print("cold path ok")
+"""
+
+
+def test_solver_cli_cold_path_does_not_import_scipy(tmp_path):
+    table = tmp_path / "cart.csv"
+    table.write_text("x,y,phi\n" + "".join(f"{x},{y},{2.0 + x}\n" for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.0, 1.0)))
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "staircase_maximal.cfg"
+    src = str(Path(diskmap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_PATH_SCRIPT, str(cfg), str(tmp_path / "out"), str(table)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "cold path ok" in proc.stdout
+    assert (tmp_path / "out" / "certificates.json").exists()

@@ -111,6 +111,21 @@ def test_grid_doubles_until_tail_resolves():
     assert rep.f_prime.resolved()
 
 
+def test_nan_weight_fails_on_first_operator_step():
+    calls = []
+
+    def fn(xi, w):
+        calls.append(1)
+        out = np.full(np.broadcast(xi, w).shape, 3.0)
+        out.flat[7] = np.nan  # one bad node among 512
+        return out
+
+    fld = weight.callable_field(fn, sup_bound=3.0, name="nan-node")
+    with pytest.raises(ValueError, match="'nan-node' is not finite"):
+        solver.solve(fld)
+    assert len(calls) == 1
+
+
 def test_update_history_recorded(maximal_report):
     assert len(maximal_report.update_history) == maximal_report.iterations
     assert maximal_report.update_history[-1] < 1e-10

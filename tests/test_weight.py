@@ -1,5 +1,7 @@
 """Weight fields: builtins, tables, and the lattice certificates."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,16 @@ def test_positivity_enforced_on_callables():
     )
     with pytest.raises(ValueError, match="positive"):
         f.evaluate(1.0, np.array([0.0, 3.0]))
+
+
+@pytest.mark.parametrize("kind", ["callable", "tabulated"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weight_rejected(kind, bad):
+    f = weight.WeightField(kind, lambda xi, w: np.where(np.abs(w) > 1.0, bad, 2.0), sup_bound=2.0, name="holey")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a tabulated NaN is rejected, not clamped
+        with pytest.raises(ValueError, match="'holey' is not finite"):
+            f.evaluate(1.0, np.array([0.5, 3.0]))
 
 
 def test_random_smooth_field_sup_is_attained():
