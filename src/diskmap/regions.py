@@ -216,18 +216,20 @@ def kernel_of_shrinking(regions):
 # demo family: spiral corridor into a pendant cavity
 
 def _paint_curve(shape, points, half_width):
-    """Cells within Euclidean distance half_width of the sampled curve."""
-    canvas = np.zeros(shape, dtype=bool)
+    """Cells within Euclidean distance half_width of the sampled curve: every
+    offset with sqrt(dy^2 + dx^2) <= half_width around each rounded cell."""
     ij = np.rint(points).astype(int)
-    keep = (
-        (ij[:, 0] >= 0) & (ij[:, 0] < shape[0]) & (ij[:, 1] >= 0) & (ij[:, 1] < shape[1])
-    )
-    canvas[ij[keep, 0], ij[keep, 1]] = True
-    if not canvas.any():
-        return canvas
-    from scipy import ndimage
-    dist = ndimage.distance_transform_edt(~canvas)
-    return dist <= half_width
+    keep = (ij[:, 0] >= 0) & (ij[:, 0] < shape[0]) & (ij[:, 1] >= 0) & (ij[:, 1] < shape[1])
+    reach = max(int(half_width), 0)
+    dy, dx = np.mgrid[-reach : reach + 1, -reach : reach + 1]
+    disk = np.sqrt(dy * dy + dx * dx) <= half_width
+    padded = np.zeros((shape[0] + 2 * reach, shape[1] + 2 * reach), dtype=bool)
+    flat, width = padded.reshape(-1), padded.shape[1]
+    flat[(ij[keep, 0] + reach) * width + ij[keep, 1] + reach] = True
+    cells = np.flatnonzero(flat)
+    for offset in dy[disk] * width + dx[disk]:
+        flat[cells + offset] = True
+    return padded[reach : reach + shape[0], reach : reach + shape[1]]
 
 
 def _disk(shape, center, radius):
@@ -325,10 +327,10 @@ def save_region(region, path):
     """Write mask as ASCII PBM (P1) and basepoint metadata alongside."""
     path = Path(path)
     mask = region.mask
-    lines = [f"P1", f"{mask.shape[1]} {mask.shape[0]}"]
-    for row in mask:
-        lines.append(" ".join("1" if v else "0" for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    raster = np.full((mask.shape[0], 2 * mask.shape[1]), ord(" "), dtype=np.uint8)
+    raster[:, ::2] = mask.view(np.uint8) + ord("0")
+    raster[:, -1] = ord("\n")
+    path.write_bytes(f"P1\n{mask.shape[1]} {mask.shape[0]}\n".encode() + raster.tobytes())
     sidecar = path.with_suffix(path.suffix + ".json")
     sidecar.write_text(
         json.dumps(
@@ -344,16 +346,19 @@ def save_region(region, path):
 
 
 def load_region(path):
+    """Read a plain PBM (P1) and its sidecar: `#` comments, optional whitespace
+    between bits, and exactly width x height bits, each `0` or `1`."""
     path = Path(path)
-    tokens = []
-    for line in path.read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
-    if not tokens or tokens[0] != "P1":
+    text = b"\n".join(line.split(b"#", 1)[0] for line in path.read_bytes().splitlines())
+    header = text.split(maxsplit=3) + [b""]
+    if len(header) < 4 or header[0] != b"P1" or not (header[1].isdigit() and header[2].isdigit()):
         raise ValueError(f"{path} is not an ASCII PBM file")
-    width, height = int(tokens[1]), int(tokens[2])
-    bits = np.array(tokens[3 : 3 + width * height], dtype=int).reshape(height, width)
+    width, height = int(header[1]), int(header[2])
+    bits = np.frombuffer(header[3].translate(None, b" \t\n\v\f\r"), dtype=np.uint8) - ord("0")
+    if (bits > 1).any():
+        raise ValueError(f"{path} has a raster bit other than 0 or 1")
+    if bits.size != width * height:
+        raise ValueError(f"{path} holds {bits.size} raster bits, not {width} x {height}")
     sidecar = path.with_suffix(path.suffix + ".json")
     meta = json.loads(sidecar.read_text())
-    return RasterRegion(bits.astype(bool), tuple(meta["basepoint"]))
+    return RasterRegion(bits.astype(bool).reshape(height, width), tuple(meta["basepoint"]))

@@ -145,6 +145,16 @@ def tabulated_field(path):
     cols = {h: data[:, i] for i, h in enumerate(header)}
     if "phi" not in cols:
         raise ValueError("tabulated weight needs a 'phi' column")
+    name = f"tabulated({path})"
+    nonfinite = np.flatnonzero(~np.isfinite(cols["phi"]))
+    if nonfinite.size:
+        raise ValueError(f"{name} has a non-finite phi in data row {nonfinite[0] + 1}")
+
+    def finite_points(wb):
+        # np.clip keeps NaN, which the interpolator rejects as out of bounds
+        if not np.isfinite(wb).all():
+            raise ValueError(f"weight field {name!r} evaluated at a non-finite image point")
+        return wb
 
     if "r" in cols and "theta" in cols:
         ur, ut = np.unique(cols["r"]), np.unique(cols["theta"])
@@ -154,7 +164,7 @@ def tabulated_field(path):
         interp = RegularGridInterpolator((ur, ut_ext), grid_ext)
 
         def fn(xi, w):
-            wb = np.broadcast_arrays(w, xi)[0]
+            wb = finite_points(np.broadcast_arrays(w, xi)[0])
             r = np.clip(np.abs(wb), ur[0], ur[-1])
             th = np.mod(np.angle(wb) - ut[0], 2.0 * np.pi) + ut[0]
             return interp(np.stack([r.ravel(), th.ravel()], axis=-1)).reshape(r.shape)
@@ -168,7 +178,7 @@ def tabulated_field(path):
         interp = RegularGridInterpolator((ux, uy), grid)
 
         def fn(xi, w):
-            wb = np.broadcast_arrays(w, xi)[0]
+            wb = finite_points(np.broadcast_arrays(w, xi)[0])
             x = np.clip(wb.real, ux[0], ux[-1])
             y = np.clip(wb.imag, uy[0], uy[-1])
             return interp(np.stack([x.ravel(), y.ravel()], axis=-1)).reshape(x.shape)
@@ -180,7 +190,7 @@ def tabulated_field(path):
     sup = float(cols["phi"].max())
     if sup <= 0.0:
         raise ValueError("tabulated weight has no positive values")
-    return WeightField("tabulated", fn, sup, radial_profile=profile, name=f"tabulated({path})", params={"path": str(path)})
+    return WeightField("tabulated", fn, sup, radial_profile=profile, name=name, params={"path": str(path)})
 
 
 def _pivot(a, b, v, ua, ub):

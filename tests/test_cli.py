@@ -1,5 +1,6 @@
 """Command line driver: subcommands, file formats, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -179,6 +180,27 @@ def test_geometry_demo(tmp_path, capsys):
     assert payload["areas"] == [34567, 33211, 31642]
     assert payload["simply_connected"] == [True, True, True]
     assert payload["kernel_schoenfliess"] is False
+
+
+# sha256 of every file `geometry --op demo --size 256` writes, recorded from
+# the distance-transform painter and the per-cell PBM writer
+DEMO_256_SHA256 = {
+    "geometry.json": "12c3cd8b888689f5c9e5b6c2c478f4ee813290d0cbdb6340332801828b822820",
+    "kernel.pbm": "46afd7e19662dac447da552c3caaf90a3d857e7077fa31a5e2e112c024242a26",
+    "kernel.pbm.json": "51806a48fe0a0f4f28becf136988bf4216089129921d5faf8c697e657dcaf6cf",
+    "level_0.pbm": "0ef2696af1769fbde1e5674626fd42b15449d8dbb9e1497f5c56205b4f43f07e",
+    "level_0.pbm.json": "a056b1622234d2c6deb3ef5ef1ab774085afe36661806706c0b206c6f907f59c",
+    "level_1.pbm": "3062d1bc2e1934902609c4620c1fe4998fba2fe904fbe6eecda369e877ea8a04",
+    "level_1.pbm.json": "adf62bf02fb77d68b935473af4717696dd1f7ec7495e2b8b868aaa76115adbef",
+    "level_2.pbm": "d630b8f072d2ef27cb303d04446b4239db7910fd70c4b9dfad2c18afa5d94c68",
+    "level_2.pbm.json": "0897414023ef319d216be098b874908c35f5bdd4c63f8e1c4e0422b6182fdbf7",
+}
+
+
+def test_geometry_demo_bytes_pinned(tmp_path, capsys):
+    assert run(["geometry", "--op", "demo", "--size", "256", "--out", tmp_path]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == DEMO_256_SHA256
 
 
 def test_geometry_union_and_intersection(tmp_path):

@@ -1,7 +1,12 @@
 """Raster region algebra: unions, intersections, kernels, accessibility."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from diskmap import regions
@@ -234,6 +239,35 @@ def test_demo_family_kernel_walls_off_cavity():
     assert not regions.schoenfliess_test(ker)
 
 
+def edt_paint_curve(shape, points, half_width):
+    """The distance-transform painter that _paint_curve replaced, kept as its oracle."""
+    canvas = np.zeros(shape, dtype=bool)
+    ij = np.rint(points).astype(int)
+    keep = (
+        (ij[:, 0] >= 0) & (ij[:, 0] < shape[0]) & (ij[:, 1] >= 0) & (ij[:, 1] < shape[1])
+    )
+    canvas[ij[keep, 0], ij[keep, 1]] = True
+    if not canvas.any():
+        return canvas
+    dist = ndimage.distance_transform_edt(~canvas)
+    return dist <= half_width
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    points=st.lists(st.tuples(st.floats(-12.0, 52.0), st.floats(-12.0, 52.0)), max_size=25),
+    repeats=st.integers(0, 5),
+    half_width=st.sampled_from([0.5, 2.0, 2.5, 7.8125, 8.0]),
+)
+def test_paint_curve_matches_distance_transform(shape, points, repeats, half_width):
+    # duplicates, points off the canvas and the empty cloud are all drawn
+    cloud = np.array(points + points[:repeats], dtype=np.float64).reshape(-1, 2)
+    got = regions._paint_curve(shape, cloud, half_width)
+    assert got.shape == shape
+    assert np.array_equal(got, edt_paint_curve(shape, cloud, half_width))
+
+
 def test_demo_family_input_validation():
     with pytest.raises(ValueError, match="256"):
         regions.build_shrinking_spiral_family(size=128)
@@ -243,6 +277,24 @@ def test_demo_family_input_validation():
 
 # ---------------------------------------------------------------------------
 # persistence
+
+def per_cell_pbm(mask):
+    """The per-cell P1 writer that save_region replaced, kept as its byte oracle."""
+    lines = ["P1", f"{mask.shape[1]} {mask.shape[0]}"]
+    for row in mask:
+        lines.append(" ".join("1" if v else "0" for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(mask=hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24)))
+def test_save_region_bytes_match_per_cell_writer(tmp_path_factory, mask):
+    path = tmp_path_factory.mktemp("pbm") / "region.pbm"
+    for m in (mask, mask[:1, :1], mask[:1], mask[:, :1]):
+        regions.save_region(RasterRegion(m, (0, 0)), path)
+        assert path.read_bytes() == per_cell_pbm(m)
+        assert np.array_equal(regions.load_region(path).mask, m)
+
 
 def test_pbm_round_trip(tmp_path):
     reg = random_region(np.random.default_rng(11))
@@ -261,3 +313,36 @@ def test_load_rejects_non_pbm(tmp_path):
     path.write_text("P5\n2 2\n0 1 1 0\n")
     with pytest.raises(ValueError, match="PBM"):
         regions.load_region(path)
+
+
+@pytest.mark.parametrize("text", [b"P1\n2 x\n0 1\n", b"P1\n-2 -2\n0 1 1 0\n", b"P1\n2.0 2\n0 1 1 0\n", b"P1\n2\n"])
+def test_load_rejects_bad_header_naming_the_file(tmp_path, text):
+    with pytest.raises(ValueError, match=r"plain\.pbm is not an ASCII PBM file"):
+        regions.load_region(write_pbm(tmp_path, text))
+
+
+def write_pbm(tmp_path, text, basepoint=(0, 0)):
+    path = tmp_path / "plain.pbm"
+    path.write_bytes(text)
+    (tmp_path / "plain.pbm.json").write_text(json.dumps({"basepoint": list(basepoint)}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"P1\n4 2\n0110\n1001\n", b"P1 4 2 01101001", b"P1\n# two rows\n4 2\n01 # half\n10\n1 0 0 1\n"],
+)
+def test_load_accepts_bits_without_whitespace(tmp_path, text):
+    back = regions.load_region(write_pbm(tmp_path, text))
+    assert np.array_equal(back.mask, [[False, True, True, False], [True, False, False, True]])
+
+
+def test_load_rejects_bit_other_than_zero_or_one(tmp_path):
+    with pytest.raises(ValueError, match=r"plain\.pbm has a raster bit other than 0 or 1"):
+        regions.load_region(write_pbm(tmp_path, b"P1\n2 1\n0 2\n"))
+
+
+@pytest.mark.parametrize("raster", [b"0 1 1", b"0 1 1 0 1", b""])
+def test_load_rejects_wrong_raster_size(tmp_path, raster):
+    with pytest.raises(ValueError, match=r"plain\.pbm holds \d+ raster bits, not 2 x 2"):
+        regions.load_region(write_pbm(tmp_path, b"P1\n2 2\n" + raster + b"\n"))

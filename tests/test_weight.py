@@ -168,6 +168,25 @@ def test_tabulated_rejects_bad_tables(tmp_path):
         weight.tabulated_field(path3)
 
 
+def test_tabulated_rejects_nan_phi(tmp_path):
+    path = tmp_path / "nan.csv"
+    rows = [(x, y, np.nan if (x, y) == (0.0, 1.0) else 2.0) for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.0, 1.0)]
+    _write_csv(path, ["x", "y", "phi"], rows)
+    with pytest.raises(ValueError, match="non-finite phi in data row 6"):
+        weight.tabulated_field(path)
+
+
+@pytest.mark.parametrize("header", [["r", "theta", "phi"], ["x", "y", "phi"]])
+def test_tabulated_rejects_nan_image_point(tmp_path, header):
+    path = tmp_path / "table.csv"
+    _write_csv(path, header, [(a, b, 2.0 + a) for a in (0.0, 1.0, 2.0) for b in (0.0, 1.0, 2.0)])
+    f = weight.tabulated_field(path)
+    assert np.isfinite(f.evaluate(1.0, np.array([0.5 + 0.5j]))).all()
+    for bad in (complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0)):
+        with pytest.raises(ValueError, match=r"'tabulated\(.*table\.csv\)' evaluated at a non-finite image point"):
+            f.evaluate(1.0, np.array([0.5 + 0.5j, bad]))
+
+
 # ---------------------------------------------------------------------------
 # contraction certificate
 
