@@ -1,4 +1,4 @@
-"""Damped fixed-point solver for the prescribed boundary-modulus problem.
+"""Anderson-mixed fixed-point solver for the prescribed boundary-modulus problem.
 
 A solution is an analytic self-normalized map f (f(0) = 0 < f'(0)) whose
 boundary derivative satisfies |f'(xi)| = Phi(xi, f(xi)).  Such maps are fixed
@@ -7,10 +7,14 @@ points of the update
     U(f)(z) = integral_0^z B(s) exp(S[log Phi(., f(.))](s)) ds,
 
 where B carries the prescribed critical points and S is the Schwarz integral.
-The solver iterates f <- (1-theta) f + theta U(f) spectrally, doubling the
-grid whenever the tail of f' stops resolving.
+The solver iterates on the Taylor coefficients with Anderson mixing of depth
+ANDERSON_DEPTH on top of the damped step f <- f + theta (U(f) - f) (Walker &
+Ni, SIAM J. Numer. Anal. 49, 2011), doubling the grid whenever the tail of
+f' stops resolving.  With depth 0 the same loop is the plain damped
+iteration.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,14 +25,16 @@ from .spectral import (
     MAX_GRID,
     DiskFunction,
     check_grid_size,
+    conjugate_periodic,
     derivative,
     grid_points,
-    schwarz_integral,
 )
 
 PAIR_BLOCK = 1 << 14  # edge pairs tested at once in polygon_is_simple
 DIVERGENCE_FACTOR = 1e6
 WINDING_SAMPLES = 50
+ANDERSON_DEPTH = 2  # residual differences kept for mixing
+GRAM_DROP = 1e-10  # relative pivot below which a history column counts as dependent
 
 
 def scaled_identity(r):
@@ -75,6 +81,7 @@ class SolveReport:
     zeros: tuple
     field_name: str
     tail_ratio: float
+    stop_reason: str  # "tolerance", "residual" (update small, residual not) or "max_iters"
     doublings: int = 0
 
     def as_dict(self):
@@ -85,6 +92,7 @@ class SolveReport:
             "zeros": [[z.real, z.imag] for z in self.zeros],
             "iterations": self.iterations,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "residual": self.residual,
             "univalent": self.univalent,
             "locally_univalent": self.locally_univalent,
@@ -95,6 +103,48 @@ class SolveReport:
         }
 
 
+@dataclass
+class _Plan:
+    """What the operator needs at one grid size, built once per size."""
+
+    n: int
+    nodes: np.ndarray  # grid points xi_j
+    blaschke: object  # B on the grid, None when there are no zeros (B == 1)
+    inv_k: np.ndarray  # 1/k for k = 1 .. n-1, the primitive's divisors
+
+
+def _plan(b, n):
+    n = check_grid_size(n)
+    trace = blaschke_mod.boundary_trace(b, n) if b.zeros.size else None
+    return _Plan(n, grid_points(n), trace, 1.0 / np.arange(1, n))
+
+
+def _operator_step(plan, fld, fvals):
+    """U(f) from the boundary values of f at the plan's grid.
+
+    Returns (Taylor coefficients of U(f), of U(f)', tail ratio of the
+    pre-truncation derivative).  On the circle exp(S[u]) = exp(u) exp(i H u)
+    with H the periodic conjugate, and exp(u) is Phi itself.
+    """
+    n = plan.n
+    phi = fld.evaluate(plan.nodes, fvals)
+    g = np.exp(1j * conjugate_periodic(np.log(phi)))
+    g *= phi
+    if plan.blaschke is not None:
+        g *= plan.blaschke
+    gc = np.fft.fft(g)
+    del g
+    gc /= n
+    peak = np.abs(gc).max()
+    tail_ratio = float(np.abs(gc[-1]) / peak) if peak > 0 else 0.0
+    gc[0] = gc[0].real  # U(f)'(0) = B(0) exp(S(0)) is real and positive
+    fprime = gc[: n - 1]
+    prim = np.empty(n, dtype=np.complex128)
+    prim[0] = 0.0
+    np.multiply(fprime, plan.inv_k, out=prim[1:])
+    return prim, fprime, tail_ratio
+
+
 def apply_operator(f, fld, b, n):
     """One application of the update operator at grid size n.
 
@@ -102,19 +152,8 @@ def apply_operator(f, fld, b, n):
     The derivative is truncated to degree n-2 so that it is exactly the
     derivative of the returned primitive.
     """
-    n = check_grid_size(n)
-    xi = grid_points(n)
-    fvals = f.trace(n).values
-    phi = fld.evaluate(xi, fvals)
-    exponent = schwarz_integral(np.log(phi))
-    gvals = blaschke_mod.boundary_trace(b, n) * np.exp(exponent.trace(n).values)
-    gc = np.fft.fft(gvals) / n
-    peak = np.abs(gc).max()
-    tail_ratio = float(np.abs(gc[-1]) / peak) if peak > 0 else 0.0
-    gc[0] = gc[0].real  # U(f)'(0) = B(0) exp(S(0)) is real and positive
-    fprime = gc[: n - 1]
-    prim = np.zeros(n, dtype=np.complex128)
-    prim[1:] = fprime / np.arange(1, n)
+    plan = _plan(b, n)
+    prim, fprime, tail_ratio = _operator_step(plan, fld, f.trace(plan.n).values)
     return DiskFunction(prim), DiskFunction(fprime), tail_ratio
 
 
@@ -134,12 +173,16 @@ def _pad_coeffs(c, n):
 
 
 def solve(fld, zeros=(), options=None):
-    """Run the damped iteration to a certified fixed point.
+    """Run the Anderson-mixed iteration to a certified fixed point.
 
     Convergence means both: boundary sup-norm of the last update below
     tol_update and residual below tol_residual.  The grid doubles (up to
     2**15) whenever the solved derivative's spectral tail is unresolved.
     """
+    return _solve(fld, zeros, options, ANDERSON_DEPTH)
+
+
+def _solve(fld, zeros, options, depth):
     options = options or SolveOptions()
     n = check_grid_size(options.n)
     if not 0.0 < float(options.theta) <= 1.0:
@@ -152,7 +195,7 @@ def solve(fld, zeros=(), options=None):
     doublings = 0
 
     while True:
-        report = _iterate(fld, b, coeffs, n, options, zeros)
+        report = _iterate(fld, b, coeffs, n, options, zeros, depth)
         report.doublings = doublings
         if report.converged and not report.f_prime.resolved():
             if n >= MAX_GRID:
@@ -172,24 +215,72 @@ def solve(fld, zeros=(), options=None):
     return report
 
 
-def _iterate(fld, b, coeffs, n, options, zeros=()):
-    f = DiskFunction(coeffs)
+def _mixing_weights(dR, cols, r):
+    """Real weights gamma minimizing |r - sum_i gamma_i dR[cols[i]]|.
+
+    Complex vectors count as their stacked real and imaginary parts, so the
+    weights are real and keep f'(0) real.  The normal equations
+    Re<dR_i, dR_j> gamma = Re<dR_i, r> go through an LDL^T sweep in the
+    order of cols (newest first); a column whose pivot falls below GRAM_DROP
+    times its squared norm lies in the span of the earlier ones and gets
+    weight 0.  A non-finite system, or one without an independent column,
+    raises DivergenceError.
+    """
+    m = len(cols)
+    gram = [[float(np.vdot(dR[i], dR[j]).real) for j in cols] for i in cols]
+    rhs = [float(np.vdot(dR[i], r).real) for i in cols]
+    if not np.isfinite([rhs, *gram]).all():
+        raise DivergenceError("Anderson mixing system is not finite")
+    low = [[0.0] * m for _ in range(m)]
+    pivot, y, gamma = [0.0] * m, [0.0] * m, [0.0] * m
+    for j in range(m):
+        for i in range(j):
+            if pivot[i]:
+                low[j][i] = (gram[j][i] - sum(low[j][k] * low[i][k] * pivot[k] for k in range(i))) / pivot[i]
+        pivot[j] = gram[j][j] - sum(low[j][k] ** 2 * pivot[k] for k in range(j))
+        y[j] = rhs[j] - sum(low[j][k] * y[k] for k in range(j))
+        if not pivot[j] > GRAM_DROP * gram[j][j]:
+            pivot[j] = 0.0
+    if not any(pivot):
+        raise DivergenceError("Anderson mixing system is singular: the update stopped changing")
+    for j in reversed(range(m)):
+        if pivot[j]:
+            gamma[j] = y[j] / pivot[j] - sum(low[k][j] * gamma[k] for k in range(j + 1, m))
+    return gamma
+
+
+def _iterate(fld, b, coeffs, n, options, zeros, depth):
+    """Iterate at one grid size; depth 0 is the plain damped iteration.
+
+    With r = U(x) - x the damped step is theta r.  Anderson mixing subtracts
+    sum_i gamma_i (dX_i + theta dR_i), where dX_i and dR_i are the last
+    changes of x and r and gamma fits r by the dR_i in least squares.
+    """
+    plan = _plan(b, n)
     theta = float(options.theta)
+    x = coeffs  # updated in place
+    dX = np.empty((depth, n), dtype=np.complex128)
+    dR = np.empty((depth, n), dtype=np.complex128)
+    cols = []  # history slots, newest first
     sup_hist, l2_hist = [], []
     first_update = None
     dsup = np.inf
-    fprime = derivative(f)
     tail = 0.0
     iterations = 0
 
     for iterations in range(1, options.max_iters + 1):
-        updated, fprime, tail = apply_operator(f, fld, b, n)
-        delta = updated.coeffs - f.coeffs
-        dvals = np.fft.ifft(delta) * n
-        dsup = float(np.abs(dvals).max())
-        l2_hist.append(float(np.sqrt(np.square(np.abs(delta)).sum())))
+        fvals = np.fft.ifft(x)
+        fvals *= n
+        r, fprime, tail = _operator_step(plan, fld, fvals)
+        del fvals, fprime  # fprime views the step's whole spectrum
+        r -= x
+        dsup = float(np.abs(np.fft.ifft(r)).max()) * n
+        l2_hist.append(math.sqrt(np.vdot(r, r).real))
         sup_hist.append(dsup)
-        f = DiskFunction(f.coeffs + theta * delta)
+        if not math.isfinite(dsup):
+            raise DivergenceError(
+                f"update norm is not finite after {iterations} steps", history=sup_hist
+            )
         if first_update is None:
             first_update = max(dsup, options.tol_update)
         if dsup > DIVERGENCE_FACTOR * max(first_update, 1.0):
@@ -198,16 +289,35 @@ def _iterate(fld, b, coeffs, n, options, zeros=()):
                 history=sup_hist,
             )
         if dsup < options.tol_update:
+            x += theta * r
             break
+        step = theta * r
+        if cols:
+            dR[cols[0]] += r  # completes r_k - r_(k-1)
+            for g, j in zip(_mixing_weights(dR, cols, r), cols):
+                step -= g * dX[j]
+                step -= (theta * g) * dR[j]
+        if depth:
+            slot = cols.pop() if len(cols) == depth else len(cols)
+            dX[slot] = step
+            np.negative(r, out=dR[slot])
+            cols.insert(0, slot)
+        x += step
+        del r, step  # before the next step allocates its own
 
+    plan = dX = dR = r = None  # the iteration buffers go before residual_sup
+    f = DiskFunction(x)
     res = residual_sup(f, fld, n)
-    converged = bool(dsup < options.tol_update and res <= options.tol_residual)
+    if dsup < options.tol_update:
+        stop_reason = "tolerance" if res <= options.tol_residual else "residual"
+    else:
+        stop_reason = "max_iters"
     return SolveReport(
         f=f,
         f_prime=derivative(f),
         n=n,
         iterations=iterations,
-        converged=converged,
+        converged=stop_reason == "tolerance",
         residual=res,
         update_history=sup_hist,
         update_history_l2=l2_hist,
@@ -217,6 +327,7 @@ def _iterate(fld, b, coeffs, n, options, zeros=()):
         zeros=tuple(np.asarray(zeros, dtype=np.complex128)) if len(zeros) else (),
         field_name=fld.name,
         tail_ratio=tail,
+        stop_reason=stop_reason,
     )
 
 
@@ -392,7 +503,8 @@ class RateReport:
 def contraction_rate(fld, certificate, zeros=(), options=None, init_fractions=(0.2, 0.5, 0.9)):
     """Empirical contraction rate against a valid certificate.
 
-    Runs undamped (theta = 1) from several starts inside the certified ball;
+    Runs plain undamped Picard steps (theta = 1, no mixing: the rate is a
+    property of the map itself) from several starts inside the certified ball;
     the certificate bounds every consecutive update ratio by its `ratio`, so
     the observed maximum should not exceed it (plus discretization slack).
     """
@@ -410,7 +522,7 @@ def contraction_rate(fld, certificate, zeros=(), options=None, init_fractions=(0
             initial_map=float(frac) * certificate.sup_solution_bound,
             seed=base.seed,
         )
-        reports.append(solve(fld, zeros=zeros, options=opts))
+        reports.append(_solve(fld, zeros, opts, 0))
 
     rate = 0.0
     for rep in reports:

@@ -202,11 +202,11 @@ def conjugate_periodic(u):
     v = _values(u)
     v = np.asarray(v, dtype=np.float64) if not np.iscomplexobj(v) else v.real
     n = v.size
-    spec = np.fft.fft(v)
-    mult = np.zeros(n, dtype=np.complex128)
-    mult[1 : n // 2] = -1j
-    mult[n // 2 + 1 :] = 1j
-    return np.fft.ifft(mult * spec).real
+    spec = np.fft.rfft(v)
+    spec[0] = 0.0
+    spec[n // 2] = 0.0
+    spec *= -1j
+    return np.fft.irfft(spec, n)
 
 
 def schwarz_integral(u):

@@ -69,6 +69,17 @@ def test_solve_nonconvergence_exits_one(tmp_path, capsys):
     assert "did not converge" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv,code,reason", [
+    (["--init", "6.5"], 0, "tolerance"),
+    (["--init", "20", "--max-iters", "2"], 1, "max_iters"),
+    (["--init", "1.0", "--zeros", "0.995"], 1, "residual"),
+])
+def test_solve_report_records_stop_reason(tmp_path, argv, code, reason):
+    assert run(["solve", "--field", "staircase", *argv, "--out", tmp_path, "--emit", "json"]) == code
+    report = json.loads((tmp_path / "solve_report.json").read_text())
+    assert report["stop_reason"] == reason
+
+
 def test_config_file_with_cli_override(tmp_path):
     cfgfile = tmp_path / "solve.cfg"
     cfgfile.write_text("field=staircase\ninit=1.0  # overridden below\nn=512\n")
