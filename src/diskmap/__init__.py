@@ -17,6 +17,7 @@ from .errors import (
     DivergenceError,
     EmptyIntersectionError,
     InvalidSequenceError,
+    NonFiniteWeightError,
     NotUnivalentError,
     ResolutionExceededError,
 )
@@ -43,7 +44,6 @@ from .solver import (
     univalence,
 )
 from .spectral import (
-    BoundaryGrid,
     DiskFunction,
     antiderivative,
     conjugate_periodic,

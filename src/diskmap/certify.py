@@ -77,7 +77,7 @@ def _interior_margins(f, fld, n, n_radii):
     """Yield (r, u - log|f'| on the circle of radius r, skip mask)."""
     n = check_grid_size(n)
     xi = grid_points(n)
-    boundary_log_phi = np.log(fld.evaluate(xi, f.trace(n).values))
+    boundary_log_phi = np.log(fld.evaluate(xi, f.trace(n)))
     fp = derivative(f)
     for r in np.linspace(0.1, 0.999, n_radii):
         u = poisson_circle(boundary_log_phi, r)
@@ -88,22 +88,21 @@ def _interior_margins(f, fld, n, n_radii):
         yield r, margin, skip
 
 
-def check_subsolution(f, fld, n=512, n_radii=16, tol=TOL_CERT):
-    """f is a subsolution when |f'| never exceeds the harmonic majorant of
-    Phi along f; lattice points where f' vanishes are skipped and counted."""
+def _fence(kind, sign, f, fld, n, n_radii, tol):
+    """Worst of sign * (u - log|f'|) over the lattice, as a certificate."""
     worst = np.inf
     where = {}
     skipped = 0
     angles = grid_angles(n)
     for r, margin, skip in _interior_margins(f, fld, n, n_radii):
         skipped += int(skip.sum())
-        usable = np.where(skip, np.inf, margin)
+        usable = np.where(skip, np.inf, sign * margin)
         i = int(np.argmin(usable))
         if usable[i] < worst:
             worst = float(usable[i])
             where = {"r": float(r), "t": float(angles[i])}
     return Certificate(
-        kind="subsolution",
+        kind=kind,
         passed=bool(worst >= -tol),
         worst_margin=worst,
         worst_location=where,
@@ -111,6 +110,12 @@ def check_subsolution(f, fld, n=512, n_radii=16, tol=TOL_CERT):
         lattice={"n": n, "radii": n_radii},
         skipped=skipped,
     )
+
+
+def check_subsolution(f, fld, n=512, n_radii=16, tol=TOL_CERT):
+    """f is a subsolution when |f'| never exceeds the harmonic majorant of
+    Phi along f; lattice points where f' vanishes are skipped and counted."""
+    return _fence("subsolution", 1.0, f, fld, n, n_radii, tol)
 
 
 def check_supersolution(f, fld, n=512, n_radii=16, seed=0, tol=TOL_CERT):
@@ -118,26 +123,7 @@ def check_supersolution(f, fld, n=512, n_radii=16, seed=0, tol=TOL_CERT):
     minorant; folded boundaries are rejected outright."""
     if not univalence(f, n, seed=seed):
         raise NotUnivalentError("supersolution certificate needs a univalent map")
-    worst = np.inf
-    where = {}
-    skipped = 0
-    angles = grid_angles(n)
-    for r, margin, skip in _interior_margins(f, fld, n, n_radii):
-        skipped += int(skip.sum())
-        usable = np.where(skip, np.inf, -margin)
-        i = int(np.argmin(usable))
-        if usable[i] < worst:
-            worst = float(usable[i])
-            where = {"r": float(r), "t": float(angles[i])}
-    return Certificate(
-        kind="supersolution",
-        passed=bool(worst >= -tol),
-        worst_margin=worst,
-        worst_location=where,
-        tolerance=tol,
-        lattice={"n": n, "radii": n_radii},
-        skipped=skipped,
-    )
+    return _fence("supersolution", -1.0, f, fld, n, n_radii, tol)
 
 
 def check_starlike(f, n=512, seed=0, tol=TOL_CERT):
@@ -146,11 +132,11 @@ def check_starlike(f, n=512, seed=0, tol=TOL_CERT):
         raise NotUnivalentError("starlike certificate needs a univalent map")
     n = check_grid_size(n)
     xi = grid_points(n)
-    fvals = f.trace(n).values
+    fvals = f.trace(n)
     scale = np.abs(fvals).max()
     if np.abs(fvals).min() < 1e-12 * max(scale, 1.0):
         raise DegenerateBoundaryError("boundary trace passes through 0; starlike quotient undefined")
-    quotient = (xi * derivative(f).trace(n).values / fvals).real
+    quotient = (xi * derivative(f).trace(n) / fvals).real
     i = int(np.argmin(quotient))
     worst = float(quotient[i])
     return Certificate(
@@ -197,9 +183,9 @@ def free_boundary_check(f, fld, n=512, spots=8, delta=1e-3, seed=0, tol=TOL_CERT
         raise NotUnivalentError("free boundary certificate needs a univalent map")
     n = check_grid_size(n)
     xi = grid_points(n)
-    fvals = f.trace(n).values
+    fvals = f.trace(n)
     fp = derivative(f)
-    fpvals = fp.trace(n).values
+    fpvals = fp.trace(n)
     phi = fld.evaluate(xi, fvals)
     m1 = float(np.abs(fpvals).min())
     m2 = float(phi.min())

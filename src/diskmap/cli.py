@@ -5,11 +5,12 @@ with command line flags taking precedence; unknown config keys are rejected.
 Reports are JSON, traces and coefficients are CSV, curve plots are
 standalone SVG, raster regions are PBM with a JSON sidecar.
 
-Exit codes: 0 success, 1 failed solve or failed certificate, 2 bad
-configuration or unreadable input.
+Exit codes: 0 success, 1 failed solve, failed certificate or other
+computation error, 2 bad configuration or unreadable input.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -27,10 +28,10 @@ from .certify import (
 from .errors import ConfigError, DiskmapError
 from .regions import (
     build_shrinking_spiral_family,
-    extended_union_many,
+    extended_union,
     kernel_of_shrinking,
     load_region,
-    reduced_intersection_many,
+    reduced_intersection,
     save_region,
     schoenfliess_test,
 )
@@ -177,6 +178,10 @@ def _plain(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -210,8 +215,8 @@ def load_coefficients_csv(path):
 def write_boundary_csv(path, f, fld, n):
     t = grid_angles(n)
     xi = grid_points(n)
-    fv = f.trace(n).values
-    fpv = derivative(f).trace(n).values
+    fv = f.trace(n)
+    fpv = derivative(f).trace(n)
     phi = fld.evaluate(xi, fv)
     with open(path, "w") as fh:
         fh.write("t,re_f,im_f,abs_fprime,phi\n")
@@ -263,7 +268,7 @@ def cmd_solve(cfg):
         write_coefficients_csv(os.path.join(out_dir, "coefficients.csv"), report.f)
         write_boundary_csv(os.path.join(out_dir, "boundary.csv"), report.f, fld, report.n)
     if "svg" in emit:
-        write_curve_svg(os.path.join(out_dir, "curve.svg"), report.f.trace(report.n).values)
+        write_curve_svg(os.path.join(out_dir, "curve.svg"), report.f.trace(report.n))
     status = "converged" if report.converged else "did not converge"
     print(
         f"solve {fld.name}: {status} in {report.iterations} iterations, n={report.n}, "
@@ -326,18 +331,18 @@ def cmd_scan(cfg):
             steps=_as_int(cfg, "steps", 10000),
             tol=None if "scan_tol" not in cfg else _as_float(cfg, "scan_tol", None),
         )
-        payload["radial_scan"] = scan.as_dict()
+        payload["radial_scan"] = scan
         print(f"radial scan: {len(scan.intervals)} solution interval(s) {scan.intervals}")
     else:
         payload["radial_scan"] = None
         print("radial scan: skipped (field is not rotation invariant)")
 
     scale = radial_scale_check(fld)
-    payload["radial_scale_check"] = scale.as_dict()
+    payload["radial_scale_check"] = scale
     print(f"{'PASS' if scale.passed else 'FAIL'} radial scale condition: margin={scale.margin:.3e}")
 
     sup = superharmonic_check(fld)
-    payload["superharmonic_check"] = sup.as_dict()
+    payload["superharmonic_check"] = sup
     print(f"{'PASS' if sup.passed else 'FAIL'} superharmonic condition: excess={sup.worst:.3e}")
 
     if "json" in emit:
@@ -376,10 +381,7 @@ def cmd_geometry(cfg):
             regions = [load_region(p) for p in paths]
         except (OSError, ValueError) as e:
             raise ConfigError(f"cannot load region: {e}") from None
-        if op == "union":
-            result = extended_union_many(regions)
-        else:
-            result = reduced_intersection_many(regions)
+        result = (extended_union if op == "union" else reduced_intersection)(*regions)
         save_region(result, os.path.join(out_dir, f"{op}.pbm"))
         payload = {
             "op": op,
@@ -410,7 +412,7 @@ def cmd_spectrum(cfg):
         f, n = report.f, report.n
 
     spec = spectrum_report(f)
-    payload = {"spectrum": spec.as_dict()}
+    payload = {"spectrum": spec}
     print(f"spectrum: {spec.claim}")
     if fld is not None:
         second = second_derivative(f, fld, zeros=zeros, n=n)
@@ -508,13 +510,14 @@ def main(argv=None):
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
+    except DiskmapError as e:
+        # before ValueError: a non-finite weight met mid-computation is both
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except ValueError as e:
         # library-level input validation (grid sizes, canvas sizes, ...)
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
-    except DiskmapError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

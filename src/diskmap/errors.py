@@ -21,6 +21,10 @@ class DivergenceError(DiskmapError):
         self.history = list(history) if history is not None else []
 
 
+class NonFiniteWeightError(DiskmapError, ValueError):
+    """A weight field met a NaN or infinite value in the middle of a computation."""
+
+
 class ResolutionExceededError(DiskmapError):
     """Spectral tail still unresolved at the maximum grid size."""
 

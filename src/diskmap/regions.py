@@ -5,7 +5,7 @@ Regions are boolean rasters with a marked basepoint, 4-connected material,
 set operations used when comparing image domains of solved maps:
 
 * extended_union: union with its holes filled (smallest simply connected
-  raster region containing both);
+  raster region containing them all);
 * reduced_intersection: basepoint component of the intersection;
 * kernel_of_shrinking: limit region of a strictly shrinking family --
   basepoint component of the interior of the raster-closed intersection;
@@ -73,13 +73,7 @@ class RasterRegion:
 
     def is_simply_connected(self):
         """No bounded complement component (complement taken 8-connected)."""
-        comp = ~self.mask
-        labels, count = _label8(comp)
-        border = np.unique(
-            np.concatenate([labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]])
-        )
-        border = border[border != 0]
-        return bool(np.isin(labels[comp], border).all())
+        return not _bounded_complement(self.mask).any()
 
     def area(self):
         return int(self.mask.sum())
@@ -88,65 +82,51 @@ class RasterRegion:
         return self.mask.shape == other.mask.shape and self.basepoint == other.basepoint
 
 
+def _bounded_complement(mask):
+    """Cells of the 8-connected complement that the canvas border does not reach."""
+    labels, count = _label8(~mask)
+    bounded = np.arange(count + 1) > 0  # label 0 is the mask itself
+    bounded[np.concatenate([labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]])] = False
+    return bounded[labels]
+
+
 def fill_holes(mask):
     """Fill bounded complement components (8-connected complement)."""
-    comp = ~mask
-    labels, _ = _label8(comp)
-    border = np.unique(np.concatenate([labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]]))
-    border = border[border != 0]
-    bounded = comp & ~np.isin(labels, border)
-    return mask | bounded
+    return mask | _bounded_complement(mask)
 
 
-def extended_union(a, b):
-    """Union of the two regions with all holes filled."""
-    if not a.same_frame(b):
-        raise ValueError("regions live on different frames")
-    return RasterRegion(fill_holes(a.mask | b.mask), a.basepoint)
-
-
-def extended_union_many(regions):
-    """Direct n-ary extended union (union everything, then fill)."""
+def _one_frame(regions):
+    """The regions as a list, checked non-empty and on one frame."""
     regions = list(regions)
     if not regions:
         raise ValueError("need at least one region")
-    first = regions[0]
-    mask = first.mask.copy()
-    for r in regions[1:]:
-        if not first.same_frame(r):
-            raise ValueError("regions live on different frames")
-        mask |= r.mask
-    return RasterRegion(fill_holes(mask), first.basepoint)
-
-
-def reduced_intersection(a, b):
-    """Basepoint component of the intersection."""
-    if not a.same_frame(b):
+    if not all(regions[0].same_frame(r) for r in regions[1:]):
         raise ValueError("regions live on different frames")
-    inter = a.mask & b.mask
-    r, c = a.basepoint
-    if not inter[r, c]:
-        raise EmptyIntersectionError("intersection misses the basepoint")
-    labels, _ = _label4(inter)
-    return RasterRegion(labels == labels[r, c], a.basepoint)
+    return regions
 
 
-def reduced_intersection_many(regions):
-    """Direct n-ary reduced intersection."""
-    regions = list(regions)
-    if not regions:
-        raise ValueError("need at least one region")
-    first = regions[0]
-    mask = first.mask.copy()
-    for r in regions[1:]:
-        if not first.same_frame(r):
-            raise ValueError("regions live on different frames")
-        mask &= r.mask
-    r, c = first.basepoint
-    if not mask[r, c]:
-        raise EmptyIntersectionError("intersection misses the basepoint")
+def _basepoint_component(mask, basepoint, missing):
+    """The 4-connected component of mask at basepoint; raises `missing` when
+    the basepoint is not in the mask."""
+    if not mask[basepoint]:
+        raise missing
     labels, _ = _label4(mask)
-    return RasterRegion(labels == labels[r, c], first.basepoint)
+    return RasterRegion(labels == labels[basepoint], basepoint)
+
+
+def extended_union(*regions):
+    """Union of the regions with all holes filled."""
+    regions = _one_frame(regions)
+    return RasterRegion(fill_holes(np.logical_or.reduce([r.mask for r in regions])), regions[0].basepoint)
+
+
+def reduced_intersection(*regions):
+    """Basepoint component of the intersection of the regions."""
+    regions = _one_frame(regions)
+    inter = np.logical_and.reduce([r.mask for r in regions])
+    return _basepoint_component(
+        inter, regions[0].basepoint, EmptyIntersectionError("intersection misses the basepoint")
+    )
 
 
 def boundary_cells(mask):
@@ -187,29 +167,20 @@ def kernel_of_shrinking(regions):
     limit.  On families without such throats the closing is a no-op and the
     kernel is plain erode(intersection) at the basepoint.
     """
-    regions = list(regions)
-    if not regions:
-        raise ValueError("need at least one region")
-    first = regions[0]
+    regions = _one_frame(regions)
     for i in range(len(regions) - 1):
-        if not regions[i].same_frame(regions[i + 1]):
-            raise ValueError("regions live on different frames")
         if (dilate(regions[i + 1].mask) & ~regions[i].mask).any():
             raise InvalidSequenceError(
                 f"family is not strictly shrinking at step {i} -> {i + 1}", index=i
             )
-    inter = first.mask.copy()
-    for reg in regions[1:]:
-        inter &= reg.mask
-    r, c = first.basepoint
-    if not inter[r, c]:
+    inter = np.logical_and.reduce([r.mask for r in regions])
+    bp = regions[0].basepoint
+    if not inter[bp]:
         raise EmptyIntersectionError("intersection misses the basepoint")
-    closed = erode(dilate(inter))
-    interior = erode(closed)
-    if not interior[r, c]:
-        raise EmptyIntersectionError("kernel interior misses the basepoint")
-    labels, _ = _label4(interior)
-    return RasterRegion(labels == labels[r, c], first.basepoint)
+    interior = erode(erode(dilate(inter)))
+    return _basepoint_component(
+        interior, bp, EmptyIntersectionError("kernel interior misses the basepoint")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +275,7 @@ def build_shrinking_spiral_family(size=512, levels=3):
             int(round(center[0] + 160.0 * s * np.sin(bp_angle))),
             int(round(center[1] + 160.0 * s * np.cos(bp_angle))),
         )
-        labels, _ = _label4(mask)
-        if not mask[bp]:
-            raise RuntimeError("demo basepoint fell outside the carved body")
-        mask = labels == labels[bp]
-        region = RasterRegion(mask, bp)
+        region = _basepoint_component(mask, bp, RuntimeError("demo basepoint fell outside the carved body"))
         region.validate()
         if not region.is_simply_connected():
             raise RuntimeError(f"demo level {k} is not simply connected")

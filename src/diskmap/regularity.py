@@ -34,16 +34,6 @@ class SpectrumReport:
     points_used: int
     claim: str
 
-    def as_dict(self):
-        return {
-            "decay": self.decay,
-            "rate": self.rate,
-            "fit_rms": self.fit_rms,
-            "window": list(self.window),
-            "points_used": self.points_used,
-            "claim": self.claim,
-        }
-
 
 def spectrum_report(f):
     """Classify the tail decay of the coefficients of f'.
@@ -128,8 +118,8 @@ def second_derivative(f, fld, zeros=(), n=512):
     """
     n = check_grid_size(n)
     xi = grid_points(n)
-    fvals = f.trace(n).values
-    fpvals = derivative(f).trace(n).values
+    fvals = f.trace(n)
+    fpvals = derivative(f).trace(n)
     g = np.log(fld.evaluate(xi, fvals))
     ghat = np.fft.fft(g)
     peak = np.abs(ghat).max()
@@ -144,10 +134,10 @@ def second_derivative(f, fld, zeros=(), n=512):
 
     b = blaschke_mod.construct(zeros)
     log_deriv = blaschke_mod.log_derivative(b, xi)
-    svals = schwarz_integral(dgdt).trace(n).values
+    svals = schwarz_integral(dgdt).trace(n)
     f2 = log_deriv * fpvals + fpvals * svals / (1j * xi)
 
-    spectral_f2 = derivative(derivative(f)).trace(n).values
+    spectral_f2 = derivative(derivative(f)).trace(n)
     gap = float(np.abs(f2 - spectral_f2).max())
     return SecondDerivativeResult(
         values=f2,

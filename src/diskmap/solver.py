@@ -15,7 +15,7 @@ iteration.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -153,7 +153,7 @@ def apply_operator(f, fld, b, n):
     derivative of the returned primitive.
     """
     plan = _plan(b, n)
-    prim, fprime, tail_ratio = _operator_step(plan, fld, f.trace(plan.n).values)
+    prim, fprime, tail_ratio = _operator_step(plan, fld, f.trace(plan.n))
     return DiskFunction(prim), DiskFunction(fprime), tail_ratio
 
 
@@ -161,8 +161,8 @@ def residual_sup(f, fld, n):
     """sup over the grid of | |f'| - Phi(xi, f) |."""
     n = check_grid_size(n)
     xi = grid_points(n)
-    fp = np.abs(derivative(f).trace(n).values)
-    phi = fld.evaluate(xi, f.trace(n).values)
+    fp = np.abs(derivative(f).trace(n))
+    phi = fld.evaluate(xi, f.trace(n))
     return float(np.abs(fp - phi).max())
 
 
@@ -399,7 +399,7 @@ def univalence(f, n, seed=0):
     The polygon is the boundary trace on the full n-point grid, with no
     vertex cap, so folds as fine as one grid step are seen.
     """
-    P = f.trace(check_grid_size(n)).values
+    P = f.trace(check_grid_size(n))
     if not polygon_is_simple(P):
         return False
     rng = np.random.default_rng(seed)
@@ -439,15 +439,6 @@ class ScanResult:
     r_min: float
     r_max: float
     steps: int
-
-    def as_dict(self):
-        return {
-            "intervals": [[a, b] for a, b in self.intervals],
-            "tolerance": self.tolerance,
-            "r_min": self.r_min,
-            "r_max": self.r_max,
-            "steps": self.steps,
-        }
 
 
 def radial_scan(fld, r_min=None, r_max=None, steps=10000, tol=None):
@@ -491,14 +482,6 @@ class RateReport:
     limit_gap: float
     runs: int
 
-    def as_dict(self):
-        return {
-            "observed_rate": self.observed_rate,
-            "certified_ratio": self.certified_ratio,
-            "limit_gap": self.limit_gap,
-            "runs": self.runs,
-        }
-
 
 def contraction_rate(fld, certificate, zeros=(), options=None, init_fractions=(0.2, 0.5, 0.9)):
     """Empirical contraction rate against a valid certificate.
@@ -513,15 +496,7 @@ def contraction_rate(fld, certificate, zeros=(), options=None, init_fractions=(0
     base = options or SolveOptions()
     reports = []
     for frac in init_fractions:
-        opts = SolveOptions(
-            n=base.n,
-            theta=1.0,
-            max_iters=base.max_iters,
-            tol_update=base.tol_update,
-            tol_residual=base.tol_residual,
-            initial_map=float(frac) * certificate.sup_solution_bound,
-            seed=base.seed,
-        )
+        opts = replace(base, theta=1.0, initial_map=float(frac) * certificate.sup_solution_bound)
         reports.append(_solve(fld, zeros, opts, 0))
 
     rate = 0.0
@@ -535,7 +510,7 @@ def contraction_rate(fld, certificate, zeros=(), options=None, init_fractions=(0
     nmax = max(rep.n for rep in reports)
     for i in range(len(reports)):
         for j in range(i + 1, len(reports)):
-            diff = np.abs(reports[i].f.trace(nmax).values - reports[j].f.trace(nmax).values).max()
+            diff = np.abs(reports[i].f.trace(nmax) - reports[j].f.trace(nmax)).max()
             gap = max(gap, float(diff))
 
     return RateReport(

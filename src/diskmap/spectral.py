@@ -49,32 +49,10 @@ def grid_points(n):
 
 
 def _values(u):
-    """Accept a BoundaryGrid or a plain array of nodal values."""
-    if isinstance(u, BoundaryGrid):
-        return u.values
+    """Nodal values on the boundary grid, checked for a valid grid size."""
     v = np.asarray(u)
     check_grid_size(v.shape[-1] if v.ndim else 0)
     return v
-
-
-class BoundaryGrid:
-    """Nodal values of a function on the equispaced circle grid."""
-
-    __slots__ = ("n", "values")
-
-    def __init__(self, values):
-        v = np.asarray(values, dtype=np.complex128)
-        if v.ndim != 1:
-            raise ValueError("boundary values must be a 1-d array")
-        self.n = check_grid_size(v.size)
-        self.values = v
-
-    @property
-    def angles(self):
-        return grid_angles(self.n)
-
-    def __len__(self):
-        return self.n
 
 
 class DiskFunction:
@@ -112,11 +90,13 @@ class DiskFunction:
         return mags[-1] / peak < RESOLVED_RATIO
 
     def trace(self, n):
-        """Boundary values at the n-point grid (cached per n)."""
+        """Boundary values at the n-point grid, cached per n and shared
+        between callers, hence read-only."""
         n = check_grid_size(n)
         got = self._traces.get(n)
         if got is None:
-            got = BoundaryGrid(self._circle_values(1.0, n))
+            got = self._circle_values(1.0, n)
+            got.flags.writeable = False
             self._traces[n] = got
         return got
 
@@ -276,5 +256,5 @@ def hp_boundary_distance(f, g, p):
         next_power_of_two(max(f.coeffs.size, MIN_GRID)),
         next_power_of_two(max(g.coeffs.size, MIN_GRID)),
     )
-    diff = np.abs(f.trace(n).values - g.trace(n).values)
+    diff = np.abs(f.trace(n) - g.trace(n))
     return (2.0 * np.pi / n) * np.power(diff, p).sum()

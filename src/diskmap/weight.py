@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteWeightError
+
 TABULATED_FLOOR = 1e-9
 CONTINUITY_TOL = 1e-12
 
@@ -37,13 +39,14 @@ class WeightField:
     def evaluate(self, xi, w):
         """Phi at unimodular xi and image points w, broadcast together.
 
-        Raises ValueError on any NaN or infinite value, for every kind.
+        Raises NonFiniteWeightError, a ValueError, on any NaN or infinite
+        value, for every kind.
         """
         xi = np.asarray(xi, dtype=np.complex128)
         w = np.asarray(w, dtype=np.complex128)
         out = np.asarray(self._fn(xi, w), dtype=np.float64)
         if not np.isfinite(out).all():
-            raise ValueError(f"weight field {self.name!r} is not finite")
+            raise NonFiniteWeightError(f"weight field {self.name!r} is not finite")
         if out.size and out.min() <= 0.0:
             if self.kind == "tabulated":
                 warnings.warn("tabulated weight clamped at positivity floor")
@@ -109,16 +112,6 @@ def radial_piecewise_field(breakpoints, pieces, sup_bound, name=None, params=Non
     )
 
 
-def product_separable_field(angular, w_factor, sup_bound, name=None, params=None):
-    """Phi(xi, w) = A(arg xi) * R(w) with both factors positive."""
-
-    def fn(xi, w):
-        xb, wb = np.broadcast_arrays(xi, w)
-        return np.asarray(angular(np.angle(xb)), dtype=np.float64) * np.asarray(w_factor(wb), dtype=np.float64)
-
-    return WeightField("product_separable", fn, sup_bound, xi_dependent=True, name=name or "product_separable", params=params)
-
-
 def callable_field(fn, sup_bound, xi_dependent=False, radial_profile=None, name=None, params=None):
     """Wrap an arbitrary positive vectorized fn(xi, w)."""
     return WeightField("callable", fn, sup_bound, xi_dependent=xi_dependent, radial_profile=radial_profile, name=name or "callable", params=params)
@@ -153,7 +146,7 @@ def tabulated_field(path):
     def finite_points(wb):
         # np.clip keeps NaN, which the interpolator rejects as out of bounds
         if not np.isfinite(wb).all():
-            raise ValueError(f"weight field {name!r} evaluated at a non-finite image point")
+            raise NonFiniteWeightError(f"weight field {name!r} evaluated at a non-finite image point")
         return wb
 
     if "r" in cols and "theta" in cols:
@@ -378,18 +371,6 @@ class ContractionCertificate:
     sampled_lipschitz: float
     lattice: tuple
 
-    def as_dict(self):
-        return {
-            "lipschitz": self.lipschitz,
-            "sup_solution_bound": self.sup_solution_bound,
-            "inf_weight_bound": self.inf_weight_bound,
-            "ratio": self.ratio,
-            "valid": self.valid,
-            "lipschitz_verified": self.lipschitz_verified,
-            "sampled_lipschitz": self.sampled_lipschitz,
-            "lattice": list(self.lattice),
-        }
-
 
 def contraction_certificate(field, lipschitz, n_radial=1024, n_angular=256, n_xi=64):
     """Certify contraction of the update operator from lattice bounds.
@@ -450,16 +431,6 @@ class ScaleCheckResult:
     worst_radius: float
     worst_rho: float
 
-    def as_dict(self):
-        return {
-            "passed": self.passed,
-            "margin": self.margin,
-            "strict_passed": self.strict_passed,
-            "strict_margin": self.strict_margin,
-            "worst_radius": self.worst_radius,
-            "worst_rho": self.worst_rho,
-        }
-
 
 def radial_scale_check(field, n_rho=64, n_radial=512, n_angular=128, n_xi=32):
     """Check the scale condition Phi(xi, w) <= Phi(xi, rho w)/rho, 0 < rho < 1.
@@ -511,14 +482,6 @@ class SuperharmonicResult:
     worst: float
     tolerance: float
     worst_point: complex
-
-    def as_dict(self):
-        return {
-            "passed": self.passed,
-            "worst": self.worst,
-            "tolerance": self.tolerance,
-            "worst_point": [self.worst_point.real, self.worst_point.imag],
-        }
 
 
 def superharmonic_check(field, n=128, n_xi=16):

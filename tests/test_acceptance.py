@@ -42,7 +42,7 @@ def test_criterion_01_maximal_solution(staircase):
     rep = solver.solve(staircase, zeros=[], options=SolveOptions(initial_map=6.5, n=512))
     elapsed = time.perf_counter() - t0
     target = solver.scaled_identity(6.0)
-    sup_dist = float(np.abs(rep.f.trace(rep.n).values - target.trace(rep.n).values).max())
+    sup_dist = float(np.abs(rep.f.trace(rep.n) - target.trace(rep.n)).max())
     star = certify.check_starlike(rep.f)
     ok = (
         stat_gap < 1e-12
@@ -66,7 +66,7 @@ def test_criterion_02_branched_solution(staircase):
     rep = solver.solve(staircase, zeros=[-0.5], options=SolveOptions(initial_map=1.0, n=512))
     elapsed = time.perf_counter() - t0
     target = DiskFunction([0.0, 1.0, 1.0])
-    sup_dist = float(np.abs(rep.f.trace(rep.n).values - target.trace(rep.n).values).max())
+    sup_dist = float(np.abs(rep.f.trace(rep.n) - target.trace(rep.n)).max())
     ok = sup_dist <= 1e-8 and rep.residual <= 1e-8 and not rep.univalent and elapsed < 5.0
     report(
         2,
@@ -160,7 +160,7 @@ def test_criterion_06_fixed_point_equivalence():
         rep = solver.solve(fld, zeros=zeros)
         b = blaschke.construct(zeros)
         updated, _, _ = solver.apply_operator(rep.f, fld, b, rep.n)
-        defect = float(np.abs(updated.trace(rep.n).values - rep.f.trace(rep.n).values).max())
+        defect = float(np.abs(updated.trace(rep.n) - rep.f.trace(rep.n)).max())
         small = defect <= 1e-8 and rep.residual <= 1e-8
         worst_sol = max(worst_sol, defect, rep.residual)
 
@@ -168,7 +168,7 @@ def test_criterion_06_fixed_point_equivalence():
         bumped[3] += 1e-3
         pert = DiskFunction(bumped)
         upd_p, _, _ = solver.apply_operator(pert, fld, b, rep.n)
-        p_defect = float(np.abs(upd_p.trace(rep.n).values - pert.trace(rep.n).values).max())
+        p_defect = float(np.abs(upd_p.trace(rep.n) - pert.trace(rep.n)).max())
         p_res = solver.residual_sup(pert, fld, rep.n)
         big = p_defect > 1e-6 and p_res > 1e-6
         worst_pert = min(worst_pert, p_defect, p_res)
@@ -230,7 +230,7 @@ def test_criterion_08_superharmonic_uniqueness():
             ok = ok and reps[i].univalent
             for j in range(i + 1, len(reps)):
                 gap = float(
-                    np.abs(reps[i].f.trace(nmax).values - reps[j].f.trace(nmax).values).max()
+                    np.abs(reps[i].f.trace(nmax) - reps[j].f.trace(nmax)).max()
                 )
                 worst_gap = max(worst_gap, gap)
     ok = ok and worst_gap <= 1e-6

@@ -1,5 +1,6 @@
 """Command line driver: subcommands, file formats, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import diskmap
-from diskmap import cli, regions
+from diskmap import cli, regions, regularity, solver, weight
 from diskmap.spectral import DiskFunction
 
 
@@ -292,6 +293,141 @@ def test_malformed_config_line_rejected(tmp_path, capsys):
     cfgfile.write_text("field staircase\n")
     assert run(["solve", "--config", cfgfile, "--out", tmp_path]) == 2
     assert "expected key=value" in capsys.readouterr().err
+
+
+def test_nan_weight_mid_solve_exits_one(tmp_path, monkeypatch, capsys):
+    # a field that passes every input check and turns NaN at one node of the
+    # first operator step: a computation error, not a configuration error
+    def fn(xi, w):
+        out = np.full(np.broadcast(xi, w).shape, 3.0)
+        out.flat[7] = np.nan
+        return out
+
+    nan_node = lambda: weight.callable_field(fn, sup_bound=3.0, name="nan-node")
+    monkeypatch.setitem(weight.BUILTIN_FIELDS, "nan_node", nan_node)
+    assert run(["solve", "--field", "nan_node", "--out", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'nan-node' is not finite" in err
+
+
+def test_nan_cell_in_tabulated_csv_exits_two(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    nodes = [(x, y) for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.0, 1.0)]
+    table.write_text("x,y,phi\n" + "".join(f"{x},{y},{'nan' if x == y == 0.0 else 2.0}\n" for x, y in nodes))
+    assert run(["scan", "--field", f"csv:{table}", "--out", tmp_path]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# JSON bytes: _plain serializes result dataclasses through dataclasses.asdict.
+# The hand-written as_dict bodies it replaced are kept here as the oracle.
+
+def old_scan_as_dict(s):
+    return {
+        "intervals": [[a, b] for a, b in s.intervals],
+        "tolerance": s.tolerance,
+        "r_min": s.r_min,
+        "r_max": s.r_max,
+        "steps": s.steps,
+    }
+
+
+def old_contraction_as_dict(c):
+    return {
+        "lipschitz": c.lipschitz,
+        "sup_solution_bound": c.sup_solution_bound,
+        "inf_weight_bound": c.inf_weight_bound,
+        "ratio": c.ratio,
+        "valid": c.valid,
+        "lipschitz_verified": c.lipschitz_verified,
+        "sampled_lipschitz": c.sampled_lipschitz,
+        "lattice": list(c.lattice),
+    }
+
+
+def old_scale_as_dict(r):
+    return {
+        "passed": r.passed,
+        "margin": r.margin,
+        "strict_passed": r.strict_passed,
+        "strict_margin": r.strict_margin,
+        "worst_radius": r.worst_radius,
+        "worst_rho": r.worst_rho,
+    }
+
+
+def old_superharmonic_as_dict(r):
+    return {
+        "passed": r.passed,
+        "worst": r.worst,
+        "tolerance": r.tolerance,
+        "worst_point": [r.worst_point.real, r.worst_point.imag],
+    }
+
+
+def old_spectrum_as_dict(r):
+    return {
+        "decay": r.decay,
+        "rate": r.rate,
+        "fit_rms": r.fit_rms,
+        "window": list(r.window),
+        "points_used": r.points_used,
+        "claim": r.claim,
+    }
+
+
+def old_rate_as_dict(r):
+    return {
+        "observed_rate": r.observed_rate,
+        "certified_ratio": r.certified_ratio,
+        "limit_gap": r.limit_gap,
+        "runs": r.runs,
+    }
+
+
+def _spectrum(coeffs):
+    return lambda: regularity.spectrum_report(DiskFunction(coeffs))
+
+
+STAIR, GAUSS, RIPPLE = weight.staircase_field(), weight.gauss_radial_field(), weight.ripple_field()
+SERIALIZED = {
+    "scan_staircase": (old_scan_as_dict, lambda: solver.radial_scan(STAIR)),
+    "scan_gauss": (old_scan_as_dict, lambda: solver.radial_scan(GAUSS)),
+    "contraction": (
+        old_contraction_as_dict,
+        lambda: weight.contraction_certificate(STAIR, 4.0 / 3.0, n_radial=256, n_angular=64),
+    ),
+    "scale_staircase": (old_scale_as_dict, lambda: weight.radial_scale_check(STAIR)),
+    "scale_gauss": (old_scale_as_dict, lambda: weight.radial_scale_check(GAUSS)),
+    "scale_ripple": (old_scale_as_dict, lambda: weight.radial_scale_check(RIPPLE, n_radial=64, n_angular=16)),
+    "superharmonic_staircase": (old_superharmonic_as_dict, lambda: weight.superharmonic_check(STAIR)),
+    "superharmonic_gauss": (old_superharmonic_as_dict, lambda: weight.superharmonic_check(GAUSS)),
+    "spectrum_geometric": (old_spectrum_as_dict, _spectrum(np.concatenate([[0.0], 0.7 ** np.arange(64)]))),
+    "spectrum_algebraic": (old_spectrum_as_dict, _spectrum(np.concatenate([[0.0], np.arange(1.0, 200.0) ** -3.5]))),
+    "spectrum_undetermined": (old_spectrum_as_dict, _spectrum([0.0, 1.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERIALIZED))
+def test_write_json_bytes_match_retired_as_dict(tmp_path, case):
+    old_as_dict, build = SERIALIZED[case]
+    obj = build()
+    cli.write_json(tmp_path / "new.json", {"payload": obj, "list": [obj]})
+    cli.write_json(tmp_path / "old.json", {"payload": old_as_dict(obj), "list": [old_as_dict(obj)]})
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+
+def test_rate_report_asdict_matches_retired_as_dict_but_for_the_limit(tmp_path):
+    # RateReport was never serialized; its as_dict left out the limit map,
+    # which is a DiskFunction and has no JSON form
+    rep = solver.RateReport(0.25, 0.5, DiskFunction([0.0, 1.0]), 1e-12, 3)
+    fields = dataclasses.asdict(rep)
+    assert isinstance(fields.pop("limit"), DiskFunction)
+    cli.write_json(tmp_path / "new.json", fields)
+    cli.write_json(tmp_path / "old.json", old_rate_as_dict(rep))
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+    with pytest.raises(TypeError, match="DiskFunction"):
+        cli.write_json(tmp_path / "whole.json", rep)
 
 
 # ---------------------------------------------------------------------------

@@ -95,15 +95,15 @@ def test_region_algebra_laws(seed):
     assert (eu.mask == regions.extended_union(b, a).mask).all()
     assert (ri.mask == regions.reduced_intersection(b, a).mask).all()
 
-    # associative, exactly, and the n-ary forms agree with folding
+    # associative, exactly, and the n-ary calls agree with folding
     left = regions.extended_union(regions.extended_union(a, b), c)
     right = regions.extended_union(a, regions.extended_union(b, c))
-    nary = regions.extended_union_many([a, b, c])
+    nary = regions.extended_union(a, b, c)
     assert (left.mask == right.mask).all()
     assert (left.mask == nary.mask).all()
     ileft = regions.reduced_intersection(regions.reduced_intersection(a, b), c)
     iright = regions.reduced_intersection(a, regions.reduced_intersection(b, c))
-    inary = regions.reduced_intersection_many([a, b, c])
+    inary = regions.reduced_intersection(a, b, c)
     assert (ileft.mask == iright.mask).all()
     assert (ileft.mask == inary.mask).all()
 
@@ -144,7 +144,7 @@ def test_frame_mismatch_rejected():
     with pytest.raises(ValueError, match="frames"):
         regions.extended_union(a, disk_region(20, basepoint=(64, 65)))
     with pytest.raises(ValueError, match="frames"):
-        regions.reduced_intersection_many([a, disk_region(20, basepoint=(64, 65))])
+        regions.reduced_intersection(a, a, disk_region(20, basepoint=(64, 65)))
 
 
 def test_empty_intersection_raises():
@@ -155,9 +155,11 @@ def test_empty_intersection_raises():
 
 
 def test_nary_forms_need_input():
-    with pytest.raises(ValueError):
-        regions.extended_union_many([])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one region"):
+        regions.extended_union()
+    with pytest.raises(ValueError, match="at least one region"):
+        regions.reduced_intersection()
+    with pytest.raises(ValueError, match="at least one region"):
         regions.kernel_of_shrinking([])
 
 

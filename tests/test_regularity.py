@@ -1,5 +1,7 @@
 """Spectral decay classification and the boundary second derivative."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -52,10 +54,10 @@ def test_zero_map_is_undetermined():
 
 def test_report_as_dict_round_trips():
     rep = regularity.spectrum_report(map_with_derivative_decay(lambda k: 0.7**k))
-    d = rep.as_dict()
+    d = dataclasses.asdict(rep)
     assert d["decay"] == rep.decay
     assert d["rate"] == rep.rate
-    assert d["window"] == list(rep.window)
+    assert list(d["window"]) == list(rep.window)
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ def test_anderson_matches_plain_damped_iteration_in_fewer_steps():
         plain = solver._solve(fld, zeros, opts, 0)
         assert mixed.converged and plain.converged, name
         assert mixed.n == plain.n, name
-        gap = np.abs(mixed.f.trace(mixed.n).values - plain.f.trace(plain.n).values).max()
+        gap = np.abs(mixed.f.trace(mixed.n) - plain.f.trace(plain.n)).max()
         assert gap <= 1e-9, name
         assert mixed.iterations < plain.iterations, name
 
@@ -427,6 +427,27 @@ def test_contraction_rate_runs_plain_undamped_iteration(monkeypatch):
             f = DiskFunction(f.coeffs + 1.0 * delta)
         np.testing.assert_allclose(rep.update_history_l2, want, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(rep.f.coeffs, f.coeffs, rtol=1e-12, atol=1e-15)
+
+
+def test_contraction_rate_keeps_the_callers_other_options(monkeypatch):
+    fld = weight.gauss_radial_field(1.0, 0.1)
+    cert = weight.contraction_certificate(fld, np.sqrt(0.2) * np.exp(-0.5))
+    base = SolveOptions(n=64, theta=0.3, max_iters=5, tol_update=1e-9, tol_residual=1e-7, seed=4)
+    seen = []
+    inner = solver._solve
+
+    def spy(fld, zeros, options, depth):
+        seen.append((options, depth))
+        return inner(fld, zeros, options, depth)
+
+    monkeypatch.setattr(solver, "_solve", spy)
+    solver.contraction_rate(fld, cert, options=base)
+    assert [depth for _, depth in seen] == [0, 0, 0]
+    for (opts, _), frac in zip(seen, (0.2, 0.5, 0.9)):
+        assert opts == SolveOptions(
+            n=64, theta=1.0, max_iters=5, tol_update=1e-9, tol_residual=1e-7,
+            initial_map=frac * cert.sup_solution_bound, seed=4,
+        )
 
 
 def test_contraction_rate_requires_valid_certificate(staircase):

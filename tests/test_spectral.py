@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from diskmap import spectral
 from diskmap.spectral import (
-    BoundaryGrid,
     DiskFunction,
     antiderivative,
     check_grid_size,
@@ -71,9 +70,20 @@ def test_coefficient_boundary_round_trip(seed):
 def test_trace_subsamples_unresolved_coefficients():
     rng = np.random.default_rng(3)
     f = DiskFunction(random_coeffs(rng, 21))
-    vals = f.trace(8).values
+    vals = f.trace(8)
     direct = f(grid_points(8))
     assert np.abs(vals - direct).max() < 1e-12
+
+
+def test_cached_trace_is_read_only():
+    f = DiskFunction([0.0, 1.0, 0.5j, -0.25])
+    vals = f.trace(16)
+    with pytest.raises(ValueError, match="read-only"):
+        vals[0] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        vals *= 2.0
+    assert f.trace(16) is vals
+    assert np.array_equal(vals, DiskFunction(f.coeffs).trace(16))
 
 
 def test_circle_trace_matches_direct_evaluation():
@@ -221,7 +231,7 @@ def test_schwarz_real_part_interpolates():
         for k in range(1, 10)
     )
     F = schwarz_integral(u)
-    assert np.abs(F.trace(n).values.real - u).max() < 1e-11
+    assert np.abs(F.trace(n).real - u).max() < 1e-11
     assert abs(F.coeffs[0].imag) < 1e-14
 
 
@@ -272,5 +282,5 @@ def test_hp_distance_rejects_bad_exponent(p):
 
 
 def test_boundary_grid_validates():
-    with pytest.raises(ValueError):
-        BoundaryGrid(np.ones(12))
+    with pytest.raises(ValueError, match="power of two"):
+        DiskFunction.from_boundary(np.ones(12))

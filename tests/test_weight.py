@@ -1,5 +1,6 @@
 """Weight fields: builtins, tables, and the lattice certificates."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -225,7 +226,7 @@ def test_contraction_rejects_negative_lipschitz(staircase):
 
 def test_contraction_as_dict_round_trips(staircase):
     cert = weight.contraction_certificate(staircase, 4.0 / 3.0)
-    d = cert.as_dict()
+    d = dataclasses.asdict(cert)
     assert d["valid"] == cert.valid
     assert d["ratio"] == cert.ratio
 
