@@ -40,22 +40,6 @@ from .solver import SolveOptions, radial_scan, residual_sup, solve
 from .spectral import DiskFunction, derivative, grid_angles, grid_points
 from .weight import make_builtin, radial_scale_check, superharmonic_check, tabulated_field
 
-FIELD_KEYS = {"field", "field_args"}
-COMMON_KEYS = {"out", "emit"}
-SOLVE_KEYS = FIELD_KEYS | COMMON_KEYS | {
-    "zeros", "init", "n", "theta", "max_iters", "tol", "tol_residual", "seed",
-}
-CERTIFY_KEYS = FIELD_KEYS | COMMON_KEYS | {"map", "checks", "n", "tol", "seed"}
-SCAN_KEYS = FIELD_KEYS | COMMON_KEYS | {"r_min", "r_max", "steps", "scan_tol"}
-GEOMETRY_KEYS = COMMON_KEYS | {"op", "inputs", "size"}
-SPECTRUM_KEYS = SOLVE_KEYS | {"map"}
-KNOWN_KEYS = {
-    "solve": SOLVE_KEYS,
-    "certify": CERTIFY_KEYS,
-    "scan": SCAN_KEYS,
-    "geometry": GEOMETRY_KEYS,
-    "spectrum": SPECTRUM_KEYS,
-}
 ALL_CHECKS = ("subsolution", "supersolution", "starlike", "free_boundary")
 
 
@@ -79,9 +63,12 @@ def read_config(path):
 
 
 def merge_config(args):
-    """Config file first, then explicit command line values on top."""
+    """Config file first, then explicit command line values on top.
+
+    The known keys of a subcommand are the destinations of its flags.
+    """
     cfg = read_config(args.config) if args.config else {}
-    known = KNOWN_KEYS[args.command]
+    known = set(vars(args)) - {"command", "config"}
     for key in cfg:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r} for {args.command}; known: {sorted(known)}")

@@ -275,8 +275,9 @@ def build_shrinking_spiral_family(size=512, levels=3):
             int(round(center[0] + 160.0 * s * np.sin(bp_angle))),
             int(round(center[1] + 160.0 * s * np.cos(bp_angle))),
         )
+        # one component holding the basepoint by construction, and the body
+        # disk keeps a margin of about 44 * size / 512 cells
         region = _basepoint_component(mask, bp, RuntimeError("demo basepoint fell outside the carved body"))
-        region.validate()
         if not region.is_simply_connected():
             raise RuntimeError(f"demo level {k} is not simply connected")
         regions.append(region)
@@ -314,7 +315,8 @@ def save_region(region, path):
 
 def load_region(path):
     """Read a plain PBM (P1) and its sidecar: `#` comments, optional whitespace
-    between bits, and exactly width x height bits, each `0` or `1`."""
+    between bits, exactly width x height bits, each `0` or `1`, and a sidecar
+    basepoint on the raster."""
     path = Path(path)
     text = b"\n".join(line.split(b"#", 1)[0] for line in path.read_bytes().splitlines())
     header = text.split(maxsplit=3) + [b""]
@@ -328,4 +330,10 @@ def load_region(path):
         raise ValueError(f"{path} holds {bits.size} raster bits, not {width} x {height}")
     sidecar = path.with_suffix(path.suffix + ".json")
     meta = json.loads(sidecar.read_text())
-    return RasterRegion(bits.astype(bool).reshape(height, width), tuple(meta["basepoint"]))
+    try:
+        row, col = (int(i) for i in meta["basepoint"])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"{path} has no sidecar basepoint of two integers") from None
+    if not (0 <= row < height and 0 <= col < width):
+        raise ValueError(f"{path} has its sidecar basepoint {meta['basepoint']} off the {width} x {height} raster")
+    return RasterRegion(bits.astype(bool).reshape(height, width), (row, col))

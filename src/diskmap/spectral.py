@@ -117,7 +117,8 @@ class DiskFunction:
         big = next_power_of_two(m)
         padded = np.zeros(big, dtype=np.complex128)
         padded[:m] = c
-        return (np.fft.ifft(padded) * big)[:: big // n]
+        # a copy, so that a cached trace does not pin the big-point transform
+        return (np.fft.ifft(padded) * big)[:: big // n].copy()
 
     def __call__(self, z):
         """Evaluate at z (a scalar or any complex array) by blocked Horner.

@@ -21,26 +21,30 @@ CONTINUITY_TOL = 1e-12
 
 
 class WeightField:
-    """Positive boundary weight Phi(xi, w) with a finite sup bound."""
+    """Positive boundary weight Phi(xi, w) with a finite sup bound.
 
-    __slots__ = ("kind", "name", "sup_bound", "xi_dependent", "radial_profile", "_fn", "params")
+    With fn None the field is radial: Phi(xi, w) = radial_profile(|w|).
+    """
 
-    def __init__(self, kind, fn, sup_bound, xi_dependent=False, radial_profile=None, name=None, params=None):
+    __slots__ = ("name", "sup_bound", "xi_dependent", "radial_profile", "_fn", "params")
+
+    def __init__(self, fn, sup_bound, xi_dependent=False, radial_profile=None, name=None, params=None):
         if not np.isfinite(sup_bound) or sup_bound <= 0.0:
             raise ValueError("sup bound must be finite and positive")
-        self.kind = kind
+        if fn is None:
+            fn = lambda xi, w: radial_profile(np.abs(np.broadcast_arrays(w, xi)[0]))
         self._fn = fn
         self.sup_bound = float(sup_bound)
         self.xi_dependent = bool(xi_dependent)
         self.radial_profile = radial_profile
-        self.name = name or kind
+        self.name = name or "callable"
         self.params = dict(params or {})
 
     def evaluate(self, xi, w):
         """Phi at unimodular xi and image points w, broadcast together.
 
         Raises NonFiniteWeightError, a ValueError, on any NaN or infinite
-        value, for every kind.
+        value, and ValueError on a value that is not strictly positive.
         """
         xi = np.asarray(xi, dtype=np.complex128)
         w = np.asarray(w, dtype=np.complex128)
@@ -48,22 +52,14 @@ class WeightField:
         if not np.isfinite(out).all():
             raise NonFiniteWeightError(f"weight field {self.name!r} is not finite")
         if out.size and out.min() <= 0.0:
-            if self.kind == "tabulated":
-                warnings.warn("tabulated weight clamped at positivity floor")
-                out = np.maximum(out, TABULATED_FLOOR)
-            else:
-                raise ValueError(f"weight field {self.name!r} is not strictly positive")
+            raise ValueError(f"weight field {self.name!r} is not strictly positive")
         return out
-
-    def __call__(self, xi, w):
-        return self.evaluate(xi, w)
 
 
 def constant_field(c):
     c = float(c)
     return WeightField(
-        "constant",
-        lambda xi, w: np.broadcast_arrays(np.full_like(np.abs(w), c), np.abs(xi))[0].copy(),
+        None,
         sup_bound=c,
         radial_profile=lambda r: np.full_like(np.asarray(r, dtype=np.float64), c),
         name=f"constant({c})",
@@ -90,31 +86,14 @@ def radial_piecewise_field(breakpoints, pieces, sup_bound, name=None, params=Non
 
     def profile(r):
         r = np.asarray(r, dtype=np.float64)
-        out = np.empty_like(r)
         idx = np.searchsorted(breaks, r, side="left")
-        for i in range(breaks.size + 1):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = pieces[i](r[mask])
-        return out
+        return np.piecewise(r, [idx == i for i in range(len(pieces))], pieces)
 
     sample = profile(np.linspace(0.0, 2.0 * sup_bound, 4097))
     if sample.min() <= 0.0:
         raise ValueError("radial profile must stay strictly positive")
 
-    return WeightField(
-        "radial_piecewise",
-        lambda xi, w: profile(np.abs(np.broadcast_arrays(w, xi)[0])),
-        sup_bound=sup_bound,
-        radial_profile=profile,
-        name=name or "radial_piecewise",
-        params=params,
-    )
-
-
-def callable_field(fn, sup_bound, xi_dependent=False, radial_profile=None, name=None, params=None):
-    """Wrap an arbitrary positive vectorized fn(xi, w)."""
-    return WeightField("callable", fn, sup_bound, xi_dependent=xi_dependent, radial_profile=radial_profile, name=name or "callable", params=params)
+    return WeightField(None, sup_bound, radial_profile=profile, name=name or "radial_piecewise", params=params)
 
 
 def tabulated_field(path):
@@ -143,47 +122,38 @@ def tabulated_field(path):
     if nonfinite.size:
         raise ValueError(f"{name} has a non-finite phi in data row {nonfinite[0] + 1}")
 
-    def finite_points(wb):
-        # np.clip keeps NaN, which the interpolator rejects as out of bounds
-        if not np.isfinite(wb).all():
-            raise NonFiniteWeightError(f"weight field {name!r} evaluated at a non-finite image point")
-        return wb
-
+    profile = None
     if "r" in cols and "theta" in cols:
         ur, ut = np.unique(cols["r"]), np.unique(cols["theta"])
         grid = _pivot(cols["r"], cols["theta"], cols["phi"], ur, ut)
         ut_ext = np.concatenate([ut, [ut[0] + 2.0 * np.pi]])
-        grid_ext = np.concatenate([grid, grid[:, :1]], axis=1)
-        interp = RegularGridInterpolator((ur, ut_ext), grid_ext)
-
-        def fn(xi, w):
-            wb = finite_points(np.broadcast_arrays(w, xi)[0])
-            r = np.clip(np.abs(wb), ur[0], ur[-1])
-            th = np.mod(np.angle(wb) - ut[0], 2.0 * np.pi) + ut[0]
-            return interp(np.stack([r.ravel(), th.ravel()], axis=-1)).reshape(r.shape)
-
-        profile = None
+        interp = RegularGridInterpolator((ur, ut_ext), np.concatenate([grid, grid[:, :1]], axis=1))
+        coords = lambda wb: (np.clip(np.abs(wb), ur[0], ur[-1]), np.mod(np.angle(wb) - ut[0], 2.0 * np.pi) + ut[0])
         if ut.size == 1:
             profile = lambda r: np.interp(np.clip(np.asarray(r, np.float64), ur[0], ur[-1]), ur, grid[:, 0])
     elif "x" in cols and "y" in cols:
         ux, uy = np.unique(cols["x"]), np.unique(cols["y"])
-        grid = _pivot(cols["x"], cols["y"], cols["phi"], ux, uy)
-        interp = RegularGridInterpolator((ux, uy), grid)
-
-        def fn(xi, w):
-            wb = finite_points(np.broadcast_arrays(w, xi)[0])
-            x = np.clip(wb.real, ux[0], ux[-1])
-            y = np.clip(wb.imag, uy[0], uy[-1])
-            return interp(np.stack([x.ravel(), y.ravel()], axis=-1)).reshape(x.shape)
-
-        profile = None
+        interp = RegularGridInterpolator((ux, uy), _pivot(cols["x"], cols["y"], cols["phi"], ux, uy))
+        coords = lambda wb: (np.clip(wb.real, ux[0], ux[-1]), np.clip(wb.imag, uy[0], uy[-1]))
     else:
         raise ValueError("tabulated weight needs columns r,theta,phi or x,y,phi")
+
+    def fn(xi, w):
+        wb = np.broadcast_arrays(w, xi)[0]
+        # np.clip keeps NaN, which the interpolator rejects as out of bounds
+        if not np.isfinite(wb).all():
+            raise NonFiniteWeightError(f"weight field {name!r} evaluated at a non-finite image point")
+        a, b = coords(wb)
+        out = interp(np.stack([a.ravel(), b.ravel()], axis=-1)).reshape(wb.shape)
+        if out.size and out.min() <= 0.0:
+            warnings.warn("tabulated weight clamped at positivity floor")
+            out = np.maximum(out, TABULATED_FLOOR)
+        return out
 
     sup = float(cols["phi"].max())
     if sup <= 0.0:
         raise ValueError("tabulated weight has no positive values")
-    return WeightField("tabulated", fn, sup, radial_profile=profile, name=name, params={"path": str(path)})
+    return WeightField(fn, sup, radial_profile=profile, name=name, params={"path": str(path)})
 
 
 def _pivot(a, b, v, ua, ub):
@@ -223,12 +193,10 @@ def staircase_field():
 def gauss_radial_field(c=1.0, a=0.1):
     """Phi(w) = c * exp(-a |w|^2): log-concave radial weight, contracting for small c*a."""
     c, a = float(c), float(a)
-    profile = lambda r: c * np.exp(-a * np.square(np.asarray(r, np.float64)))
     return WeightField(
-        "callable",
-        lambda xi, w: profile(np.abs(np.broadcast_arrays(w, xi)[0])),
+        None,
         sup_bound=c,
-        radial_profile=profile,
+        radial_profile=lambda r: c * np.exp(-a * np.square(np.asarray(r, np.float64))),
         name=f"gauss_radial(c={c},a={a})",
         params={"c": c, "a": a},
     )
@@ -239,12 +207,10 @@ def cosine_radial_field(c=1.0, eps=0.2, gamma=1.0):
     c, eps, gamma = float(c), float(eps), float(gamma)
     if not 0.0 <= eps < 1.0:
         raise ValueError("need 0 <= eps < 1 for positivity")
-    profile = lambda r: c * (1.0 + eps * np.cos(gamma * np.asarray(r, np.float64)))
     return WeightField(
-        "callable",
-        lambda xi, w: profile(np.abs(np.broadcast_arrays(w, xi)[0])),
+        None,
         sup_bound=c * (1.0 + eps),
-        radial_profile=profile,
+        radial_profile=lambda r: c * (1.0 + eps * np.cos(gamma * np.asarray(r, np.float64))),
         name=f"cosine_radial(c={c},eps={eps},gamma={gamma})",
         params={"c": c, "eps": eps, "gamma": gamma},
     )
@@ -252,24 +218,20 @@ def cosine_radial_field(c=1.0, eps=0.2, gamma=1.0):
 
 def bounded_parabola_field():
     """Phi(w) = 1 + min(|w|, 2)^2: grows too fast near w=2, fails the scale condition."""
-    profile = lambda r: 1.0 + np.square(np.minimum(np.asarray(r, np.float64), 2.0))
     return WeightField(
-        "callable",
-        lambda xi, w: profile(np.abs(np.broadcast_arrays(w, xi)[0])),
+        None,
         sup_bound=5.0,
-        radial_profile=profile,
+        radial_profile=lambda r: 1.0 + np.square(np.minimum(np.asarray(r, np.float64), 2.0)),
         name="bounded_parabola",
     )
 
 
 def plateau_reciprocal_field():
     """Phi(w) = 1/(2 - min(|w|, 1)): r - Phi(r) has a double root at r = 1."""
-    profile = lambda r: 1.0 / (2.0 - np.minimum(np.asarray(r, np.float64), 1.0))
     return WeightField(
-        "callable",
-        lambda xi, w: profile(np.abs(np.broadcast_arrays(w, xi)[0])),
+        None,
         sup_bound=1.0,
-        radial_profile=profile,
+        radial_profile=lambda r: 1.0 / (2.0 - np.minimum(np.asarray(r, np.float64), 1.0)),
         name="plateau_reciprocal",
     )
 
@@ -290,7 +252,7 @@ def ripple_field(smooth=True):
         return 2.0 + osc * np.exp(-np.square(np.abs(wb)))
 
     name = "ripple_analytic" if smooth else "ripple_kink"
-    return WeightField("callable", fn, sup_bound=3.0, name=name, params={"smooth": bool(smooth)})
+    return WeightField(fn, sup_bound=3.0, name=name, params={"smooth": bool(smooth)})
 
 
 BUILTIN_FIELDS = {
@@ -334,7 +296,6 @@ def random_smooth_field(rng):
         return c * ang * rad
 
     return WeightField(
-        "product_separable",
         fn,
         sup_bound=c * np.exp(alpha + beta),
         xi_dependent=True,
@@ -442,36 +403,29 @@ def radial_scale_check(field, n_rho=64, n_radial=512, n_angular=128, n_xi=32):
     """
     M = field.sup_bound
     rho = np.arange(1, n_rho + 1) / (n_rho + 1.0)
+    r = np.linspace(0.0, M, n_radial + 1)[1:]
     if field.radial_profile is not None:
-        r = np.linspace(0.0, M, n_radial + 1)[1:]
         base = field.radial_profile(r)[None, :]
         scaled = field.radial_profile(rho[:, None] * r[None, :])
         margins = scaled / rho[:, None] - base
     else:
         xi = _xi_lattice(field, n_xi)
         angles = np.exp(2j * np.pi * np.arange(n_angular) / n_angular)
-        r = np.linspace(0.0, M, n_radial + 1)[1:]
         w = (r[None, :] * angles[:, None]).ravel()
         base = field.evaluate(xi[:, None], w[None, :])
         scaled = field.evaluate(xi[None, :, None], rho[:, None, None] * w[None, None, :])
         margins = (scaled / rho[:, None, None] - base[None, :, :]).reshape(n_rho, -1)
         r = np.tile(np.abs(w), xi.size)
 
-    flat = int(np.argmin(margins))
-    irho, iw = np.unravel_index(flat, margins.shape)
+    irho, iw = np.unravel_index(np.argmin(margins), margins.shape)
     margin = float(margins[irho, iw])
-    strict_mask = rho <= 15.0 / 16.0
-    strict_margin = float(margins[strict_mask].min())
-    if field.radial_profile is not None:
-        worst_r = float(r[iw])
-    else:
-        worst_r = float(np.asarray(r).reshape(-1)[iw])
+    strict_margin = float(margins[rho <= 15.0 / 16.0].min())
     return ScaleCheckResult(
         passed=bool(margin >= -1e-10),
         margin=margin,
         strict_passed=bool(strict_margin > 1e-6),
         strict_margin=strict_margin,
-        worst_radius=worst_r,
+        worst_radius=float(r[iw]),
         worst_rho=float(rho[irho]),
     )
 

@@ -221,6 +221,12 @@ def test_schoenfliess_annulus_fails():
 # demo family
 
 def test_demo_family_terms_are_clean():
+    # the builder does not validate its terms: one component, the basepoint
+    # and the empty margin hold by construction at every canvas size
+    for size in (512, 1000, 1024):
+        for f in regions.build_shrinking_spiral_family(size=size):
+            f.validate()
+            assert f.is_simply_connected()
     fam = regions.build_shrinking_spiral_family(size=256)
     assert [f.area() for f in fam] == [34567, 33211, 31642]
     for f in fam:
@@ -348,3 +354,27 @@ def test_load_rejects_bit_other_than_zero_or_one(tmp_path):
 def test_load_rejects_wrong_raster_size(tmp_path, raster):
     with pytest.raises(ValueError, match=r"plain\.pbm holds \d+ raster bits, not 2 x 2"):
         regions.load_region(write_pbm(tmp_path, b"P1\n2 2\n" + raster + b"\n"))
+
+
+@pytest.mark.parametrize("basepoint", [[99, 99], [-16, -16], [2, 0], [0, -1]], ids=["far", "negative", "row", "col"])
+def test_load_rejects_basepoint_off_the_raster(tmp_path, basepoint):
+    # a negative index used to wrap to the far side, a large one to pass
+    # unchecked until a later index failed
+    with pytest.raises(ValueError, match=r"plain\.pbm has its sidecar basepoint .* off the 2 x 2 raster"):
+        regions.load_region(write_pbm(tmp_path, b"P1\n2 2\n0 1 1 0\n", basepoint))
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [{}, {"basepoint": ["a", 1]}, {"basepoint": [1, 1, 1]}, {"basepoint": 1}, []],
+    ids=["missing", "text", "three", "scalar", "list"],
+)
+def test_load_rejects_malformed_sidecar_basepoint(tmp_path, meta):
+    path = write_pbm(tmp_path, b"P1\n2 2\n0 1 1 0\n")
+    (tmp_path / "plain.pbm.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=r"plain\.pbm has no sidecar basepoint of two integers"):
+        regions.load_region(path)
+
+
+def test_load_keeps_basepoint_on_the_raster(tmp_path):
+    assert regions.load_region(write_pbm(tmp_path, b"P1\n2 2\n0 1 1 0\n", (1, 1))).basepoint == (1, 1)

@@ -77,7 +77,7 @@ def pole_pair():
             return angular * (1.0 + 0.1 * osc)
 
         name = "pole_smooth" if smooth else "pole_kink"
-        return weight.callable_field(
+        return weight.WeightField(
             fn, sup_bound=(0.2 / 0.06) * 1.1, xi_dependent=True, name=name
         )
 

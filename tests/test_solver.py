@@ -122,7 +122,7 @@ def test_nan_weight_fails_on_first_operator_step():
         out.flat[7] = np.nan  # one bad node among 512
         return out
 
-    fld = weight.callable_field(fn, sup_bound=3.0, name="nan-node")
+    fld = weight.WeightField(fn, sup_bound=3.0, name="nan-node")
     with pytest.raises(ValueError, match="'nan-node' is not finite"):
         solver.solve(fld)
     assert len(calls) == 1
@@ -139,7 +139,7 @@ def test_non_finite_update_raises_divergence_on_that_step():
     def fn(xi, w):
         return np.where(np.abs(w) > 2.0, 1e308, 1.0)
 
-    fld = weight.callable_field(fn, sup_bound=1e308, name="overflow")
+    fld = weight.WeightField(fn, sup_bound=1e308, name="overflow")
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="not finite") as err:
         solver.solve(fld, options=SolveOptions(initial_map=3.0, n=64))
     assert len(err.value.history) == 1

@@ -75,6 +75,18 @@ def test_trace_subsamples_unresolved_coefficients():
     assert np.abs(vals - direct).max() < 1e-12
 
 
+def test_cached_trace_of_a_long_map_owns_its_values():
+    # more coefficients than grid points: the trace subsamples a big-point
+    # inverse FFT, and the cache keeps only the n values it serves
+    rng = np.random.default_rng(5)
+    f = DiskFunction(random_coeffs(rng, 8192))
+    vals = f.trace(512)
+    assert vals.base is None and vals.flags.c_contiguous and vals.size == 512
+    padded = np.zeros(8192, dtype=np.complex128)
+    padded[: f.coeffs.size] = f.coeffs
+    assert np.array_equal(vals, (np.fft.ifft(padded) * 8192)[::16])
+
+
 def test_cached_trace_is_read_only():
     f = DiskFunction([0.0, 1.0, 0.5j, -0.25])
     vals = f.trace(16)

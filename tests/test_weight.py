@@ -1,7 +1,6 @@
 """Weight fields: builtins, tables, and the lattice certificates."""
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +23,37 @@ def test_staircase_is_rotation_invariant(staircase):
     w = 2.3 * np.exp(1j * np.linspace(0.0, 6.0, 17))
     vals = staircase.evaluate(1.0, w)
     assert np.abs(vals - vals[0]).max() < 1e-12
+
+
+def loop_profile(breaks, pieces, r):
+    """The per-piece loop that np.piecewise replaced, kept as its oracle."""
+    r = np.asarray(r, dtype=np.float64)
+    out = np.empty_like(r)
+    idx = np.searchsorted(breaks, r, side="left")
+    for i in range(len(pieces)):
+        mask = idx == i
+        if np.any(mask):
+            out[mask] = pieces[i](r[mask])
+    return out
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (257,), (16, 33)])
+def test_piecewise_profile_matches_loop(shape):
+    breaks = [2.0, 3.0, 6.0]
+    pieces = [
+        lambda r: np.sqrt(2.0 * r * r + 1.0),
+        lambda r: np.full_like(r, 3.0),
+        lambda r: r,
+        lambda r: np.full_like(r, 6.0),
+    ]
+    f = weight.radial_piecewise_field(breaks, pieces, sup_bound=6.0)
+    r = np.random.default_rng(len(shape)).uniform(0.0, 8.0, size=shape)
+    if r.size > 8:
+        r.flat[:8] = [0.0, 2.0, 3.0, 6.0, np.nextafter(2.0, 0.0), np.nextafter(6.0, 7.0), np.inf, np.nan]
+    want = loop_profile(np.asarray(breaks), pieces, r)
+    got = f.radial_profile(r)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_piecewise_rejects_jump():
@@ -55,21 +85,30 @@ def test_constant_field_everywhere():
 
 
 def test_positivity_enforced_on_callables():
-    f = weight.callable_field(
+    f = weight.WeightField(
         lambda xi, w: np.cos(np.abs(np.broadcast_arrays(w, xi)[0])), sup_bound=1.0
     )
     with pytest.raises(ValueError, match="positive"):
         f.evaluate(1.0, np.array([0.0, 3.0]))
 
 
-@pytest.mark.parametrize("kind", ["callable", "tabulated"])
+@pytest.mark.parametrize("kind", ["callable", "radial"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_weight_rejected(kind, bad):
-    f = weight.WeightField(kind, lambda xi, w: np.where(np.abs(w) > 1.0, bad, 2.0), sup_bound=2.0, name="holey")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a tabulated NaN is rejected, not clamped
-        with pytest.raises(ValueError, match="'holey' is not finite"):
-            f.evaluate(1.0, np.array([0.5, 3.0]))
+    if kind == "callable":
+        f = weight.WeightField(lambda xi, w: np.where(np.abs(w) > 1.0, bad, 2.0), sup_bound=2.0, name="holey")
+    else:
+        f = weight.WeightField(None, 2.0, radial_profile=lambda r: np.where(r > 1.0, bad, 2.0), name="holey")
+    with pytest.raises(ValueError, match="'holey' is not finite"):
+        f.evaluate(1.0, np.array([0.5, 3.0]))
+
+
+def test_radial_field_evaluates_its_profile_at_the_modulus():
+    f = weight.WeightField(None, 3.0, radial_profile=lambda r: 1.0 + r, name="cone")
+    xi = np.exp(1j * np.array([0.0, 1.0, 2.0]))
+    w = np.array([[0.0, 1.0j, -2.0], [0.6 + 0.8j, 1.5, -0.3j]])
+    assert np.array_equal(f.evaluate(xi, w), 1.0 + np.abs(w))
+    assert f.evaluate(xi[:, None], np.array([0.5, 2.0])).shape == (3, 2)
 
 
 def test_random_smooth_field_sup_is_attained():
@@ -152,6 +191,21 @@ def test_tabulated_clamp_warns(tmp_path):
     with pytest.warns(UserWarning, match="clamped"):
         got = f.evaluate(1.0, np.array(0.0 + 0.0j))
     assert float(got) == 1e-9
+
+
+@pytest.mark.parametrize("header", [["r", "theta", "phi"], ["x", "y", "phi"]])
+def test_tabulated_clamp_between_nodes(tmp_path, header):
+    # phi = -1 on the first row of nodes and 2 on the others: bilinear
+    # interpolation is -1 + 3a along the first axis, so a = 0.25 falls below
+    # zero between the nodes and is clamped, while a = 0.5 reads 0.5
+    path = tmp_path / "neg.csv"
+    _write_csv(path, header, [(a, b, -1.0 if a == 0.0 else 2.0) for a in (0.0, 1.0, 2.0) for b in (0.0, 1.0, 2.0)])
+    f = weight.tabulated_field(path)
+    w = np.array([0.25, 0.5, 0.25j]) if header[0] == "r" else np.array([0.25 + 0.5j, 0.5 + 0.5j, 0.25 + 1.5j])
+    with pytest.warns(UserWarning, match="clamped"):
+        got = f.evaluate(1.0, w)
+    assert got[0] == weight.TABULATED_FLOOR and got[2] == weight.TABULATED_FLOOR
+    assert abs(got[1] - 0.5) < 1e-12
 
 
 def test_tabulated_rejects_bad_tables(tmp_path):
@@ -278,7 +332,7 @@ def test_superharmonic_constant_passes():
 
 
 def test_superharmonic_bump_fails():
-    f = weight.callable_field(
+    f = weight.WeightField(
         lambda xi, w: np.exp(np.square(np.minimum(np.abs(np.broadcast_arrays(w, xi)[0]), 1.0))),
         sup_bound=float(np.e),
         name="subharmonic_bump",
