@@ -11,6 +11,10 @@ set operations used when comparing image domains of solved maps:
   basepoint component of the interior of the raster-closed intersection;
 * schoenfliess_test: does the complement of the closure form a single
   region, with every boundary cell reachable from it?
+
+Components are found on the rows' runs of set cells with a vectorised
+union-find, and the one-cell morphology is four shifted boolean operations,
+so the module needs numpy alone.
 """
 
 import json
@@ -21,31 +25,87 @@ import numpy as np
 
 from .errors import EmptyIntersectionError, InvalidSequenceError
 
-CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-BOX = np.ones((3, 3), dtype=bool)
 
-# scipy.ndimage is imported inside the helpers that use it, so that
-# `import diskmap`, which loads this module, does not load scipy.
+def _runs(mask, diagonal=False):
+    """Row runs of mask and the component each run belongs to.
+
+    A run is a maximal stretch of set cells in one row, given as flat
+    [start, stop) offsets into the mask laid out with one empty column in
+    front of every row (row r, column c sits at r * (w + 1) + c + 1), so no
+    run reaches into the next row.  Runs in consecutive rows join when their
+    columns overlap, and with diagonal (8-connectivity) also when they only
+    touch at a corner.  Returns (start, stop, root): root[i] is the index of
+    the first run, in raster order, of run i's component, so the components
+    are the distinct roots and `root == arange` marks one run of each.
+    """
+    h, w = mask.shape
+    width = w + 1
+    flat = np.zeros(h * width + 1, dtype=bool)
+    flat[: h * width].reshape(h, width)[:, 1:] = mask
+    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    start, stop = edges[0::2], edges[1::2]
+    # the runs of the row above that overlap run i (widened by one cell for
+    # corner contact) are the consecutive runs lo[i] .. hi[i] - 1
+    reach = int(diagonal)
+    lo = np.searchsorted(stop, start - width - reach, side="right")
+    hi = np.searchsorted(start, stop - width + reach, side="left")
+    count = np.maximum(hi - lo, 0)
+    below = np.repeat(np.arange(start.size), count)
+    above = np.arange(below.size) + np.repeat(lo - np.cumsum(count) + count, count)
+    # hook each root onto the smallest root it meets, then compress to roots;
+    # a root only ever hooks onto a smaller one, so a component's root stays
+    # its first run
+    root = np.arange(start.size)
+    while True:
+        ra, rb = root[above], root[below]
+        split = ra != rb
+        if not split.any():
+            break
+        above, below, ra, rb = above[split], below[split], ra[split], rb[split]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    return start, stop, root
 
 
-def _label4(mask):
-    from scipy import ndimage
-    return ndimage.label(mask, structure=CROSS)
+def _component_count(mask, diagonal=False):
+    """Number of 4-connected (8-connected with diagonal) components of mask."""
+    _, _, root = _runs(mask, diagonal)
+    return int(np.count_nonzero(root == np.arange(root.size)))
 
 
-def _label8(mask):
-    from scipy import ndimage
-    return ndimage.label(mask, structure=BOX)
+def _paint(shape, start, stop):
+    """The boolean mask whose set cells are the given runs of `_runs`."""
+    h, w = shape
+    # the layout alternates unset and set stretches between these offsets
+    bounds = np.concatenate([[0], np.stack([start, stop], axis=1).ravel(), [h * (w + 1)]])
+    return np.repeat(np.arange(bounds.size - 1) % 2 == 1, np.diff(bounds)).reshape(h, w + 1)[:, 1:]
 
 
 def dilate(mask):
-    from scipy import ndimage
-    return ndimage.binary_dilation(mask, structure=CROSS)
+    """One-cell dilation of a boolean mask by its 4-neighbours (the cross stencil)."""
+    out = mask.copy()
+    out[1:] |= mask[:-1]
+    out[:-1] |= mask[1:]
+    out[:, 1:] |= mask[:, :-1]
+    out[:, :-1] |= mask[:, 1:]
+    return out
 
 
 def erode(mask):
-    from scipy import ndimage
-    return ndimage.binary_erosion(mask, structure=CROSS)
+    """One-cell erosion of a boolean mask by its 4-neighbours (the cross
+    stencil); cells off the canvas count as unset, so the border always erodes."""
+    out = mask.copy()
+    out[1:] &= mask[:-1]
+    out[:-1] &= mask[1:]
+    out[:, 1:] &= mask[:, :-1]
+    out[:, :-1] &= mask[:, 1:]
+    out[[0, -1], :] = False
+    out[:, [0, -1]] = False
+    return out
 
 
 @dataclass
@@ -59,14 +119,11 @@ class RasterRegion:
 
     def validate(self):
         """Basepoint inside, one 4-connected component, empty margin ring."""
-        r, c = self.basepoint
-        if not (0 <= r < self.mask.shape[0] and 0 <= c < self.mask.shape[1]):
-            raise ValueError("basepoint outside the canvas")
-        if not self.mask[r, c]:
+        if not _at(self.mask, self.basepoint):
             raise ValueError("basepoint not inside the region")
         if self.mask[0, :].any() or self.mask[-1, :].any() or self.mask[:, 0].any() or self.mask[:, -1].any():
             raise ValueError("region touches the canvas margin")
-        labels, count = _label4(self.mask)
+        count = _component_count(self.mask)
         if count != 1:
             raise ValueError(f"region has {count} 4-connected components")
         return self
@@ -84,10 +141,15 @@ class RasterRegion:
 
 def _bounded_complement(mask):
     """Cells of the 8-connected complement that the canvas border does not reach."""
-    labels, count = _label8(~mask)
-    bounded = np.arange(count + 1) > 0  # label 0 is the mask itself
-    bounded[np.concatenate([labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]])] = False
-    return bounded[labels]
+    h, w = mask.shape
+    start, stop, root = _runs(~mask, diagonal=True)
+    # a run on the first or last row, or one starting in the first column or
+    # ending in the last, touches the border
+    border = (start < w + 1) | (start >= (h - 1) * (w + 1)) | (start % (w + 1) == 1) | (stop % (w + 1) == 0)
+    bounded = np.ones(root.size, dtype=bool)
+    bounded[root[border]] = False
+    keep = bounded[root]
+    return _paint(mask.shape, start[keep], stop[keep])
 
 
 def fill_holes(mask):
@@ -105,13 +167,25 @@ def _one_frame(regions):
     return regions
 
 
+def _at(mask, basepoint):
+    """The mask's cell at basepoint; ValueError when the basepoint is off
+    the canvas, where a negative index would wrap to the far side."""
+    r, c = basepoint
+    if not (0 <= r < mask.shape[0] and 0 <= c < mask.shape[1]):
+        raise ValueError(f"basepoint {basepoint} outside the canvas of shape {mask.shape}")
+    return bool(mask[r, c])
+
+
 def _basepoint_component(mask, basepoint, missing):
     """The 4-connected component of mask at basepoint; raises `missing` when
     the basepoint is not in the mask."""
-    if not mask[basepoint]:
+    if not _at(mask, basepoint):
         raise missing
-    labels, _ = _label4(mask)
-    return RasterRegion(labels == labels[basepoint], basepoint)
+    r, c = basepoint
+    start, stop, root = _runs(mask)
+    here = root[np.searchsorted(start, r * (mask.shape[1] + 1) + c + 1, side="right") - 1]
+    keep = root == here
+    return RasterRegion(_paint(mask.shape, start[keep], stop[keep]), basepoint)
 
 
 def extended_union(*regions):
@@ -146,8 +220,7 @@ def schoenfliess_test(region):
     mask = region.mask
     closure = dilate(mask)
     omega = ~closure
-    labels, count = _label8(omega)
-    if count != 1:
+    if _component_count(omega, diagonal=True) != 1:
         return False
     # three cross-dilations: the closure retreats Omega one cell from every
     # wall and one more from a slit tip, so even the tip corners of an open
@@ -175,7 +248,7 @@ def kernel_of_shrinking(regions):
             )
     inter = np.logical_and.reduce([r.mask for r in regions])
     bp = regions[0].basepoint
-    if not inter[bp]:
+    if not _at(inter, bp):
         raise EmptyIntersectionError("intersection misses the basepoint")
     interior = erode(erode(dilate(inter)))
     return _basepoint_component(

@@ -104,8 +104,6 @@ def tabulated_field(path):
     edges.  Values are clamped below at 1e-9 with a warning.  The sup bound is
     the table maximum.
     """
-    from scipy.interpolate import RegularGridInterpolator  # here, to keep scipy off `import diskmap`
-
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -127,33 +125,64 @@ def tabulated_field(path):
         ur, ut = np.unique(cols["r"]), np.unique(cols["theta"])
         grid = _pivot(cols["r"], cols["theta"], cols["phi"], ur, ut)
         ut_ext = np.concatenate([ut, [ut[0] + 2.0 * np.pi]])
-        interp = RegularGridInterpolator((ur, ut_ext), np.concatenate([grid, grid[:, :1]], axis=1))
+        interp = _bilinear(ur, ut_ext, np.concatenate([grid, grid[:, :1]], axis=1))
         coords = lambda wb: (np.clip(np.abs(wb), ur[0], ur[-1]), np.mod(np.angle(wb) - ut[0], 2.0 * np.pi) + ut[0])
         if ut.size == 1:
-            profile = lambda r: np.interp(np.clip(np.asarray(r, np.float64), ur[0], ur[-1]), ur, grid[:, 0])
+            profile = lambda r: _floored(np.interp(np.clip(np.asarray(r, np.float64), ur[0], ur[-1]), ur, grid[:, 0]))
     elif "x" in cols and "y" in cols:
         ux, uy = np.unique(cols["x"]), np.unique(cols["y"])
-        interp = RegularGridInterpolator((ux, uy), _pivot(cols["x"], cols["y"], cols["phi"], ux, uy))
+        interp = _bilinear(ux, uy, _pivot(cols["x"], cols["y"], cols["phi"], ux, uy))
         coords = lambda wb: (np.clip(wb.real, ux[0], ux[-1]), np.clip(wb.imag, uy[0], uy[-1]))
     else:
         raise ValueError("tabulated weight needs columns r,theta,phi or x,y,phi")
 
     def fn(xi, w):
         wb = np.broadcast_arrays(w, xi)[0]
-        # np.clip keeps NaN, which the interpolator rejects as out of bounds
+        # np.clip keeps NaN, which would fall outside every grid cell
         if not np.isfinite(wb).all():
             raise NonFiniteWeightError(f"weight field {name!r} evaluated at a non-finite image point")
-        a, b = coords(wb)
-        out = interp(np.stack([a.ravel(), b.ravel()], axis=-1)).reshape(wb.shape)
-        if out.size and out.min() <= 0.0:
-            warnings.warn("tabulated weight clamped at positivity floor")
-            out = np.maximum(out, TABULATED_FLOOR)
-        return out
+        return _floored(interp(*coords(wb)))
 
     sup = float(cols["phi"].max())
     if sup <= 0.0:
         raise ValueError("tabulated weight has no positive values")
     return WeightField(fn, sup, radial_profile=profile, name=name, params={"path": str(path)})
+
+
+def _floored(out):
+    """Tabulated values clamped below at TABULATED_FLOOR, with a warning when
+    any was not positive."""
+    if out.size and out.min() <= 0.0:
+        warnings.warn("tabulated weight clamped at positivity floor")
+        out = np.maximum(out, TABULATED_FLOOR)
+    return out
+
+
+def _bilinear(ga, gb, table):
+    """Bilinear interpolant of table[i, j] at the nodes (ga[i], gb[j]), for
+    points on the grid's rectangle.  An axis with one node gets a second one
+    holding the same values, so the interpolant is constant along it."""
+    if ga.size == 1:
+        ga, table = np.append(ga, ga[0] + 1.0), np.repeat(table, 2, axis=0)
+    if gb.size == 1:
+        gb, table = np.append(gb, gb[0] + 1.0), np.repeat(table, 2, axis=1)
+
+    def cell(grid, x):
+        # the cell [grid[i], grid[i + 1]) holding x, the last one closed, and
+        # x's weight within it
+        i = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
+        return i, (x - grid[i]) / (grid[i + 1] - grid[i])
+
+    def interp(a, b):
+        (i, s), (j, t) = cell(ga, a), cell(gb, b)
+        return (
+            table[i, j] * (1.0 - s) * (1.0 - t)
+            + table[i, j + 1] * (1.0 - s) * t
+            + table[i + 1, j] * s * (1.0 - t)
+            + table[i + 1, j + 1] * s * t
+        )
+
+    return interp
 
 
 def _pivot(a, b, v, ua, ub):

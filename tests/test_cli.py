@@ -447,36 +447,49 @@ def test_rate_report_asdict_matches_retired_as_dict_but_for_the_limit(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# cold path: the solver, certificates and spectrum run on numpy alone
+# cold path: the whole command line runs on numpy alone
 
 COLD_PATH_SCRIPT = """
+import importlib.abc
 import sys
 
-def scipy_loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-import diskmap
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
 from diskmap import cli
-assert not scipy_loaded(), scipy_loaded()[:5]
 
 cfg, out, table = sys.argv[1:]
-assert cli.main(["solve", "--config", cfg, "--out", out]) == 0
-assert cli.main(["certify", "--field", "staircase", "--map", out + "/coefficients.csv", "--out", out]) == 0
-assert cli.main(["spectrum", "--field", "staircase", "--init", "6.5", "--n", "64", "--out", out]) == 0
-assert not scipy_loaded(), scipy_loaded()[:5]
-
-from diskmap import regions, weight
-regions.build_shrinking_spiral_family(size=256)
-assert "scipy.ndimage" in sys.modules
-assert abs(weight.tabulated_field(table).evaluate(1.0, 0.5 + 0.0j) - 2.5) < 1e-12
-assert "scipy.interpolate" in sys.modules
+levels = f"{out}/level_0.pbm,{out}/level_2.pbm"
+for argv in (
+    ["solve", "--config", cfg, "--out", out],
+    ["certify", "--field", "staircase", "--map", f"{out}/coefficients.csv", "--out", out],
+    ["spectrum", "--field", "staircase", "--init", "6.5", "--n", "64", "--out", out],
+    ["scan", "--field", "staircase", "--out", out],
+    ["geometry", "--op", "demo", "--size", "256", "--out", out],
+    ["geometry", "--op", "union", "--inputs", levels, "--out", out],
+    ["geometry", "--op", "intersection", "--inputs", levels, "--out", out],
+    ["solve", "--field", f"csv:{table}", "--out", f"{out}/tabulated"],
+):
+    assert cli.main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded[:5]
 print("cold path ok")
 """
 
 
 def test_solver_cli_cold_path_does_not_import_scipy(tmp_path):
+    # every subcommand, a csv: tabulated field included, with scipy imports
+    # failing as they would where scipy is not installed
     table = tmp_path / "cart.csv"
-    table.write_text("x,y,phi\n" + "".join(f"{x},{y},{2.0 + x}\n" for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.0, 1.0)))
+    table.write_text(
+        "x,y,phi\n" + "".join(f"{x},{y},{2.0 + 0.1 * x}\n" for x in (-3.0, -1.0, 0.0, 1.0, 3.0) for y in (-3.0, 0.0, 3.0))
+    )
     cfg = Path(__file__).resolve().parents[1] / "configs" / "staircase_maximal.cfg"
     src = str(Path(diskmap.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -486,4 +499,5 @@ def test_solver_cli_cold_path_does_not_import_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "cold path ok" in proc.stdout
-    assert (tmp_path / "out" / "certificates.json").exists()
+    for name in ("certificates.json", "scan.json", "union.pbm", "intersection.pbm", "tabulated/solve_report.json"):
+        assert (tmp_path / "out" / name).exists(), name

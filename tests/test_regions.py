@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
@@ -274,6 +274,75 @@ def test_paint_curve_matches_distance_transform(shape, points, repeats, half_wid
     got = regions._paint_curve(shape, cloud, half_width)
     assert got.shape == shape
     assert np.array_equal(got, edt_paint_curve(shape, cloud, half_width))
+
+
+# ---------------------------------------------------------------------------
+# run-based components and shift morphology against scipy.ndimage
+
+BOX = np.ones((3, 3), dtype=bool)
+
+
+def run_labels(mask, diagonal):
+    """Label image from regions._runs, components numbered 1.. by first run."""
+    h, w = mask.shape
+    start, stop, root = regions._runs(mask, diagonal)
+    number = np.unique(root, return_inverse=True)[1] + 1
+    bounds = np.concatenate([[0], np.stack([start, stop], axis=1).ravel(), [h * (w + 1)]])
+    values = np.zeros(bounds.size - 1, dtype=np.int64)
+    values[1::2] = number
+    return np.repeat(values, np.diff(bounds)).reshape(h, w + 1)[:, 1:]
+
+
+def assert_matches_ndimage(mask):
+    for diagonal, structure in ((False, CROSS), (True, BOX)):
+        want, count = ndimage.label(mask, structure=structure)
+        assert np.array_equal(run_labels(mask, diagonal), want)
+        assert regions._component_count(mask, diagonal) == count
+    # the basepoint component at the first, middle and last set cell
+    labels, _ = ndimage.label(mask, structure=CROSS)
+    cells = np.argwhere(mask)
+    for bp in map(tuple, cells[[0, len(cells) // 2, -1]] if len(cells) else []):
+        got = regions._basepoint_component(mask, bp, RuntimeError("unreachable")).mask
+        assert np.array_equal(got, labels == labels[bp])
+    # holes: complement components that do not reach the canvas border
+    labels, _ = ndimage.label(~mask, structure=BOX)
+    border = np.concatenate([labels[0], labels[-1], labels[:, 0], labels[:, -1]])
+    assert np.array_equal(regions.fill_holes(mask), mask | ((labels > 0) & ~np.isin(labels, border)))
+    assert np.array_equal(regions.dilate(mask), ndimage.binary_dilation(mask, structure=CROSS))
+    assert np.array_equal(regions.erode(mask), ndimage.binary_erosion(mask, structure=CROSS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 48), st.integers(1, 48)),
+    density=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.3, 0.6)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=(1, 40), density=0.45, seed=1)
+@example(shape=(40, 1), density=0.45, seed=2)
+@example(shape=(30, 30), density=0.0, seed=0)
+@example(shape=(30, 30), density=1.0, seed=0)
+def test_runs_and_morphology_match_ndimage(shape, density, seed):
+    # random masks touch the canvas border on every side
+    assert_matches_ndimage(np.random.default_rng(seed).random(shape) < density)
+
+
+@pytest.mark.parametrize("size", [256, 512, 1024])
+def test_runs_and_morphology_match_ndimage_on_the_demo_family(size):
+    for level in regions.build_shrinking_spiral_family(size=size):
+        for mask in (level.mask, ~level.mask, ~regions.dilate(level.mask)):
+            assert_matches_ndimage(mask)
+
+
+@pytest.mark.parametrize("basepoint", [(-6, 3), (3, -6), (128, 3), (3, 200)])
+def test_off_canvas_basepoint_rejected(basepoint):
+    # a negative basepoint used to wrap to the far side of the canvas and
+    # come back on the result, a large one to fail with a bare IndexError
+    a = RasterRegion(np.ones(SHAPE, dtype=bool), basepoint)
+    with pytest.raises(ValueError, match="outside the canvas"):
+        regions.reduced_intersection(a, a)
+    with pytest.raises(ValueError, match="outside the canvas"):
+        regions.kernel_of_shrinking([a])
 
 
 def test_demo_family_input_validation():

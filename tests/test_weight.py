@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskmap import weight
 
@@ -206,6 +208,61 @@ def test_tabulated_clamp_between_nodes(tmp_path, header):
         got = f.evaluate(1.0, w)
     assert got[0] == weight.TABULATED_FLOOR and got[2] == weight.TABULATED_FLOOR
     assert abs(got[1] - 0.5) < 1e-12
+
+
+def test_tabulated_radial_profile_applies_the_floor(tmp_path):
+    # one theta makes the field radial, and scan judges it by its profile:
+    # the profile must read what evaluate reads, floor and warning included
+    path = tmp_path / "radial.csv"
+    radii = [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8]
+    _write_csv(path, ["r", "theta", "phi"], [(r, 0.0, -0.5 if r == 1.0 else 1.0) for r in radii])
+    f = weight.tabulated_field(path)
+    r = np.array([0.9, 1.0, 1.1])
+    with pytest.warns(UserWarning, match="clamped"):
+        profile = f.radial_profile(r)
+    with pytest.warns(UserWarning, match="clamped"):
+        field = f.evaluate(1.0, r * np.exp(0.3j))
+    assert np.allclose(profile, [0.25, weight.TABULATED_FLOOR, 0.25], rtol=0.0, atol=1e-12)
+    assert np.allclose(profile, field, rtol=0.0, atol=1e-12)
+
+
+def rgi_tabulated(header, a, b, phi, w):
+    """The RegularGridInterpolator evaluator the numpy bilinear one replaced,
+    kept as its oracle."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    if header[0] == "r":
+        rgi = RegularGridInterpolator((a, np.append(b, b[0] + 2.0 * np.pi)), np.concatenate([phi, phi[:, :1]], axis=1))
+        pa, pb = np.clip(np.abs(w), a[0], a[-1]), np.mod(np.angle(w) - b[0], 2.0 * np.pi) + b[0]
+    else:
+        rgi = RegularGridInterpolator((a, b), phi)
+        pa, pb = np.clip(w.real, a[0], a[-1]), np.clip(w.imag, b[0], b[-1])
+    return rgi(np.stack([pa, pb], axis=-1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    header=st.sampled_from([["r", "theta", "phi"], ["x", "y", "phi"]]),
+    na=st.integers(1, 6),
+    nb=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tabulated_bilinear_matches_regular_grid_interpolator(tmp_path_factory, header, na, nb, seed):
+    rng = np.random.default_rng(seed)
+    if header[0] == "r":
+        a = np.sort(rng.choice(40, na, replace=False)) * 0.1
+        b = np.sort(rng.choice(64, nb, replace=False)) * (2.0 * np.pi / 64) - np.pi
+    else:
+        a, b = (np.sort(rng.choice(40, n, replace=False)) * 0.1 - 2.0 for n in (na, nb))
+    phi = rng.uniform(0.5, 3.0, (na, nb))
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    _write_csv(path, header, [(a[i], b[j], phi[i, j]) for i in range(na) for j in range(nb)])
+    # points inside and outside the table, and every node
+    w = rng.normal(scale=2.0, size=60) + 1j * rng.normal(scale=2.0, size=60)
+    nodes = (a[:, None] * np.exp(1j * b) if header[0] == "r" else a[:, None] + 1j * b).ravel()
+    w = np.concatenate([w, nodes])
+    got = weight.tabulated_field(path).evaluate(1.0, w)
+    assert np.allclose(got, rgi_tabulated(header, a, b, phi, w), rtol=0.0, atol=1e-12)
 
 
 def test_tabulated_rejects_bad_tables(tmp_path):
