@@ -18,6 +18,7 @@ so the module needs numpy alone.
 """
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -278,7 +279,8 @@ def _paint_curve(shape, points, half_width):
 
 def _disk(shape, center, radius):
     rr, cc = np.ogrid[: shape[0], : shape[1]]
-    return (rr - center[0]) ** 2 + (cc - center[1]) ** 2 <= radius * radius
+    # row against column: only a bool canvas; the dyadic demo radii keep every term exact
+    return (cc - center[1]) ** 2 <= radius * radius - (rr - center[0]) ** 2
 
 
 def _spiral_points(center, a_from, a_to, r_at, step_deg=0.2):
@@ -391,7 +393,7 @@ def load_region(path):
     between bits, exactly width x height bits, each `0` or `1`, and a sidecar
     basepoint on the raster."""
     path = Path(path)
-    text = b"\n".join(line.split(b"#", 1)[0] for line in path.read_bytes().splitlines())
+    text = re.sub(rb"#[^\r\n]*", b"", path.read_bytes())
     header = text.split(maxsplit=3) + [b""]
     if len(header) < 4 or header[0] != b"P1" or not (header[1].isdigit() and header[2].isdigit()):
         raise ValueError(f"{path} is not an ASCII PBM file")

@@ -13,16 +13,17 @@ import numpy as np
 
 from . import blaschke as blaschke_mod
 from .spectral import (
+    RESOLVED_RATIO,
     DiskFunction,
     check_grid_size,
     derivative,
     grid_points,
     schwarz_integral,
+    tail_ratio,
 )
 
 NOISE_FLOOR_RATIO = 1e-13
 MIN_FIT_POINTS = 8
-SPECTRAL_DT_RATIO = 1e-9
 
 
 @dataclass
@@ -122,8 +123,7 @@ def second_derivative(f, fld, zeros=(), n=512):
     fpvals = derivative(f).trace(n)
     g = np.log(fld.evaluate(xi, fvals))
     ghat = np.fft.fft(g)
-    peak = np.abs(ghat).max()
-    spectral_ok = peak == 0.0 or np.abs(ghat[n // 2]) / peak < SPECTRAL_DT_RATIO
+    spectral_ok = tail_ratio(ghat[: n // 2 + 1]) < RESOLVED_RATIO  # g is real: one side suffices
     if spectral_ok:
         kk = np.fft.fftfreq(n, d=1.0 / n)
         kk[n // 2] = 0.0

@@ -14,6 +14,7 @@ f' stops resolving.  With depth 0 the same loop is the plain damped
 iteration.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -28,6 +29,7 @@ from .spectral import (
     conjugate_periodic,
     derivative,
     grid_points,
+    tail_ratio,
 )
 
 PAIR_BLOCK = 1 << 14  # edge pairs tested at once in polygon_is_simple
@@ -80,7 +82,7 @@ class SolveReport:
     theta: float
     zeros: tuple
     field_name: str
-    tail_ratio: float
+    tail_ratio: float  # spectral.tail_ratio of f_prime, which the refinement compared
     stop_reason: str  # "tolerance", "residual" (update small, residual not) or "max_iters"
     doublings: int = 0
 
@@ -122,9 +124,8 @@ def _plan(b, n):
 def _operator_step(plan, fld, fvals):
     """U(f) from the boundary values of f at the plan's grid.
 
-    Returns (Taylor coefficients of U(f), of U(f)', tail ratio of the
-    pre-truncation derivative).  On the circle exp(S[u]) = exp(u) exp(i H u)
-    with H the periodic conjugate, and exp(u) is Phi itself.
+    Returns the Taylor coefficients of U(f) and U(f)'.  On the circle
+    exp(S[u]) = exp(u) exp(i H u), H the periodic conjugate, and exp(u) = Phi.
     """
     n = plan.n
     phi = fld.evaluate(plan.nodes, fvals)
@@ -135,26 +136,24 @@ def _operator_step(plan, fld, fvals):
     gc = np.fft.fft(g)
     del g
     gc /= n
-    peak = np.abs(gc).max()
-    tail_ratio = float(np.abs(gc[-1]) / peak) if peak > 0 else 0.0
     gc[0] = gc[0].real  # U(f)'(0) = B(0) exp(S(0)) is real and positive
     fprime = gc[: n - 1]
     prim = np.empty(n, dtype=np.complex128)
     prim[0] = 0.0
     np.multiply(fprime, plan.inv_k, out=prim[1:])
-    return prim, fprime, tail_ratio
+    return prim, fprime
 
 
 def apply_operator(f, fld, b, n):
     """One application of the update operator at grid size n.
 
-    Returns (U(f), U(f)', tail ratio of the pre-truncation derivative).
-    The derivative is truncated to degree n-2 so that it is exactly the
-    derivative of the returned primitive.
+    Returns (U(f), U(f)', tail_ratio of U(f)').  The derivative is
+    truncated to degree n-2 so that it is exactly the derivative of the
+    returned primitive.
     """
     plan = _plan(b, n)
-    prim, fprime, tail_ratio = _operator_step(plan, fld, f.trace(plan.n))
-    return DiskFunction(prim), DiskFunction(fprime), tail_ratio
+    prim, fprime = _operator_step(plan, fld, f.trace(plan.n))
+    return DiskFunction(prim), DiskFunction(fprime), tail_ratio(fprime)
 
 
 def residual_sup(f, fld, n):
@@ -190,23 +189,17 @@ def _solve(fld, zeros, options, depth):
             f"damping factor must lie in (0, 1], got {options.theta}"
         )
     b = blaschke_mod.construct(zeros)
-    f0 = options.resolve_init(fld)
-    coeffs = _pad_coeffs(f0.coeffs, n)
-    doublings = 0
+    coeffs = _pad_coeffs(options.resolve_init(fld).coeffs, n)
 
-    while True:
+    for doublings in itertools.count():
         report = _iterate(fld, b, coeffs, n, options, zeros, depth)
         report.doublings = doublings
-        if report.converged and not report.f_prime.resolved():
-            if n >= MAX_GRID:
-                raise ResolutionExceededError(
-                    f"derivative tail unresolved at the maximum grid size {MAX_GRID}"
-                )
-            coeffs = _pad_coeffs(report.f.coeffs, 2 * n)
-            n *= 2
-            doublings += 1
-            continue
-        break
+        if report.f_prime.resolved():
+            break
+        if n >= MAX_GRID:
+            raise ResolutionExceededError(f"derivative tail unresolved at the maximum grid size {MAX_GRID}")
+        coeffs = _pad_coeffs(report.f.coeffs, 2 * n)
+        n *= 2
 
     report.univalent = univalence(report.f, report.n, seed=options.seed)
     report.locally_univalent = bool(
@@ -265,13 +258,12 @@ def _iterate(fld, b, coeffs, n, options, zeros, depth):
     sup_hist, l2_hist = [], []
     first_update = None
     dsup = np.inf
-    tail = 0.0
     iterations = 0
 
     for iterations in range(1, options.max_iters + 1):
         fvals = np.fft.ifft(x)
         fvals *= n
-        r, fprime, tail = _operator_step(plan, fld, fvals)
+        r, fprime = _operator_step(plan, fld, fvals)
         del fvals, fprime  # fprime views the step's whole spectrum
         r -= x
         dsup = float(np.abs(np.fft.ifft(r)).max()) * n
@@ -308,13 +300,14 @@ def _iterate(fld, b, coeffs, n, options, zeros, depth):
     plan = dX = dR = r = None  # the iteration buffers go before residual_sup
     f = DiskFunction(x)
     res = residual_sup(f, fld, n)
+    f_prime = derivative(f)
     if dsup < options.tol_update:
         stop_reason = "tolerance" if res <= options.tol_residual else "residual"
     else:
         stop_reason = "max_iters"
     return SolveReport(
         f=f,
-        f_prime=derivative(f),
+        f_prime=f_prime,
         n=n,
         iterations=iterations,
         converged=stop_reason == "tolerance",
@@ -326,7 +319,7 @@ def _iterate(fld, b, coeffs, n, options, zeros, depth):
         theta=theta,
         zeros=tuple(np.asarray(zeros, dtype=np.complex128)) if len(zeros) else (),
         field_name=fld.name,
-        tail_ratio=tail,
+        tail_ratio=tail_ratio(f_prime.coeffs),
         stop_reason=stop_reason,
     )
 

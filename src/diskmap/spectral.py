@@ -48,6 +48,15 @@ def grid_points(n):
     return np.exp(1j * grid_angles(n))
 
 
+def tail_ratio(coeffs):
+    """Largest of the last max(1, m // 8) of m moduli over the peak (0.0 if all
+    vanish); resolved means below RESOLVED_RATIO.  A window, not one index: a
+    map with m-fold symmetry has a spectrum that is zero off multiples of m."""
+    mags = np.abs(coeffs)
+    peak = mags.max()
+    return float(mags[-max(1, mags.size // 8) :].max() / peak) if peak else 0.0
+
+
 def _values(u):
     """Nodal values on the boundary grid, checked for a valid grid size."""
     v = np.asarray(u)
@@ -82,12 +91,8 @@ class DiskFunction:
         return self.coeffs.size - 1
 
     def resolved(self):
-        """Spectral tail check: top coefficient is negligible next to the peak."""
-        mags = np.abs(self.coeffs)
-        peak = mags.max()
-        if peak == 0.0:
-            return True
-        return mags[-1] / peak < RESOLVED_RATIO
+        """The spectral tail is negligible next to the peak (see tail_ratio)."""
+        return tail_ratio(self.coeffs) < RESOLVED_RATIO
 
     def trace(self, n):
         """Boundary values at the n-point grid, cached per n and shared

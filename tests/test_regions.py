@@ -22,6 +22,13 @@ def disk_region(radius, center=BASE, basepoint=BASE, shape=SHAPE):
     return RasterRegion(regions._disk(shape, center, radius), basepoint)
 
 
+def disk_with_int_canvas(shape, center, radius):
+    """The earlier `_disk` predicate, which builds an int64 canvas of squared
+    distances; the reference for the bool-only form."""
+    rr, cc = np.ogrid[: shape[0], : shape[1]]
+    return (rr - center[0]) ** 2 + (cc - center[1]) ** 2 <= radius * radius
+
+
 def random_region(rng):
     """Union of a few overlapping disks around the basepoint; always valid."""
     mask = regions._disk(SHAPE, BASE, int(rng.integers(6, 14)))
@@ -247,6 +254,30 @@ def test_demo_family_kernel_walls_off_cavity():
     assert not regions.schoenfliess_test(ker)
 
 
+@pytest.mark.parametrize("size", [256, 512, 1000, 1024])
+def test_disk_matches_int_canvas_on_the_demo_radii(size):
+    # the body radii 212 * size / 512 - k, e.g. 414.0625 at size 1000
+    shape, center = (size, size), (size // 2, size // 2)
+    for radius in (212.0 * size / 512.0 - k for k in range(3)):
+        got = regions._disk(shape, center, radius)
+        assert got.dtype == bool
+        assert np.array_equal(got, disk_with_int_canvas(shape, center, radius))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.integers(1, 40),
+    w=st.integers(1, 40),
+    center=st.tuples(st.integers(-8, 48), st.integers(-8, 48)),
+    radius=st.one_of(st.integers(0, 50), st.integers(0, 800).map(lambda k: k / 16.0)),
+)
+@example(h=40, w=40, center=(0, 39), radius=12.0625)
+@example(h=40, w=40, center=(39, 40), radius=0.0)
+def test_disk_matches_int_canvas_near_the_edges(h, w, center, radius):
+    got = regions._disk((h, w), center, radius)
+    assert np.array_equal(got, disk_with_int_canvas((h, w), center, radius))
+
+
 def edt_paint_curve(shape, points, half_width):
     """The distance-transform painter that _paint_curve replaced, kept as its oracle."""
     canvas = np.zeros(shape, dtype=bool)
@@ -407,7 +438,15 @@ def write_pbm(tmp_path, text, basepoint=(0, 0)):
 
 @pytest.mark.parametrize(
     "text",
-    [b"P1\n4 2\n0110\n1001\n", b"P1 4 2 01101001", b"P1\n# two rows\n4 2\n01 # half\n10\n1 0 0 1\n"],
+    [
+        b"P1\n4 2\n0110\n1001\n",
+        b"P1 4 2 01101001",
+        b"P1\n# two rows\n4 2\n01 # half\n10\n1 0 0 1\n",
+        b"P1\n4 2\n0110\n1001 # no newline after this comment",
+        b"P1\r\n# two rows\r\n4 2\r\n0110# first\r\n1001\r\n",
+        b"P1\r4 2\r# old line ends\r0110\r1001\r",
+        b"P1#magic\n4#width\n2\n0110#bits\n1#\n001\n",
+    ],
 )
 def test_load_accepts_bits_without_whitespace(tmp_path, text):
     back = regions.load_region(write_pbm(tmp_path, text))

@@ -133,6 +133,23 @@ def test_second_derivative_of_branched_solution(staircase, branched_report):
     assert res.used_spectral_angle_derivative
 
 
+@pytest.mark.parametrize("fld,zeros,options,spectral", [
+    pytest.param(weight.staircase_field(), [], solver.SolveOptions(initial_map=6.5), True, id="6z"),
+    pytest.param(weight.staircase_field(), [-0.5], solver.SolveOptions(initial_map=1.0), True, id="z^2+z"),
+    pytest.param(
+        weight.staircase_field(), [0.995], solver.SolveOptions(n=8192, initial_map=1.0), True, id="zero at 0.995"
+    ),
+    pytest.param(weight.ripple_field(smooth=True), [], solver.SolveOptions(), True, id="ripple_analytic"),
+    pytest.param(weight.ripple_field(smooth=False), [], solver.SolveOptions(), False, id="ripple_kink"),
+])
+def test_second_derivative_angle_derivative_verdicts(fld, zeros, options, spectral):
+    rep = solver.solve(fld, zeros=zeros, options=options)
+    res = regularity.second_derivative(rep.f, fld, zeros=zeros, n=rep.n)
+    assert res.used_spectral_angle_derivative == spectral
+    if spectral:
+        assert res.spectral_gap < 1e-8
+
+
 def test_second_derivative_as_function(staircase, branched_report):
     res = regularity.second_derivative(branched_report.f, staircase, zeros=[-0.5])
     g = res.as_function()

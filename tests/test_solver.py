@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskmap import blaschke, solver, weight
+from diskmap import blaschke, solver, spectral, weight
 from diskmap.errors import DivergenceError
 from diskmap.solver import SolveOptions, scaled_identity
 from diskmap.spectral import DiskFunction
@@ -53,6 +53,7 @@ def test_scaled_identities_are_fixed_points(staircase, r):
     assert np.abs(u.coeffs[:2] - f.coeffs).max() < 1e-13
     assert np.abs(u.coeffs[2:]).max() < 1e-13
     assert np.abs(u_prime.coeffs[0] - r) < 1e-13
+    assert tail == spectral.tail_ratio(u_prime.coeffs)
 
 
 @pytest.mark.parametrize("r,want", [(6.0, 0.0), (5.0, 0.0), (2.0, 1.0)])
@@ -149,9 +150,8 @@ def test_non_finite_update_raises_divergence_on_that_step():
 @pytest.mark.parametrize("zeros,kwargs,reason", [
     ([], {"initial_map": 6.5}, "tolerance"),
     ([-0.5], {"initial_map": 1.0, "max_iters": 5}, "max_iters"),
-    # the update settles at n = 512 while the residual stays ~2.5e-3: the
-    # derivative's tail near the zero at 0.995 is unresolved on this grid
-    ([0.995], {"initial_map": 1.0}, "residual"),
+    # the update settles on 6z, whose residual (~1.8e-15) cannot meet 1e-20
+    ([], {"initial_map": 6.5, "tol_residual": 1e-20}, "residual"),
 ])
 def test_stop_reason(staircase, zeros, kwargs, reason):
     rep = solver.solve(staircase, zeros=zeros, options=SolveOptions(n=512, **kwargs))
@@ -161,7 +161,31 @@ def test_stop_reason(staircase, zeros, kwargs, reason):
     if reason == "max_iters":
         assert rep.iterations == 5 and rep.update_history[-1] >= 1e-10
     if reason == "residual":
-        assert rep.update_history[-1] < 1e-10 < 1e-8 < rep.residual
+        assert rep.update_history[-1] < 1e-10 and kwargs["tol_residual"] < rep.residual
+
+
+def test_unresolved_tail_refines_whatever_the_stop_reason(staircase):
+    # at n = 512 the update settles while the residual stays ~2.5e-3: the
+    # tail of f' near the zero at 0.995 is unresolved, so the grid doubles
+    # even though the loop stopped on "residual"
+    rep = solver.solve(staircase, zeros=[0.995], options=SolveOptions(n=512, initial_map=1.0))
+    assert (rep.n, rep.doublings, rep.stop_reason) == (8192, 4, "tolerance")
+    assert rep.f_prime.resolved()
+
+
+def test_symmetric_map_refines_on_its_windowed_tail():
+    # Phi = 1 + 0.45 Re(w^4)/(1 + |w|^4) has a 4-fold symmetric solution, so
+    # f' has coefficients only at multiples of 4: at n = 32 its last one is an
+    # exact zero while the last n/8 reach ~3e-6 of the peak
+    def fn(xi, w):
+        w2 = w * w
+        return 1.0 + 0.45 * (w2 * w2).real / (1.0 + np.abs(w2) ** 2)
+
+    fld = weight.WeightField(fn, sup_bound=1.5, name="symmetric-4")
+    rep = solver.solve(fld, options=SolveOptions(n=32, initial_map=1.0))
+    assert rep.converged
+    assert (rep.n, rep.doublings) == (64, 1)
+    assert 0.0 < rep.tail_ratio < spectral.RESOLVED_RATIO
 
 
 def _oracle_cases():
@@ -177,6 +201,12 @@ def _oracle_cases():
             for _ in range(n_zeros)
         ]
         yield f"seed {seed}", fld, zeros, SolveOptions()
+
+
+def test_report_tail_ratio_is_the_refinement_measure():
+    for name, fld, zeros, opts in _oracle_cases():
+        rep = solver.solve(fld, zeros=zeros, options=opts)
+        assert rep.tail_ratio == spectral.tail_ratio(rep.f_prime.coeffs), name
 
 
 def test_anderson_matches_plain_damped_iteration_in_fewer_steps():

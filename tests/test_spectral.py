@@ -171,6 +171,23 @@ def test_degree_and_resolved():
     assert DiskFunction(padded).resolved()
     slow = DiskFunction(0.999 ** np.arange(512, dtype=float) + 0j)
     assert not slow.resolved()
+    # 4-fold symmetric: the top coefficient is an exact zero, its window is not
+    symmetric = np.where(np.arange(512) % 4 == 1, slow.coeffs, 0.0)
+    assert symmetric[-1] == 0.0 and not DiskFunction(symmetric).resolved()
+
+
+@pytest.mark.parametrize("m", [*range(1, 10), 16, 17, 64, 100])
+def test_tail_ratio_reads_the_last_eighth(m):
+    window = max(1, m // 8)
+    c = np.zeros(m, dtype=complex)
+    assert spectral.tail_ratio(c) == 0.0
+    c[0] = -4.0
+    if m - window > 1:
+        c[m - window - 1] = 2.0  # just outside the window: not counted
+    c[m - window] = 1e-3j  # the window's first index
+    want = 1.0 if m == 1 else 1e-3 / 4.0
+    assert spectral.tail_ratio(c) == want
+    assert DiskFunction(c).resolved() == (want < spectral.RESOLVED_RATIO)
 
 
 @pytest.mark.parametrize("seed", range(3))
