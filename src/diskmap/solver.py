@@ -9,12 +9,13 @@ points of the update
 where B carries the prescribed critical points and S is the Schwarz integral.
 The solver iterates on the Taylor coefficients with Anderson mixing of depth
 ANDERSON_DEPTH on top of the damped step f <- f + theta (U(f) - f) (Walker &
-Ni, SIAM J. Numer. Anal. 49, 2011), doubling the grid whenever the tail of
-f' stops resolving.  With depth 0 the same loop is the plain damped
-iteration.
+Ni, SIAM J. Numer. Anal. 49, 2011).  It is one loop over every grid size:
+when the update settles on an f' whose spectral tail is unresolved, the grid
+doubles and the iteration goes on there.  max_iters bounds the steps of the
+whole run, and the update histories span every grid.  With depth 0 the same
+loop is the plain damped iteration.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -72,7 +73,7 @@ class SolveReport:
     f: DiskFunction
     f_prime: DiskFunction
     n: int
-    iterations: int
+    iterations: int  # steps over every grid, as many as update_history holds
     converged: bool
     residual: float
     update_history: list
@@ -84,7 +85,7 @@ class SolveReport:
     field_name: str
     tail_ratio: float  # spectral.tail_ratio of f_prime, which the refinement compared
     stop_reason: str  # "tolerance", "residual" (update small, residual not) or "max_iters"
-    doublings: int = 0
+    doublings: int
 
     def as_dict(self):
         return {
@@ -175,37 +176,12 @@ def solve(fld, zeros=(), options=None):
     """Run the Anderson-mixed iteration to a certified fixed point.
 
     Convergence means both: boundary sup-norm of the last update below
-    tol_update and residual below tol_residual.  The grid doubles (up to
-    2**15) whenever the solved derivative's spectral tail is unresolved.
+    tol_update and residual below tol_residual.  When the update settles on
+    a derivative whose spectral tail is unresolved, the grid doubles (up to
+    2**15) and the iteration goes on; max_iters bounds the steps over all
+    grids.
     """
     return _solve(fld, zeros, options, ANDERSON_DEPTH)
-
-
-def _solve(fld, zeros, options, depth):
-    options = options or SolveOptions()
-    n = check_grid_size(options.n)
-    if not 0.0 < float(options.theta) <= 1.0:
-        raise ValueError(
-            f"damping factor must lie in (0, 1], got {options.theta}"
-        )
-    b = blaschke_mod.construct(zeros)
-    coeffs = _pad_coeffs(options.resolve_init(fld).coeffs, n)
-
-    for doublings in itertools.count():
-        report = _iterate(fld, b, coeffs, n, options, zeros, depth)
-        report.doublings = doublings
-        if report.f_prime.resolved():
-            break
-        if n >= MAX_GRID:
-            raise ResolutionExceededError(f"derivative tail unresolved at the maximum grid size {MAX_GRID}")
-        coeffs = _pad_coeffs(report.f.coeffs, 2 * n)
-        n *= 2
-
-    report.univalent = univalence(report.f, report.n, seed=options.seed)
-    report.locally_univalent = bool(
-        len(zeros) == 0 and interior_critical_points(report.f, report.n) == 0
-    )
-    return report
 
 
 def _mixing_weights(dR, cols, r):
@@ -242,25 +218,36 @@ def _mixing_weights(dR, cols, r):
     return gamma
 
 
-def _iterate(fld, b, coeffs, n, options, zeros, depth):
-    """Iterate at one grid size; depth 0 is the plain damped iteration.
+def _solve(fld, zeros, options, depth):
+    """One iteration loop over every grid; depth 0 is the plain damped iteration.
 
     With r = U(x) - x the damped step is theta r.  Anderson mixing subtracts
     sum_i gamma_i (dX_i + theta dR_i), where dX_i and dR_i are the last
-    changes of x and r and gamma fits r by the dR_i in least squares.
+    changes of x and r and gamma fits r by the dR_i in least squares.  A
+    doubled grid starts with a fresh plan, an empty mixing history and a new
+    reference update for the divergence guard.
     """
-    plan = _plan(b, n)
+    options = options or SolveOptions()
+    n = check_grid_size(options.n)
     theta = float(options.theta)
-    x = coeffs  # updated in place
-    dX = np.empty((depth, n), dtype=np.complex128)
-    dR = np.empty((depth, n), dtype=np.complex128)
-    cols = []  # history slots, newest first
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(
+            f"damping factor must lie in (0, 1], got {options.theta}"
+        )
+    b = blaschke_mod.construct(zeros)
+    x = _pad_coeffs(options.resolve_init(fld).coeffs, n)  # updated in place
     sup_hist, l2_hist = [], []
-    first_update = None
-    dsup = np.inf
-    iterations = 0
+    doublings = 0
+    plan = None
+    settled = False
 
-    for iterations in range(1, options.max_iters + 1):
+    for _ in range(options.max_iters):
+        if plan is None:
+            plan = _plan(b, n)
+            dX = np.empty((depth, n), dtype=np.complex128)
+            dR = np.empty((depth, n), dtype=np.complex128)
+            cols = []  # history slots, newest first
+            first_update = None
         fvals = np.fft.ifft(x)
         fvals *= n
         r, fprime = _operator_step(plan, fld, fvals)
@@ -271,18 +258,27 @@ def _iterate(fld, b, coeffs, n, options, zeros, depth):
         sup_hist.append(dsup)
         if not math.isfinite(dsup):
             raise DivergenceError(
-                f"update norm is not finite after {iterations} steps", history=sup_hist
+                f"update norm is not finite after {len(sup_hist)} steps", history=sup_hist
             )
         if first_update is None:
             first_update = max(dsup, options.tol_update)
         if dsup > DIVERGENCE_FACTOR * max(first_update, 1.0):
             raise DivergenceError(
-                f"update norm {dsup:.3e} exceeded the divergence guard after {iterations} steps",
+                f"update norm {dsup:.3e} exceeded the divergence guard after {len(sup_hist)} steps",
                 history=sup_hist,
             )
         if dsup < options.tol_update:
             x += theta * r
-            break
+            settled = derivative(DiskFunction(x)).resolved()
+            if settled:
+                break
+            if n >= MAX_GRID:
+                raise ResolutionExceededError(f"derivative tail unresolved at the maximum grid size {MAX_GRID}")
+            n *= 2
+            x = _pad_coeffs(x, n)
+            doublings += 1
+            plan = dX = dR = r = None  # the next step starts on the doubled grid
+            continue
         step = theta * r
         if cols:
             dR[cols[0]] += r  # completes r_k - r_(k-1)
@@ -301,7 +297,7 @@ def _iterate(fld, b, coeffs, n, options, zeros, depth):
     f = DiskFunction(x)
     res = residual_sup(f, fld, n)
     f_prime = derivative(f)
-    if dsup < options.tol_update:
+    if settled:
         stop_reason = "tolerance" if res <= options.tol_residual else "residual"
     else:
         stop_reason = "max_iters"
@@ -309,18 +305,19 @@ def _iterate(fld, b, coeffs, n, options, zeros, depth):
         f=f,
         f_prime=f_prime,
         n=n,
-        iterations=iterations,
+        iterations=len(sup_hist),
         converged=stop_reason == "tolerance",
         residual=res,
         update_history=sup_hist,
         update_history_l2=l2_hist,
-        univalent=False,
-        locally_univalent=False,
+        univalent=univalence(f, n, seed=options.seed),
+        locally_univalent=bool(len(zeros) == 0 and interior_critical_points(f, n) == 0),
         theta=theta,
         zeros=tuple(np.asarray(zeros, dtype=np.complex128)) if len(zeros) else (),
         field_name=fld.name,
         tail_ratio=tail_ratio(f_prime.coeffs),
         stop_reason=stop_reason,
+        doublings=doublings,
     )
 
 
@@ -416,9 +413,9 @@ def interior_critical_points(f, n, radius=0.999):
     here".
     """
     vals = derivative(f).circle_trace(radius, check_grid_size(n))
-    if np.abs(vals).min() < 1e-13:
-        return max(1, int(np.rint(np.abs(np.angle(np.roll(vals, -1) / vals).sum()) / (2.0 * np.pi))))
     turns = np.angle(np.roll(vals, -1) / vals).sum() / (2.0 * np.pi)
+    if np.abs(vals).min() < 1e-13:
+        return max(1, int(np.rint(np.abs(turns))))
     return int(np.rint(turns))
 
 

@@ -152,14 +152,19 @@ def test_non_finite_update_raises_divergence_on_that_step():
     ([-0.5], {"initial_map": 1.0, "max_iters": 5}, "max_iters"),
     # the update settles on 6z, whose residual (~1.8e-15) cannot meet 1e-20
     ([], {"initial_map": 6.5, "tol_residual": 1e-20}, "residual"),
+    # max_iters bounds the whole run: the budget runs out on the first grid,
+    # before the update settles there on an unresolved tail
+    ([0.995], {"initial_map": 1.0, "max_iters": 3}, "max_iters"),
 ])
 def test_stop_reason(staircase, zeros, kwargs, reason):
     rep = solver.solve(staircase, zeros=zeros, options=SolveOptions(n=512, **kwargs))
     assert rep.stop_reason == reason
     assert rep.converged == (reason == "tolerance")
     assert rep.as_dict()["stop_reason"] == reason
+    assert rep.n == 512
     if reason == "max_iters":
-        assert rep.iterations == 5 and rep.update_history[-1] >= 1e-10
+        assert rep.iterations == len(rep.update_history) == kwargs["max_iters"]
+        assert rep.update_history[-1] >= 1e-10
     if reason == "residual":
         assert rep.update_history[-1] < 1e-10 and kwargs["tol_residual"] < rep.residual
 
@@ -167,10 +172,12 @@ def test_stop_reason(staircase, zeros, kwargs, reason):
 def test_unresolved_tail_refines_whatever_the_stop_reason(staircase):
     # at n = 512 the update settles while the residual stays ~2.5e-3: the
     # tail of f' near the zero at 0.995 is unresolved, so the grid doubles
-    # even though the loop stopped on "residual"
+    # instead of the run stopping on "residual"
     rep = solver.solve(staircase, zeros=[0.995], options=SolveOptions(n=512, initial_map=1.0))
     assert (rep.n, rep.doublings, rep.stop_reason) == (8192, 4, "tolerance")
     assert rep.f_prime.resolved()
+    # one loop, one report: 6 + 3 + 3 + 3 + 2 steps on the grids 512 .. 8192
+    assert rep.iterations == len(rep.update_history) == len(rep.update_history_l2) == 17
 
 
 def test_symmetric_map_refines_on_its_windowed_tail():
