@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateBoundaryError, NotUnivalentError
 from .solver import univalence
-from .spectral import check_grid_size, derivative, grid_angles, grid_points, poisson_circle
+from .spectral import check_grid_size, derivative, grid_angles, grid_points, poisson_circles
 
 TOL_CERT = 1e-8
 DERIVATIVE_FLOOR = 1e-14
@@ -79,8 +79,8 @@ def _interior_margins(f, fld, n, n_radii):
     xi = grid_points(n)
     boundary_log_phi = np.log(fld.evaluate(xi, f.trace(n)))
     fp = derivative(f)
-    for r in np.linspace(0.1, 0.999, n_radii):
-        u = poisson_circle(boundary_log_phi, r)
+    radii = np.linspace(0.1, 0.999, n_radii)
+    for r, u in zip(radii, poisson_circles(boundary_log_phi, radii)):
         mod_fp = np.abs(fp.circle_trace(r, n))
         skip = mod_fp < DERIVATIVE_FLOOR
         with np.errstate(divide="ignore"):

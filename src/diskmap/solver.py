@@ -34,6 +34,7 @@ from .spectral import (
 )
 
 PAIR_BLOCK = 1 << 14  # edge pairs tested at once in polygon_is_simple
+WINDING_BLOCK = 1 << 12  # (edge, target) pairs counted at once in winding_numbers
 DIVERGENCE_FACTOR = 1e6
 WINDING_SAMPLES = 50
 ANDERSON_DEPTH = 2  # residual differences kept for mixing
@@ -293,8 +294,11 @@ def _solve(fld, zeros, options, depth):
         x += step
         del r, step  # before the next step allocates its own
 
-    plan = dX = dR = r = None  # the iteration buffers go before residual_sup
+    plan = dX = dR = r = None  # the iteration buffers go before the final checks
     f = DiskFunction(x)
+    # before f' and its trace are cached on f, so that the polygon test's
+    # temporaries stay below the iteration's memory peak
+    univalent = univalence(f, n, seed=options.seed)
     res = residual_sup(f, fld, n)
     f_prime = derivative(f)
     if settled:
@@ -310,7 +314,7 @@ def _solve(fld, zeros, options, depth):
         residual=res,
         update_history=sup_hist,
         update_history_l2=l2_hist,
-        univalent=univalence(f, n, seed=options.seed),
+        univalent=univalent,
         locally_univalent=bool(len(zeros) == 0 and interior_critical_points(f, n) == 0),
         theta=theta,
         zeros=tuple(np.asarray(zeros, dtype=np.complex128)) if len(zeros) else (),
@@ -328,58 +332,104 @@ def _cross(u, v):
     return (np.conj(u) * v).imag
 
 
-def polygon_is_simple(points):
+def _pair_blocks(starts, counts, block):
+    """The index pairs (i, starts[i] + t), 0 <= t < counts[i], as (i, j)
+    arrays of about `block` pairs each; one row's run is never split."""
+    ends = np.cumsum(counts)
+    r0 = 0
+    while r0 < counts.size:
+        r1 = max(int(np.searchsorted(ends, ends[r0] - counts[r0] + block, side="right")), r0 + 1)
+        c = counts[r0:r1]
+        i = np.repeat(np.arange(r0, r1), c)
+        j = np.repeat(starts[r0:r1] - (np.cumsum(c) - c), c) + np.arange(i.size)
+        yield i, j
+        r0 = r1
+
+
+def polygon_is_simple(points, ends=None):
     """No two non-adjacent edges of the closed polygon properly cross.
 
-    A proper crossing needs overlapping closed x-extents, so the edges are
-    sorted by their left x and each is tested only against the later edges
-    whose left x lies within its own extent (a vectorized sweep in the sense
-    of Shamos & Hoey).  On solved maps that leaves about two pairs per edge,
-    O(m log m) work in all.  Pairs go through in blocks of PAIR_BLOCK and the
-    test stops at the first crossing, so memory stays bounded even on
-    wiggly curves.
+    Edge k runs from points[k] to ends[k], which defaults to
+    np.roll(points, -1).  A proper crossing needs overlapping closed
+    x-extents, so the edges are sorted by their left x and each is tested
+    only against the later edges whose left x lies within its own extent (a
+    vectorized sweep in the sense of Shamos & Hoey).  On solved maps that
+    leaves about two pairs per edge, O(m log m) work in all.  Pairs go
+    through in blocks of PAIR_BLOCK and the test stops at the first
+    crossing, so memory stays bounded even on wiggly curves.
     """
-    P = np.asarray(points, dtype=np.complex128)
-    m = P.size
-    A = P
-    B = np.roll(P, -1)
+    A = np.asarray(points, dtype=np.complex128)
+    B = np.roll(A, -1) if ends is None else ends
+    m = A.size
     left = np.minimum(A.real, B.real)
-    right = np.maximum(A.real, B.real)
     order = np.argsort(left, kind="stable")
-    # the x-extent of sorted edge s reaches sorted edges s+1 .. stop[s]-1
-    stop = np.searchsorted(left[order], right[order], side="right")
-    counts = stop - np.arange(m) - 1
-    ends = np.cumsum(counts)
-    s0 = 0
-    while s0 < m:
-        s1 = max(int(np.searchsorted(ends, ends[s0] - counts[s0] + PAIR_BLOCK, side="right")), s0 + 1)
-        c = counts[s0:s1]
-        first = np.repeat(np.arange(s0, s1), c)
-        offset = np.arange(first.size) - np.repeat(np.cumsum(c) - c, c)
-        a = order[first]
-        b = order[first + 1 + offset]
+    left = left[order]
+    # the x-extent of sorted edge s reaches sorted edges s+1 .. s+counts[s]
+    counts = np.searchsorted(left, np.maximum(A.real, B.real)[order], side="right")
+    del left
+    starts = np.arange(1, m + 1)
+    counts -= starts
+    for s, t in _pair_blocks(starts, counts, PAIR_BLOCK):
+        a = order[s]
+        b = order[t]
         ii = np.minimum(a, b)
         jj = np.maximum(a, b)
         candidate = (jj > ii + 1) & ~((ii == 0) & (jj == m - 1))
         ii, jj = ii[candidate], jj[candidate]
-        d1 = _cross(B[ii] - A[ii], A[jj] - A[ii])
-        d2 = _cross(B[ii] - A[ii], B[jj] - A[ii])
-        d3 = _cross(B[jj] - A[jj], A[ii] - A[jj])
-        d4 = _cross(B[jj] - A[jj], B[ii] - A[jj])
+        ei = B[ii] - A[ii]
+        ej = B[jj] - A[jj]
+        d1 = _cross(ei, A[jj] - A[ii])
+        d2 = _cross(ei, B[jj] - A[ii])
+        d3 = _cross(ej, A[ii] - A[jj])
+        d4 = _cross(ej, B[ii] - A[jj])
         if ((d1 * d2 < 0) & (d3 * d4 < 0)).any():
             return False
-        s0 = s1
     return True
 
 
-def winding_number(points, w):
-    """Winding of the closed polygon around w (nearest integer)."""
+def winding_numbers(points, targets, ends=None):
+    """Winding number of the closed polygon about each target, or None for
+    a target within 1e-12 of a vertex.
+
+    Edge k runs from points[k] to ends[k] (default np.roll(points, -1)).
+    One signed count of the edges crossing a rightward ray from each target
+    (Hormann & Agathos, Comput. Geom. 20, 2001): an edge going up with the
+    target on its left counts +1, one going down with the target on its
+    right -1.  Edges are half-open in y, so a ray through a vertex counts
+    it once and a horizontal edge never.  With the targets sorted by
+    height, an edge meets only the targets whose heights it spans; those
+    (edge, target) pairs go through in blocks of WINDING_BLOCK.
+    """
     P = np.asarray(points, dtype=np.complex128)
-    rel = P - w
-    if np.abs(rel).min() < 1e-12:
-        return None
-    turns = np.angle(np.roll(rel, -1) / rel).sum() / (2.0 * np.pi)
-    return int(np.rint(turns))
+    B = np.roll(P, -1) if ends is None else ends
+    w = np.asarray(targets, dtype=np.complex128).ravel()
+    order = np.argsort(w.imag, kind="stable")
+    w = w[order]
+    # edge k spans the sorted targets between ra[k] and rb[k], the counts
+    # of targets below its two ends
+    ra = np.searchsorted(w.imag, P.imag)
+    rb = np.searchsorted(w.imag, B.imag)
+    k = np.flatnonzero(ra != rb)
+    ra, rb = ra[k], rb[k]
+    up = rb > ra
+    lo = np.minimum(ra, rb)
+    wind = np.zeros(w.size, dtype=np.int64)
+    for i, j in _pair_blocks(lo, np.maximum(ra, rb) - lo, WINDING_BLOCK):
+        e = k[i]
+        side = _cross(B[e] - P[e], w[j] - P[e])
+        wind += np.bincount(j[up[i] & (side > 0)], minlength=w.size)
+        wind -= np.bincount(j[~up[i] & (side < 0)], minlength=w.size)
+    # a target within 1e-12 of a vertex is within 1e-12 of its height
+    lo = np.searchsorted(w.imag, P.imag - 1e-12)
+    hi = np.searchsorted(w.imag, P.imag + 1e-12, side="right")
+    v = np.flatnonzero(hi > lo)
+    near = np.zeros(w.size, dtype=bool)
+    for i, j in _pair_blocks(lo[v], hi[v] - lo[v], WINDING_BLOCK):
+        near[j[np.abs(P[v[i]] - w[j]) < 1e-12]] = True
+    out = [None] * w.size
+    for t, wt, skip in zip(order.tolist(), wind.tolist(), near.tolist()):
+        out[t] = None if skip else wt
+    return out
 
 
 def univalence(f, n, seed=0):
@@ -387,22 +437,26 @@ def univalence(f, n, seed=0):
     sampled interior image points.
 
     The polygon is the boundary trace on the full n-point grid, with no
-    vertex cap, so folds as fine as one grid step are seen.
+    vertex cap, so folds as fine as one grid step are seen.  The verdict is
+    cached on f per (n, seed), like its traces, so a certificate gate on a
+    map the solve already checked costs nothing.
     """
-    P = f.trace(check_grid_size(n))
-    if not polygon_is_simple(P):
+    key = (check_grid_size(n), seed)
+    got = f._verdicts.get(key)
+    if got is None:
+        got = f._verdicts[key] = _univalence(f, *key)
+    return got
+
+
+def _univalence(f, n, seed):
+    P = f.trace(n)
+    B = np.roll(P, -1)
+    if not polygon_is_simple(P, B):
         return False
     rng = np.random.default_rng(seed)
     radii = 0.1 + 0.7 * rng.random(WINDING_SAMPLES)
     angles = 2.0 * np.pi * rng.random(WINDING_SAMPLES)
-    targets = f(radii * np.exp(1j * angles))
-    for w in targets:
-        wind = winding_number(P, w)
-        if wind is None:
-            continue
-        if wind != 1:
-            return False
-    return True
+    return all(w in (None, 1) for w in winding_numbers(P, f(radii * np.exp(1j * angles)), B))
 
 
 def interior_critical_points(f, n, radius=0.999):

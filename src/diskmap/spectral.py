@@ -65,9 +65,14 @@ def _values(u):
 
 
 class DiskFunction:
-    """Analytic function on the unit disk held as Taylor coefficients."""
+    """Analytic function on the unit disk held as Taylor coefficients.
 
-    __slots__ = ("coeffs", "_traces")
+    The coefficients are not mutated after construction: the boundary
+    traces, the derivative and the univalence verdicts (solver.univalence)
+    are cached on the instance and would go stale.
+    """
+
+    __slots__ = ("coeffs", "_traces", "_derivative", "_verdicts")
 
     def __init__(self, coeffs):
         c = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128))
@@ -75,6 +80,8 @@ class DiskFunction:
             raise ValueError("coefficients must be a non-empty 1-d array")
         self.coeffs = c
         self._traces = {}
+        self._derivative = None
+        self._verdicts = {}  # (n, seed) -> univalence verdict
 
     @classmethod
     def from_boundary(cls, values):
@@ -160,11 +167,15 @@ class DiskFunction:
 
 
 def derivative(f):
-    """f'(z) as a DiskFunction: c_k -> (k+1) c_{k+1}."""
-    c = f.coeffs
-    if c.size == 1:
-        return DiskFunction([0.0])
-    return DiskFunction(np.arange(1, c.size) * c[1:])
+    """f'(z) as a DiskFunction: c_k -> (k+1) c_{k+1}.  Built once per f and
+    cached on it, so callers share it and its traces: its coefficients are
+    read-only."""
+    if f._derivative is None:
+        c = f.coeffs
+        fp = DiskFunction(np.arange(1, c.size) * c[1:] if c.size > 1 else [0.0])
+        fp.coeffs.flags.writeable = False
+        f._derivative = fp
+    return f._derivative
 
 
 def antiderivative(f):
@@ -237,16 +248,20 @@ def poisson_extend(u, z):
 
 def poisson_circle(u, r):
     """Harmonic extension of real nodal data on the full circle of radius r."""
+    return next(poisson_circles(u, [r]))
+
+
+def poisson_circles(u, radii):
+    """poisson_circle at each radius in turn, from one spectrum of u."""
     v = _values(u)
     v = v.real if np.iscomplexobj(v) else np.asarray(v, dtype=np.float64)
-    n = v.size
-    r = float(r)
-    if not 0.0 <= r <= 1.0 + 1e-12:
-        raise ValueError("poisson_circle needs 0 <= r <= 1")
-    r = min(r, 1.0)
     spec = np.fft.fft(v)
-    damped = spec * np.power(r, np.abs(_signed_freqs(n)))
-    return np.fft.ifft(damped).real
+    k = np.abs(_signed_freqs(v.size))
+    for r in radii:
+        r = float(r)
+        if not 0.0 <= r <= 1.0 + 1e-12:
+            raise ValueError("poisson_circle needs 0 <= r <= 1")
+        yield np.fft.ifft(spec * np.power(min(r, 1.0), k)).real
 
 
 def hp_boundary_distance(f, g, p):

@@ -1,9 +1,11 @@
 """Comparison certificates: sub/supersolutions, starlikeness, boundary identity."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from diskmap import certify, solver, weight
+from diskmap import certify, solver, spectral, weight
 from diskmap.errors import DegenerateBoundaryError, NotUnivalentError
 from diskmap.spectral import DiskFunction, derivative
 
@@ -60,6 +62,25 @@ def test_exact_solutions_sit_on_both_fences(staircase, r):
     sup = certify.check_supersolution(f, staircase)
     assert sub.passed and abs(sub.worst_margin) <= 1e-6
     assert sup.passed and abs(sup.worst_margin) <= 1e-6
+
+
+def test_fence_takes_one_log_phi_spectrum():
+    # every radius damps and inverts the same spectrum, so the margins are
+    # bitwise those of one poisson_circle call per radius
+    fld = weight.random_smooth_field(np.random.default_rng(2))
+    f = DiskFunction([0.0, 1.0, 0.3, 0.05j])
+    n, n_radii = 256, 16
+    log_phi = np.log(fld.evaluate(spectral.grid_points(n), f.trace(n)))
+    fp = derivative(f)
+    with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft:
+        got = list(certify._interior_margins(f, fld, n, n_radii))
+    assert fft.call_count == 1
+    radii = np.linspace(0.1, 0.999, n_radii)
+    assert [r for r, _, _ in got] == radii.tolist()
+    for r, margin, skip in got:
+        want = spectral.poisson_circle(log_phi, r) - np.log(np.abs(fp.circle_trace(r, n)))
+        assert margin.tobytes() == want.tobytes()
+        assert not skip.any()
 
 
 def test_tolerance_parameter_threads_through(unit_field):

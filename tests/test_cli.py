@@ -129,6 +129,27 @@ def test_solve_then_certify_round_trip(tmp_path, capsys):
     assert len(payload["certificates"]) == 4
 
 
+def test_solve_and_certify_take_each_boundary_trace_once(tmp_path, monkeypatch):
+    # one unit-circle FFT for f and one for f' per command: the residual,
+    # boundary.csv, the certificates and the certify payload share one
+    # cached derivative and its trace
+    traced = []
+    circle_values = DiskFunction._circle_values
+
+    def counting(self, r, n):
+        if r == 1.0:
+            traced.append(n)
+        return circle_values(self, r, n)
+
+    monkeypatch.setattr(DiskFunction, "_circle_values", counting)
+    argv = ["solve", "--field", "staircase", "--init", "6.5", "--out", tmp_path, "--emit", "json,csv,svg"]
+    assert run(argv) == 0
+    assert traced == [512, 512]
+    traced.clear()
+    assert run(["certify", "--field", "staircase", "--map", tmp_path / "coefficients.csv", "--out", tmp_path]) == 0
+    assert traced == [512, 512]
+
+
 def test_certify_failure_exits_one(tmp_path, capsys):
     path = write_map(tmp_path / "two.csv", [0.0, 2.0])
     code = run([

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskmap import blaschke, solver, spectral, weight
+from diskmap import blaschke, certify, solver, spectral, weight
 from diskmap.errors import DivergenceError
 from diskmap.solver import SolveOptions, scaled_identity
 from diskmap.spectral import DiskFunction
@@ -367,11 +367,91 @@ def test_univalence_sees_folds_finer_than_a_thousandth_of_the_circle():
     assert solver.univalence(DiskFunction([0.0, 1.0, 0.4]), 16384)
 
 
-def test_winding_number_values():
+def _winding_number_reference(points, w):
+    """The per-target angle sum the one-pass crossing count replaced."""
+    P = np.asarray(points, dtype=np.complex128)
+    rel = P - w
+    if np.abs(rel).min() < 1e-12:
+        return None
+    turns = np.angle(np.roll(rel, -1) / rel).sum() / (2.0 * np.pi)
+    return int(np.rint(turns))
+
+
+def _edge_distance(points, w):
+    """Distance from w to the closed polygon's nearest edge."""
+    A = np.asarray(points, dtype=np.complex128)
+    e = np.roll(A, -1) - A
+    t = np.clip(((w - A) * np.conj(e)).real / np.maximum(np.abs(e) ** 2, 1e-300), 0.0, 1.0)
+    return float(np.abs(A + t * e - w).min())
+
+
+def test_winding_numbers_values():
     square = np.array([0.0, 1.0, 1.0 + 1.0j, 1.0j])
-    assert solver.winding_number(square, 0.5 + 0.5j) == 1
-    assert solver.winding_number(square, 5.0 + 5.0j) == 0
-    assert solver.winding_number(square, 0.0j) is None  # vertex hit
+    assert solver.winding_numbers(square, [0.5 + 0.5j, 5.0 + 5.0j, 0.0j]) == [1, 0, None]
+    assert solver.winding_numbers(square[::-1], [0.5 + 0.5j]) == [-1]
+    assert solver.winding_numbers(square, []) == []
+
+
+@pytest.mark.parametrize("points,target,want", [
+    # the ray from the target runs through one vertex of a diamond, or two
+    ([1.0, 1.0j, -1.0, -1.0j], 0.0j, 1),
+    ([1.0, 1.0j, -1.0, -1.0j], -0.5 + 0.0j, 1),
+    ([1.0, 1.0j, -1.0, -1.0j], -2.0 + 0.0j, 0),
+    # it grazes an apex that does not cross the target's height
+    ([-1 - 1j, 1 - 1j, 0.5 + 0.0j], -0.5 + 0.0j, 0),
+    ([-1 + 1j, 0.5 + 0.0j, 1 + 1j], -0.5 + 0.0j, 0),
+    # it runs along a horizontal edge, from inside and from outside
+    ([0.0, 2.0, 2 + 1j, 1 + 1j, 1 + 2j, 2j], 0.5 + 1j, 1),
+    ([0.0, 2.0, 2 + 1j, 1 + 1j, 1 + 2j, 2j], -0.5 + 1j, 0),
+    ([0.0, 1.0, 1 + 1j, 1j], -1.0 + 0.0j, 0),
+    ([0.0, 1.0, 1 + 1j, 1j], -1.0 + 1.0j, 0),
+    # on a vertex, and within 1e-12 of one
+    ([0.0, 1.0, 1 + 1j, 1j], 1 + 1j, None),
+    ([0.0, 1.0, 1 + 1j, 1j], 1 + 1j + 5e-13j, None),
+])
+def test_winding_numbers_ties(points, target, want):
+    assert solver.winding_numbers(np.array(points), [target]) == [want]
+    assert _winding_number_reference(np.array(points), target) == want
+    # the same tie among other targets, and with the polygon's start moved
+    others = [0.3 + 0.2j, target, 7.0 + 0.0j]
+    got = solver.winding_numbers(np.roll(np.array(points), 1), others)
+    assert got == [_winding_number_reference(points, w) for w in others]
+
+
+@given(
+    st.integers(min_value=3, max_value=60),
+    st.integers(min_value=0, max_value=2 ** 31 - 1),
+    st.sampled_from([None, 1, 5]),
+)
+@settings(max_examples=80, deadline=None)
+def test_winding_numbers_match_the_angle_sum(m, seed, block):
+    # random polygons self-intersect; the targets keep clear of every edge
+    rng = np.random.default_rng(seed)
+    P = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    if rng.random() < 0.3:
+        P = np.round(P * 2.0) / 2.0  # repeated heights: horizontal edges and vertex ties
+    W = 1.5 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+    W = np.concatenate([W, P[: m // 2] + 0.25])  # targets level with vertices
+    W = W[[_edge_distance(P, w) > 1e-6 for w in W]]
+    with mock.patch.object(solver, "WINDING_BLOCK", block or solver.WINDING_BLOCK):
+        got = solver.winding_numbers(P, W)
+    assert got == [_winding_number_reference(P, w) for w in W]
+
+
+def test_univalence_looks_once_at_each_map(staircase):
+    # the solve checks 6z; the three certificates gated on univalence reuse
+    # that verdict instead of testing the polygon again
+    with mock.patch.object(solver, "polygon_is_simple", wraps=solver.polygon_is_simple) as simple:
+        rep = solver.solve(staircase, options=SolveOptions(initial_map=6.5))
+        certify.check_subsolution(rep.f, staircase)
+        certify.check_supersolution(rep.f, staircase)
+        certify.check_starlike(rep.f)
+        certify.free_boundary_check(rep.f, staircase)
+        assert simple.call_count == 1
+        # another grid or seed is another verdict
+        assert solver.univalence(rep.f, 256) and solver.univalence(rep.f, 512, seed=1)
+        assert solver.univalence(rep.f, 256)
+        assert simple.call_count == 3
 
 
 def test_univalence_detects_double_cover():

@@ -202,6 +202,16 @@ def test_derivative_antiderivative_inverse_pair(seed):
     assert np.abs(derivative(antiderivative(h)).coeffs - h.coeffs).max() < 1e-14
 
 
+def test_derivative_is_built_once_and_shares_its_traces():
+    f = DiskFunction([0.0, 1.0, 0.5, 0.25j])
+    fp = derivative(f)
+    assert fp.coeffs.tolist() == [1.0, 1.0, 0.75j]
+    assert derivative(f) is fp
+    assert derivative(f).trace(16) is fp.trace(16)
+    assert not fp.coeffs.flags.writeable
+    assert derivative(DiskFunction([2.0])).coeffs.tolist() == [0.0]
+
+
 def test_conjugate_of_cosine_is_sine():
     n = 64
     t = grid_angles(n)
