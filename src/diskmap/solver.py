@@ -17,6 +17,8 @@ loop is the plain damped iteration.
 """
 
 import math
+import operator
+import random
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -439,8 +441,13 @@ def univalence(f, n, seed=0):
     The polygon is the boundary trace on the full n-point grid, with no
     vertex cap, so folds as fine as one grid step are seen.  The verdict is
     cached on f per (n, seed), like its traces, so a certificate gate on a
-    map the solve already checked costs nothing.
+    map the solve already checked costs nothing.  The targets come from
+    random.Random(seed), the stdlib Mersenne Twister, so seed is a
+    non-negative int.
     """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     key = (check_grid_size(n), seed)
     got = f._verdicts.get(key)
     if got is None:
@@ -453,9 +460,9 @@ def _univalence(f, n, seed):
     B = np.roll(P, -1)
     if not polygon_is_simple(P, B):
         return False
-    rng = np.random.default_rng(seed)
-    radii = 0.1 + 0.7 * rng.random(WINDING_SAMPLES)
-    angles = 2.0 * np.pi * rng.random(WINDING_SAMPLES)
+    rng = random.Random(seed)
+    radii = 0.1 + 0.7 * np.array([rng.random() for _ in range(WINDING_SAMPLES)])
+    angles = 2.0 * np.pi * np.array([rng.random() for _ in range(WINDING_SAMPLES)])
     return all(w in (None, 1) for w in winding_numbers(P, f(radii * np.exp(1j * angles)), B))
 
 

@@ -476,22 +476,21 @@ def superharmonic_check(field, n=128, n_xi=16):
     M = field.sup_bound
     h = M / n
     coords = np.arange(-n, n + 1) * h
-    X, Y = np.meshgrid(coords, coords, indexing="ij")
-    W = X + 1j * Y
+    W = coords[:, None] + 1j * coords[None, :]
     xi = _xi_lattice(field, n_xi)
     worst = -np.inf
     worst_point = 0.0 + 0.0j
     tol = 10.0 * h
-    inside = np.hypot(X[1:-1, 1:-1], Y[1:-1, 1:-1]) <= M
+    outside = np.hypot(coords[1:-1, None], coords[None, 1:-1]) > M
     for x in xi:
         logv = np.log(field.evaluate(x, W))
         lap = (
             logv[2:, 1:-1] + logv[:-2, 1:-1] + logv[1:-1, 2:] + logv[1:-1, :-2] - 4.0 * logv[1:-1, 1:-1]
         ) / (h * h)
-        masked = np.where(inside, lap, -np.inf)
-        idx = int(np.argmax(masked))
-        val = float(masked.ravel()[idx])
+        lap[outside] = -np.inf
+        i, j = np.unravel_index(np.argmax(lap), lap.shape)
+        val = float(lap[i, j])
         if val > worst:
             worst = val
-            worst_point = complex(W[1:-1, 1:-1].ravel()[idx])
+            worst_point = complex(W[i + 1, j + 1])
     return SuperharmonicResult(passed=bool(worst <= tol), worst=worst, tolerance=tol, worst_point=worst_point)

@@ -535,3 +535,35 @@ def test_solver_cli_cold_path_does_not_import_scipy(tmp_path):
     assert "cold path ok" in proc.stdout
     for name in ("certificates.json", "scan.json", "union.pbm", "intersection.pbm", "tabulated/solve_report.json"):
         assert (tmp_path / "out" / name).exists(), name
+
+
+NO_NUMPY_RANDOM_SCRIPT = """
+import sys
+
+from diskmap import cli
+
+cfg, out = sys.argv[1:]
+for argv in (
+    ["solve", "--config", cfg, "--out", out],
+    ["certify", "--field", "staircase", "--map", f"{out}/coefficients.csv", "--out", out],
+    ["spectrum", "--field", "staircase", "--init", "6.5", "--n", "64", "--out", out],
+    ["scan", "--field", "staircase", "--out", out],
+):
+    assert cli.main(argv) == 0, argv
+assert "numpy.random" not in sys.modules
+print("no numpy.random")
+"""
+
+
+def test_cli_does_not_import_numpy_random(tmp_path):
+    # the univalence targets come from the stdlib generator, which every
+    # child has loaded already; numpy.random would cost ~6 MiB of RSS
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "staircase_maximal.cfg"
+    src = str(Path(diskmap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_RANDOM_SCRIPT, str(cfg), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "no numpy.random" in proc.stdout

@@ -1,5 +1,6 @@
 """Fixed-point solver: stationarity, convergence, geometry, scans."""
 
+import random
 import tracemalloc
 from unittest import mock
 
@@ -457,6 +458,72 @@ def test_univalence_looks_once_at_each_map(staircase):
 def test_univalence_detects_double_cover():
     assert not solver.univalence(DiskFunction([0.0, 0.0, 1.0]), 64)
     assert solver.univalence(DiskFunction([0.0, 1.0]), 64)
+
+
+def _oracle_map(seed, n):
+    """A random map; a quarter of them fold onto z-bar on the n-point grid,
+    where the polygon is simple but runs clockwise."""
+    rng = np.random.default_rng(seed)
+    c = np.zeros(2 * n + 1, dtype=complex)
+    c[1] = 1.0
+    k = rng.integers(1, 4)
+    deg = rng.integers(2, 2 * n + 1, size=k)
+    c[deg] += rng.uniform(0.0, 2.0, size=k) * np.exp(2j * np.pi * rng.random(k)) / deg
+    if rng.random() < 0.25:
+        c[n - 1] += rng.uniform(1.5, 3.0)
+    return DiskFunction(c)
+
+
+def _pcg64_univalence(f, n, seed):
+    """The verdict with numpy's PCG64 targets, the draw before the stdlib
+    sampler; None when the polygon test alone decides it."""
+    P = f.trace(n)
+    if not solver.polygon_is_simple(P):
+        return None
+    rng = np.random.default_rng(seed)
+    radii = 0.1 + 0.7 * rng.random(solver.WINDING_SAMPLES)
+    angles = 2.0 * np.pi * rng.random(solver.WINDING_SAMPLES)
+    return all(w in (None, 1) for w in solver.winding_numbers(P, f(radii * np.exp(1j * angles))))
+
+
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("seed", range(100))
+def test_univalence_verdict_does_not_depend_on_the_sampler(n, seed):
+    f = _oracle_map(seed, n)
+    want = _pcg64_univalence(f, n, seed % 3)
+    assert solver.univalence(f, n, seed=seed % 3) is bool(want)
+
+
+def test_sampler_oracle_maps_meet_every_verdict():
+    # univalent maps, folds the polygon test sees, and clockwise polygons
+    # that only the winding count rejects
+    kinds = {_pcg64_univalence(_oracle_map(seed, n), n, seed % 3) for n in (64, 512) for seed in range(100)}
+    assert kinds == {True, False, None}
+
+
+def test_univalence_targets_come_from_the_stdlib_generator():
+    f = DiskFunction([0.0, 1.0, 0.1])
+    rng = random.Random(7)
+    radii = 0.1 + 0.7 * np.array([rng.random() for _ in range(solver.WINDING_SAMPLES)])
+    angles = 2.0 * np.pi * np.array([rng.random() for _ in range(solver.WINDING_SAMPLES)])
+    with mock.patch.object(solver, "winding_numbers", wraps=solver.winding_numbers) as wind:
+        assert solver.univalence(f, 64, seed=7)
+    assert np.array_equal(wind.call_args.args[1], f(radii * np.exp(1j * angles)))
+
+
+def test_univalence_seed_parity():
+    # numpy's generator took np.int64 and refused negative and float seeds;
+    # random.Random does the opposite, so univalence normalizes the seed
+    f = DiskFunction([0.0, 1.0, 0.1])
+    assert solver.univalence(f, 64, seed=1)
+    with pytest.raises(ValueError, match="non-negative"):
+        solver.univalence(f, 64, seed=-1)  # random.Random(-1) is random.Random(1)
+    with pytest.raises(TypeError):
+        solver.univalence(f, 64, seed=3.0)
+    assert solver.univalence(f, 64, seed=np.int64(3))
+    assert solver.univalence(f, 64, seed=True)
+    assert sorted(f._verdicts) == [(64, 1), (64, 3)]
+    assert all(type(seed) is int for _, seed in f._verdicts)
 
 
 @pytest.mark.parametrize("coeffs,count", [

@@ -1,6 +1,7 @@
 """Weight fields: builtins, tables, and the lattice certificates."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -386,6 +387,31 @@ def test_superharmonic_constant_passes():
     res = weight.superharmonic_check(weight.constant_field(2.0))
     assert res.passed
     assert res.worst == 0.0
+
+
+@pytest.mark.parametrize("field,passed,worst,point", [
+    (weight.staircase_field(), False, "0x1.31af7740a7d55p+3", ("-0x1.5p+1", "0x1.74p+0")),
+    (weight.gauss_radial_field(), True, "-0x1.9999999978p-2", ("-0x1p-1", "-0x1.a4p-1")),
+])
+def test_superharmonic_check_values_are_pinned(field, passed, worst, point):
+    # bitwise the results of the meshgrid lattice the broadcasts replaced
+    res = weight.superharmonic_check(field)
+    assert res.passed is passed
+    assert res.worst == float.fromhex(worst)
+    assert res.worst_point == complex(*map(float.fromhex, point))
+
+
+def test_superharmonic_check_holds_no_coordinate_grids():
+    # 4.57 MiB with the two 257 x 257 meshgrid arrays alive through the loop
+    fld = weight.staircase_field()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        weight.superharmonic_check(fld)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / 2**20 < 4.0
 
 
 def test_superharmonic_bump_fails():
