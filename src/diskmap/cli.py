@@ -273,6 +273,8 @@ def cmd_certify(cfg):
     n = _as_int(cfg, "n", 512)
     tol = _as_float(cfg, "tol", TOL_CERT)
     seed = _as_int(cfg, "seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     checks = _split_list(cfg.get("checks", "subsolution,supersolution,starlike,free_boundary"))
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown:

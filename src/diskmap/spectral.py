@@ -68,11 +68,13 @@ class DiskFunction:
     """Analytic function on the unit disk held as Taylor coefficients.
 
     The coefficients are not mutated after construction: the boundary
-    traces, the derivative and the univalence verdicts (solver.univalence)
-    are cached on the instance and would go stale.
+    traces, the derivative, the univalence verdicts (solver.univalence) and
+    the extremes of the certificate fence lattice (certify) are cached on
+    the instance and would go stale.  The fence cache is keyed by the field
+    object as well, so a field must not change once it has been used.
     """
 
-    __slots__ = ("coeffs", "_traces", "_derivative", "_verdicts")
+    __slots__ = ("coeffs", "_traces", "_derivative", "_verdicts", "_fences")
 
     def __init__(self, coeffs):
         c = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128))
@@ -82,6 +84,7 @@ class DiskFunction:
         self._traces = {}
         self._derivative = None
         self._verdicts = {}  # (n, seed) -> univalence verdict
+        self._fences = {}  # (field, n, n_radii) -> fence lattice extremes
 
     @classmethod
     def from_boundary(cls, values):
@@ -113,24 +116,21 @@ class DiskFunction:
         return got
 
     def circle_trace(self, r, n):
-        """Values on the circle of radius r at n equispaced angles."""
+        """Values on the circle of radius r at n equispaced angles.  For an
+        array of radii, one batched transform gives shape r.shape + (n,)."""
         n = check_grid_size(n)
-        return self._circle_values(float(r), n)
+        return self._circle_values(np.asarray(r, dtype=np.float64), n)
 
     def _circle_values(self, r, n):
+        r = np.asarray(r)
         c = self.coeffs
-        if r != 1.0:
-            c = c * np.power(r, np.arange(c.size))
         m = c.size
-        if m <= n:
-            padded = np.zeros(n, dtype=np.complex128)
-            padded[:m] = c
-            return np.fft.ifft(padded) * n
-        big = next_power_of_two(m)
-        padded = np.zeros(big, dtype=np.complex128)
-        padded[:m] = c
+        size = max(n, next_power_of_two(m))
+        padded = np.zeros(r.shape + (size,), dtype=np.complex128)
+        padded[..., :m] = c * np.power(r[..., None], np.arange(m)) if r.ndim or r != 1.0 else c
+        got = np.fft.ifft(padded, axis=-1) * size
         # a copy, so that a cached trace does not pin the big-point transform
-        return (np.fft.ifft(padded) * big)[:: big // n].copy()
+        return got if size == n else got[..., :: size // n].copy()
 
     def __call__(self, z):
         """Evaluate at z (a scalar or any complex array) by blocked Horner.
@@ -251,17 +251,19 @@ def poisson_circle(u, r):
     return next(poisson_circles(u, [r]))
 
 
-def poisson_circles(u, radii):
-    """poisson_circle at each radius in turn, from one spectrum of u."""
+def poisson_circles(u, blocks):
+    """poisson_circle on blocks of radii, all from one spectrum of u: for
+    each array of radii in blocks, one batched inverse transform gives the
+    circles' values, shape radii.shape + (n,)."""
     v = _values(u)
     v = v.real if np.iscomplexobj(v) else np.asarray(v, dtype=np.float64)
     spec = np.fft.fft(v)
     k = np.abs(_signed_freqs(v.size))
-    for r in radii:
-        r = float(r)
-        if not 0.0 <= r <= 1.0 + 1e-12:
+    for radii in blocks:
+        r = np.asarray(radii, dtype=np.float64)
+        if not np.all((0.0 <= r) & (r <= 1.0 + 1e-12)):
             raise ValueError("poisson_circle needs 0 <= r <= 1")
-        yield np.fft.ifft(spec * np.power(min(r, 1.0), k)).real
+        yield np.fft.ifft(spec * np.power(np.minimum(r, 1.0)[..., None], k), axis=-1).real
 
 
 def hp_boundary_distance(f, g, p):

@@ -1,5 +1,6 @@
 """Comparison certificates: sub/supersolutions, starlikeness, boundary identity."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -65,22 +66,153 @@ def test_exact_solutions_sit_on_both_fences(staircase, r):
 
 
 def test_fence_takes_one_log_phi_spectrum():
-    # every radius damps and inverts the same spectrum, so the margins are
-    # bitwise those of one poisson_circle call per radius
+    # both fences read one lattice: log Phi is transformed once per map, and
+    # the two extremes are bitwise those of one poisson_circle and one
+    # circle_trace call per radius
     fld = weight.random_smooth_field(np.random.default_rng(2))
     f = DiskFunction([0.0, 1.0, 0.3, 0.05j])
     n, n_radii = 256, 16
+    with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft:
+        sub = certify.check_subsolution(f, fld, n=n, n_radii=n_radii)
+        sup = certify.check_supersolution(f, fld, n=n, n_radii=n_radii)
+    assert fft.call_count == 1
     log_phi = np.log(fld.evaluate(spectral.grid_points(n), f.trace(n)))
     fp = derivative(f)
-    with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft:
-        got = list(certify._interior_margins(f, fld, n, n_radii))
-    assert fft.call_count == 1
     radii = np.linspace(0.1, 0.999, n_radii)
-    assert [r for r, _, _ in got] == radii.tolist()
-    for r, margin, skip in got:
-        want = spectral.poisson_circle(log_phi, r) - np.log(np.abs(fp.circle_trace(r, n)))
-        assert margin.tobytes() == want.tobytes()
-        assert not skip.any()
+    margins = np.array([
+        spectral.poisson_circle(log_phi, r) - np.log(np.abs(fp.circle_trace(r, n))) for r in radii
+    ])
+    angles = spectral.grid_angles(n)
+    lo = np.unravel_index(np.argmin(margins), margins.shape)
+    hi = np.unravel_index(np.argmax(margins), margins.shape)
+    assert sub.worst_margin.hex() == float(margins[lo]).hex()
+    assert sup.worst_margin.hex() == float(-margins[hi]).hex()
+    assert sub.worst_location == {"r": radii[lo[0]], "t": angles[lo[1]]}
+    assert sup.worst_location == {"r": radii[hi[0]], "t": angles[hi[1]]}
+    assert sub.skipped == sup.skipped == 0
+
+
+def _per_radius_fences(f, fld, n, n_radii, tol=certify.TOL_CERT):
+    """The reference sub- and supersolution fences: one poisson_circle and
+    one circle_trace per radius, and each fence's worst cell kept on a
+    strict < from row to row."""
+    log_phi = np.log(fld.evaluate(spectral.grid_points(n), f.trace(n)))
+    fp = derivative(f)
+    angles = spectral.grid_angles(n)
+    worst, where, skipped = [np.inf, np.inf], [{}, {}], 0
+    for r in np.linspace(0.1, 0.999, n_radii):
+        mod_fp = np.abs(fp.circle_trace(r, n))
+        skip = mod_fp < certify.DERIVATIVE_FLOOR
+        skipped += int(skip.sum())
+        with np.errstate(divide="ignore"):
+            margin = spectral.poisson_circle(log_phi, r) - np.log(mod_fp)
+        for k, sign in enumerate((1.0, -1.0)):
+            usable = np.where(skip, np.inf, sign * margin)
+            i = int(np.argmin(usable))
+            if usable[i] < worst[k]:
+                worst[k] = float(usable[i])
+                where[k] = {"r": float(r), "t": float(angles[i])}
+    return [
+        certify.Certificate(
+            kind=kind,
+            passed=bool(worst[k] >= -tol),
+            worst_margin=worst[k],
+            worst_location=where[k],
+            tolerance=tol,
+            lattice={"n": n, "radii": n_radii},
+            skipped=skipped,
+        )
+        for k, kind in enumerate(("subsolution", "supersolution"))
+    ]
+
+
+def _oracle_maps():
+    """(map, field) pairs: random polynomials, solved maps, maps with more
+    coefficients than the grid, and f'(z) = z - r_3, which vanishes on the
+    fourth circle of the 16-radius lattice."""
+    rng = np.random.default_rng(13)
+    fields = [weight.staircase_field(), weight.constant_field(1.0)]
+    fields += [weight.random_smooth_field(np.random.default_rng(k)) for k in range(3)]
+    maps = []
+    for i in range(84):
+        m = int(rng.integers(2, 42))
+        c = (rng.normal(size=m) + 1j * rng.normal(size=m)) / np.arange(1, m + 1) ** 2
+        c[1] += rng.uniform(0.5, 6.0)
+        maps.append((DiskFunction(c), fields[i % len(fields)]))
+    for m in np.geomspace(10, 5000, 10).astype(int):
+        c = (rng.normal(size=m) + 1j * rng.normal(size=m)) * 0.9 ** np.arange(m)
+        c[1] += 3.0
+        maps.append((DiskFunction(c), fields[m % len(fields)]))
+    stair = fields[0]
+    maps.append((solver.solve(stair, options=solver.SolveOptions(n=64, initial_map=6.5)).f, stair))
+    maps.append((solver.solve(stair, zeros=[-0.5], options=solver.SolveOptions(n=64, initial_map=1.0)).f, stair))
+    for fld in fields[2:]:
+        maps.append((solver.solve(fld, options=solver.SolveOptions(n=64)).f, fld))
+    r3 = np.linspace(0.1, 0.999, 16)[3]
+    maps.append((DiskFunction([0.0, -r3, 0.5]), stair))
+    return maps
+
+
+@pytest.fixture(scope="module")
+def oracle_maps():
+    return _oracle_maps()
+
+
+@pytest.mark.parametrize("n", [8, 64, 512, 4096])
+def test_lattice_fences_match_the_per_radius_fence(oracle_maps, n):
+    assert len(oracle_maps) >= 100
+    skipped = 0
+    for f, fld in oracle_maps:
+        for n_radii in (1, 2, 16, 17):
+            f._fences.clear()
+            with mock.patch.object(certify, "univalence", return_value=True):
+                got = [
+                    certify.check_subsolution(f, fld, n=n, n_radii=n_radii),
+                    certify.check_supersolution(f, fld, n=n, n_radii=n_radii),
+                ]
+            want = _per_radius_fences(f, fld, n, n_radii)
+            assert [repr(c.as_dict()) for c in got] == [repr(c.as_dict()) for c in want]
+            skipped += got[0].skipped
+    assert skipped == 1  # f'(z) = z - r_3 on the 16-radius lattice
+
+
+def test_fence_needs_a_radius(staircase):
+    # with no radius the lattice is empty and the fence used to pass at inf;
+    # 16 radii fail it at -1.20
+    f = DiskFunction([0.0, 20.0])
+    assert certify.check_subsolution(f, staircase).worst_margin < -1.0
+    with pytest.raises(ValueError, match="radius"):
+        certify.check_subsolution(f, staircase, n_radii=0)
+
+
+def test_fence_with_every_cell_skipped_fails(staircase):
+    cert = certify.check_subsolution(DiskFunction([0.0, 0.0]), staircase)
+    assert not cert.passed
+    assert cert.worst_margin == np.inf
+    assert cert.worst_location == {}
+    assert cert.skipped == 16 * 512
+
+
+def test_fence_fails_on_a_nan_margin(unit_field):
+    # a NaN margin is the worst cell, not one that compares false and drops out
+    cert = certify.check_subsolution(DiskFunction([0.0, np.nan]), unit_field)
+    assert not cert.passed
+    assert np.isnan(cert.worst_margin)
+    assert cert.worst_location == {"r": 0.1, "t": 0.0}
+
+
+def test_fence_memory_at_the_finest_grid(staircase):
+    # one circle per row block from n = 8192 up: 4.04 MiB is the per-radius
+    # fence's peak
+    f = solver.scaled_identity(6.0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        certify.check_subsolution(f, staircase, n=32768)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / 2**20 <= 4.04
 
 
 def test_tolerance_parameter_threads_through(unit_field):

@@ -137,7 +137,7 @@ def test_solve_and_certify_take_each_boundary_trace_once(tmp_path, monkeypatch):
     circle_values = DiskFunction._circle_values
 
     def counting(self, r, n):
-        if r == 1.0:
+        if np.ndim(r) == 0 and r == 1.0:
             traced.append(n)
         return circle_values(self, r, n)
 
@@ -168,6 +168,16 @@ def test_certify_error_exits_one(tmp_path, capsys):
     ])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("checks", [[], ["--checks", "subsolution"]])
+def test_certify_rejects_a_negative_seed_before_any_certificate(tmp_path, capsys, checks):
+    path = write_map(tmp_path / "six.csv", [0.0, 6.0])
+    code = run(["certify", "--field", "staircase", "--map", path, "--seed", "-1", "--out", tmp_path, *checks])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and "FAIL" not in out
+    assert "seed must be non-negative" in err
 
 
 def test_certify_subset_of_checks(tmp_path, capsys):

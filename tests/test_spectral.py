@@ -23,6 +23,7 @@ from diskmap.spectral import (
     is_power_of_two,
     next_power_of_two,
     poisson_circle,
+    poisson_circles,
     poisson_extend,
     schwarz_integral,
 )
@@ -105,6 +106,23 @@ def test_circle_trace_matches_direct_evaluation():
     vals = f.circle_trace(r, 32)
     direct = f(r * grid_points(32))
     assert np.abs(vals - direct).max() < 1e-12
+
+
+@pytest.mark.parametrize("m,n", [(5, 8), (40, 64), (12, 512), (3000, 512)])
+def test_circle_blocks_are_the_one_radius_rows(m, n):
+    # one batched transform per block, each row bitwise the one-radius call,
+    # also when f has more coefficients than n (the subsampled path)
+    rng = np.random.default_rng(m)
+    f = DiskFunction(random_coeffs(rng, m))
+    radii = np.linspace(0.1, 0.999, 17)
+    block = f.circle_trace(radii, n)
+    assert block.shape == (17, n) and f.circle_trace(0.5, n).shape == (n,)
+    assert block.tobytes() == b"".join(f.circle_trace(r, n).tobytes() for r in radii)
+    u = rng.standard_normal(n)
+    rows = np.concatenate(list(poisson_circles(u, [radii[:1], radii[1:9], radii[9:]])))
+    assert rows.tobytes() == b"".join(poisson_circle(u, r).tobytes() for r in radii)
+    with pytest.raises(ValueError):
+        next(poisson_circles(u, [np.array([0.5, 1.5])]))
 
 
 def test_call_is_horner():
