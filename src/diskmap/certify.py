@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBoundaryError, NotUnivalentError
-from .solver import univalence
-from .spectral import check_grid_size, derivative, grid_angles, grid_points, poisson_circles
+from .solver import boundary_weight, residual_sup, univalence
+from .spectral import check_grid_size, derivative, grid_angles, grid_points, next_power_of_two, poisson_circles
 
 TOL_CERT = 1e-8
 DERIVATIVE_FLOOR = 1e-14
@@ -85,22 +85,18 @@ def _lattice(f, fld, n, n_radii):
     its first cell in row-major order; cells where |f'| < DERIVATIVE_FLOOR
     are left out and counted, so a lowest of inf means all were skipped.
     Rows go through in blocks, each one batched transform of log Phi's
-    spectrum and one of f'.  Only the scalars are cached on f, per
-    (fld, n, n_radii), and both fences read them.
+    spectrum and one of f'.  _fence caches the scalars on f per
+    (fld, n, n_radii), so both fences read one pass.
     """
     n = check_grid_size(n)
     if n_radii < 1:
         raise ValueError(f"the fence lattice needs at least one radius, got {n_radii}")
-    key = (fld, n, n_radii)
-    got = f._fences.get(key)
-    if got is not None:
-        return got
     fp = derivative(f)
     radii = np.linspace(0.1, 0.999, n_radii)
     rows = max(1, LATTICE_BLOCK // max(n, fp.coeffs.size))
     starts = range(0, n_radii, rows)
     blocks = [radii[i : i + rows] for i in starts]
-    log_phi = np.log(fld.evaluate(grid_points(n), f.trace(n)))
+    log_phi = np.log(boundary_weight(f, fld, n))
     lows, highs, skipped = [], [], 0
     for start, block, u in zip(starts, blocks, poisson_circles(log_phi, blocks)):
         margin = np.abs(fp.circle_trace(block, n))
@@ -121,14 +117,22 @@ def _lattice(f, fld, n, n_radii):
         value, cell = extremes[int(pick([v for v, _ in extremes]))]
         return float(value), float(radii[cell // n]), float(angles[cell % n])
 
-    got = f._fences[key] = (first(lows, np.argmin), first(highs, np.argmax), skipped)
-    return got
+    return first(lows, np.argmin), first(highs, np.argmax), skipped
+
+
+def _require_univalent(f, n, seed, name):
+    """Raise NotUnivalentError unless f is univalent on the n-point grid or,
+    when f has more coefficients than n, on the grid of its own size, where
+    a fold too fine for n shows."""
+    n = max(check_grid_size(n), next_power_of_two(f.coeffs.size))
+    if not univalence(f, n, seed=seed):
+        raise NotUnivalentError(f"{name} certificate needs a univalent map")
 
 
 def _fence(kind, sign, f, fld, n, n_radii, tol):
     """The lowest of sign * (u - log|f'|) over the lattice, as a certificate;
     negation is exact, so the supersolution's is minus the highest margin."""
-    lowest, highest, skipped = _lattice(f, fld, n, n_radii)
+    lowest, highest, skipped = f.memo(("fence", fld, n, n_radii), lambda: _lattice(f, fld, n, n_radii))
     value, r, t = lowest if sign > 0 else highest
     worst = sign * value
     return Certificate(
@@ -152,15 +156,13 @@ def check_subsolution(f, fld, n=512, n_radii=16, tol=TOL_CERT):
 def check_supersolution(f, fld, n=512, n_radii=16, seed=0, tol=TOL_CERT):
     """Supersolutions must be univalent and keep |f'| above the harmonic
     minorant; folded boundaries are rejected outright."""
-    if not univalence(f, n, seed=seed):
-        raise NotUnivalentError("supersolution certificate needs a univalent map")
+    _require_univalent(f, n, seed, "supersolution")
     return _fence("supersolution", -1.0, f, fld, n, n_radii, tol)
 
 
 def check_starlike(f, n=512, seed=0, tol=TOL_CERT):
     """Boundary starlikeness Re(z f'/f) >= 0 for a univalent map."""
-    if not univalence(f, n, seed=seed):
-        raise NotUnivalentError("starlike certificate needs a univalent map")
+    _require_univalent(f, n, seed, "starlike")
     n = check_grid_size(n)
     xi = grid_points(n)
     fvals = f.trace(n)
@@ -210,19 +212,16 @@ def free_boundary_check(f, fld, n=512, spots=8, delta=1e-3, seed=0, tol=TOL_CERT
     image point, one vectorized Newton inversion of all probes) matches 1/(|f'(z)| |z|) to
     a documented 1e-4 relative tolerance.
     """
-    if not univalence(f, n, seed=seed):
-        raise NotUnivalentError("free boundary certificate needs a univalent map")
+    _require_univalent(f, n, seed, "free boundary")
     n = check_grid_size(n)
-    xi = grid_points(n)
-    fvals = f.trace(n)
     fp = derivative(f)
     fpvals = fp.trace(n)
-    phi = fld.evaluate(xi, fvals)
+    phi = boundary_weight(f, fld, n)
     m1 = float(np.abs(fpvals).min())
     m2 = float(phi.min())
     if m1 < 1e-12 or m2 < 1e-12:
         raise DegenerateBoundaryError("boundary derivative or weight vanishes; identity undefined")
-    residual = float(np.abs(np.abs(fpvals) - phi).max())
+    residual = residual_sup(f, fld, n)
     threshold = residual / (m1 * m2) + tol
     gap = np.abs(1.0 / np.abs(fpvals) - 1.0 / phi)
     i = int(np.argmax(gap))

@@ -36,8 +36,8 @@ from .regions import (
     schoenfliess_test,
 )
 from .regularity import second_derivative, spectrum_report
-from .solver import SolveOptions, radial_scan, residual_sup, solve
-from .spectral import DiskFunction, derivative, grid_angles, grid_points
+from .solver import SolveOptions, boundary_weight, radial_scan, residual_sup, solve
+from .spectral import DiskFunction, derivative, grid_angles
 from .weight import make_builtin, radial_scale_check, superharmonic_check, tabulated_field
 
 ALL_CHECKS = ("subsolution", "supersolution", "starlike", "free_boundary")
@@ -201,10 +201,9 @@ def load_coefficients_csv(path):
 
 def write_boundary_csv(path, f, fld, n):
     t = grid_angles(n)
-    xi = grid_points(n)
     fv = f.trace(n)
     fpv = derivative(f).trace(n)
-    phi = fld.evaluate(xi, fv)
+    phi = boundary_weight(f, fld, n)
     with open(path, "w") as fh:
         fh.write("t,re_f,im_f,abs_fprime,phi\n")
         for k in range(n):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blaschke as blaschke_mod
+from .solver import boundary_weight
 from .spectral import (
     RESOLVED_RATIO,
     DiskFunction,
@@ -119,9 +120,8 @@ def second_derivative(f, fld, zeros=(), n=512):
     """
     n = check_grid_size(n)
     xi = grid_points(n)
-    fvals = f.trace(n)
     fpvals = derivative(f).trace(n)
-    g = np.log(fld.evaluate(xi, fvals))
+    g = np.log(boundary_weight(f, fld, n))
     ghat = np.fft.fft(g)
     spectral_ok = tail_ratio(ghat[: n // 2 + 1]) < RESOLVED_RATIO  # g is real: one side suffices
     if spectral_ok:

@@ -160,13 +160,17 @@ def apply_operator(f, fld, b, n):
     return DiskFunction(prim), DiskFunction(fprime), tail_ratio(fprime)
 
 
+def boundary_weight(f, fld, n):
+    """Phi(xi_j, f(xi_j)) on the n-point grid, the weight that every verdict
+    compares |f'| with; cached on f per (fld, n), hence read-only."""
+    n = check_grid_size(n)
+    return f.memo(("weight", fld, n), lambda: fld.evaluate(grid_points(n), f.trace(n)))
+
+
 def residual_sup(f, fld, n):
     """sup over the grid of | |f'| - Phi(xi, f) |."""
-    n = check_grid_size(n)
-    xi = grid_points(n)
     fp = np.abs(derivative(f).trace(n))
-    phi = fld.evaluate(xi, f.trace(n))
-    return float(np.abs(fp - phi).max())
+    return float(np.abs(fp - boundary_weight(f, fld, n)).max())
 
 
 def _pad_coeffs(c, n):
@@ -448,11 +452,8 @@ def univalence(f, n, seed=0):
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    key = (check_grid_size(n), seed)
-    got = f._verdicts.get(key)
-    if got is None:
-        got = f._verdicts[key] = _univalence(f, *key)
-    return got
+    n = check_grid_size(n)
+    return f.memo(("univalence", n, seed), lambda: _univalence(f, n, seed))
 
 
 def _univalence(f, n, seed):

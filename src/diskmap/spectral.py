@@ -67,24 +67,31 @@ def _values(u):
 class DiskFunction:
     """Analytic function on the unit disk held as Taylor coefficients.
 
-    The coefficients are not mutated after construction: the boundary
-    traces, the derivative, the univalence verdicts (solver.univalence) and
-    the extremes of the certificate fence lattice (certify) are cached on
-    the instance and would go stale.  The fence cache is keyed by the field
-    object as well, so a field must not change once it has been used.
+    What is derived from the map once is cached on it through memo(key,
+    build): the boundary traces, the derivative, the univalence verdicts,
+    the weight along f and the fence lattice extremes.  The contract is
+    stated here once: coefficients, and fields used in a key, are not
+    mutated after use, and cached arrays are read-only because every caller
+    shares them.
     """
 
-    __slots__ = ("coeffs", "_traces", "_derivative", "_verdicts", "_fences")
+    __slots__ = ("coeffs", "_memo")
 
     def __init__(self, coeffs):
         c = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128))
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a non-empty 1-d array")
         self.coeffs = c
-        self._traces = {}
-        self._derivative = None
-        self._verdicts = {}  # (n, seed) -> univalence verdict
-        self._fences = {}  # (field, n, n_radii) -> fence lattice extremes
+        self._memo = {}
+
+    def memo(self, key, build):
+        """The value cached under key, from build() on first use; an array
+        is made read-only before it is shared."""
+        if key not in self._memo:
+            got = self._memo[key] = build()
+            if isinstance(got, np.ndarray):
+                got.flags.writeable = False
+        return self._memo[key]
 
     @classmethod
     def from_boundary(cls, values):
@@ -105,15 +112,9 @@ class DiskFunction:
         return tail_ratio(self.coeffs) < RESOLVED_RATIO
 
     def trace(self, n):
-        """Boundary values at the n-point grid, cached per n and shared
-        between callers, hence read-only."""
+        """Boundary values at the n-point grid, cached per n (read-only)."""
         n = check_grid_size(n)
-        got = self._traces.get(n)
-        if got is None:
-            got = self._circle_values(1.0, n)
-            got.flags.writeable = False
-            self._traces[n] = got
-        return got
+        return self.memo(("trace", n), lambda: self._circle_values(1.0, n))
 
     def circle_trace(self, r, n):
         """Values on the circle of radius r at n equispaced angles.  For an
@@ -170,12 +171,10 @@ def derivative(f):
     """f'(z) as a DiskFunction: c_k -> (k+1) c_{k+1}.  Built once per f and
     cached on it, so callers share it and its traces: its coefficients are
     read-only."""
-    if f._derivative is None:
-        c = f.coeffs
-        fp = DiskFunction(np.arange(1, c.size) * c[1:] if c.size > 1 else [0.0])
-        fp.coeffs.flags.writeable = False
-        f._derivative = fp
-    return f._derivative
+    c = f.coeffs
+    fp = f.memo("derivative", lambda: DiskFunction(np.arange(1, c.size) * c[1:] if c.size > 1 else [0.0]))
+    fp.coeffs.flags.writeable = False
+    return fp
 
 
 def antiderivative(f):

@@ -164,7 +164,7 @@ def test_lattice_fences_match_the_per_radius_fence(oracle_maps, n):
     skipped = 0
     for f, fld in oracle_maps:
         for n_radii in (1, 2, 16, 17):
-            f._fences.clear()
+            f._memo.clear()  # a fresh lattice per n_radii
             with mock.patch.object(certify, "univalence", return_value=True):
                 got = [
                     certify.check_subsolution(f, fld, n=n, n_radii=n_radii),

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import diskmap
-from diskmap import cli, regions, regularity, solver, weight
+from diskmap import certify, cli, regions, regularity, solver, weight
+from diskmap.errors import NotUnivalentError
 from diskmap.spectral import DiskFunction
 
 
@@ -132,22 +133,38 @@ def test_solve_then_certify_round_trip(tmp_path, capsys):
 def test_solve_and_certify_take_each_boundary_trace_once(tmp_path, monkeypatch):
     # one unit-circle FFT for f and one for f' per command: the residual,
     # boundary.csv, the certificates and the certify payload share one
-    # cached derivative and its trace
-    traced = []
+    # cached derivative and its trace.  Phi along f is evaluated once per
+    # command on top of the solve's steps: the residual, boundary.csv, both
+    # fences, the free boundary identity and f'' share one cached weight
+    traced, weighed = [], []
     circle_values = DiskFunction._circle_values
+    evaluate = weight.WeightField.evaluate
 
     def counting(self, r, n):
         if np.ndim(r) == 0 and r == 1.0:
             traced.append(n)
         return circle_values(self, r, n)
 
+    def counting_evaluate(self, xi, w):
+        if np.ndim(xi) == 1:
+            weighed.append(np.size(xi))
+        return evaluate(self, xi, w)
+
     monkeypatch.setattr(DiskFunction, "_circle_values", counting)
+    monkeypatch.setattr(weight.WeightField, "evaluate", counting_evaluate)
     argv = ["solve", "--field", "staircase", "--init", "6.5", "--out", tmp_path, "--emit", "json,csv,svg"]
     assert run(argv) == 0
+    steps = json.loads((tmp_path / "solve_report.json").read_text())["iterations"]
     assert traced == [512, 512]
+    assert weighed == [512] * (steps + 1)
     traced.clear()
+    weighed.clear()
     assert run(["certify", "--field", "staircase", "--map", tmp_path / "coefficients.csv", "--out", tmp_path]) == 0
     assert traced == [512, 512]
+    assert weighed == [512]
+    weighed.clear()
+    assert run(["spectrum", "--field", "staircase", "--init", "6.5", "--out", tmp_path]) == 0
+    assert weighed == [512] * (steps + 1)
 
 
 def test_certify_failure_exits_one(tmp_path, capsys):
@@ -158,6 +175,33 @@ def test_certify_failure_exits_one(tmp_path, capsys):
     ])
     assert code == 1
     assert "FAIL supersolution" in capsys.readouterr().out
+
+
+def test_certificate_gates_read_the_map_on_its_own_grid(tmp_path, capsys):
+    # the 8192-coefficient map of the refining solve is univalent on the
+    # 512-point grid and not from 1024 up, so the gates look at 8192
+    argv = ["solve", "--field", "staircase", "--zeros", "0.995", "--init", "1.0", "--out", tmp_path, "--emit", "csv"]
+    assert run(argv) == 0
+    f = cli.load_coefficients_csv(tmp_path / "coefficients.csv")
+    assert f.coeffs.size == 8192
+    assert solver.univalence(f, 512) and not solver.univalence(f, 1024)
+    stair = weight.staircase_field()
+    for name, check in [
+        ("supersolution", lambda: certify.check_supersolution(f, stair)),
+        ("starlike", lambda: certify.check_starlike(f)),
+        ("free boundary", lambda: certify.free_boundary_check(f, stair)),
+    ]:
+        with pytest.raises(NotUnivalentError, match=f"{name} certificate needs a univalent map"):
+            check()
+    capsys.readouterr()
+    code = run([
+        "certify", "--field", "staircase", "--map", tmp_path / "coefficients.csv",
+        "--checks", "free_boundary", "--out", tmp_path,
+    ])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert "PASS" not in out
+    assert "free boundary certificate needs a univalent map" in err
 
 
 def test_certify_error_exits_one(tmp_path, capsys):

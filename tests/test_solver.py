@@ -522,8 +522,9 @@ def test_univalence_seed_parity():
         solver.univalence(f, 64, seed=3.0)
     assert solver.univalence(f, 64, seed=np.int64(3))
     assert solver.univalence(f, 64, seed=True)
-    assert sorted(f._verdicts) == [(64, 1), (64, 3)]
-    assert all(type(seed) is int for _, seed in f._verdicts)
+    verdicts = sorted(key[1:] for key in f._memo if key[0] == "univalence")
+    assert verdicts == [(64, 1), (64, 3)]
+    assert all(type(seed) is int for _, seed in verdicts)
 
 
 @pytest.mark.parametrize("coeffs,count", [
