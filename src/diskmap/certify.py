@@ -28,6 +28,8 @@ FD_STEP = 1e-6
 FD_TOL = 1e-4
 NEWTON_TOL = 1e-13
 NEWTON_STEPS = 60
+FB_SPOTS = 8  # interior points of the free boundary gradient check
+FB_DELTA = 1e-3  # their distance inside the unit circle
 # lattice values per row block of the fence, a row being as long as the
 # larger of n and f''s coefficient count: the default 16 x 512 lattice is one
 # batched transform, and rows of 8192 or more go one circle at a time, so
@@ -120,12 +122,12 @@ def _lattice(f, fld, n, n_radii):
     return first(lows, np.argmin), first(highs, np.argmax), skipped
 
 
-def _require_univalent(f, n, seed, name):
+def _require_univalent(f, n, name):
     """Raise NotUnivalentError unless f is univalent on the n-point grid or,
     when f has more coefficients than n, on the grid of its own size, where
     a fold too fine for n shows."""
     n = max(check_grid_size(n), next_power_of_two(f.coeffs.size))
-    if not univalence(f, n, seed=seed):
+    if not univalence(f, n):
         raise NotUnivalentError(f"{name} certificate needs a univalent map")
 
 
@@ -153,16 +155,16 @@ def check_subsolution(f, fld, n=512, n_radii=16, tol=TOL_CERT):
     return _fence("subsolution", 1.0, f, fld, n, n_radii, tol)
 
 
-def check_supersolution(f, fld, n=512, n_radii=16, seed=0, tol=TOL_CERT):
+def check_supersolution(f, fld, n=512, n_radii=16, tol=TOL_CERT):
     """Supersolutions must be univalent and keep |f'| above the harmonic
     minorant; folded boundaries are rejected outright."""
-    _require_univalent(f, n, seed, "supersolution")
+    _require_univalent(f, n, "supersolution")
     return _fence("supersolution", -1.0, f, fld, n, n_radii, tol)
 
 
-def check_starlike(f, n=512, seed=0, tol=TOL_CERT):
+def check_starlike(f, n=512, tol=TOL_CERT):
     """Boundary starlikeness Re(z f'/f) >= 0 for a univalent map."""
-    _require_univalent(f, n, seed, "starlike")
+    _require_univalent(f, n, "starlike")
     n = check_grid_size(n)
     xi = grid_points(n)
     fvals = f.trace(n)
@@ -203,16 +205,16 @@ def _newton_inverse(f, fp, w, z0):
     raise DegenerateBoundaryError("Newton inversion failed to converge")
 
 
-def free_boundary_check(f, fld, n=512, spots=8, delta=1e-3, seed=0, tol=TOL_CERT):
+def free_boundary_check(f, fld, n=512, tol=TOL_CERT):
     """Check the free boundary identity along the solved boundary.
 
     Boundary part: |1/|f'| - 1/Phi(., f)| stays under a threshold derived
-    from the solve residual.  Interior part: at a few points just inside the
-    boundary, the gradient of u = log|f^{-1}| (finite differences around the
-    image point, one vectorized Newton inversion of all probes) matches 1/(|f'(z)| |z|) to
-    a documented 1e-4 relative tolerance.
+    from the solve residual.  Interior part: at FB_SPOTS points FB_DELTA
+    inside the boundary, the gradient of u = log|f^{-1}| (finite differences
+    around the image point, one vectorized Newton inversion of all probes)
+    matches 1/(|f'(z)| |z|) to a documented 1e-4 relative tolerance.
     """
-    _require_univalent(f, n, seed, "free boundary")
+    _require_univalent(f, n, "free boundary")
     n = check_grid_size(n)
     fp = derivative(f)
     fpvals = fp.trace(n)
@@ -229,9 +231,9 @@ def free_boundary_check(f, fld, n=512, spots=8, delta=1e-3, seed=0, tol=TOL_CERT
     boundary_ok = boundary_worst <= threshold
 
     h = FD_STEP
-    z0 = (1.0 - delta) * np.exp(1j * (2.0 * np.pi * np.arange(spots) / spots))
+    z0 = (1.0 - FB_DELTA) * np.exp(1j * (2.0 * np.pi * np.arange(FB_SPOTS) / FB_SPOTS))
     w = f(z0)[:, None] + np.array([h, -h, 1j * h, -1j * h])
-    probes = np.log(np.abs(_newton_inverse(f, fp, w.ravel(), np.repeat(z0, 4)))).reshape(spots, 4)
+    probes = np.log(np.abs(_newton_inverse(f, fp, w.ravel(), np.repeat(z0, 4)))).reshape(FB_SPOTS, 4)
     gx = (probes[:, 0] - probes[:, 1]) / (2.0 * h)
     gy = (probes[:, 2] - probes[:, 3]) / (2.0 * h)
     grad = np.hypot(gx, gy)
@@ -247,7 +249,7 @@ def free_boundary_check(f, fld, n=512, spots=8, delta=1e-3, seed=0, tol=TOL_CERT
         worst_margin=margin,
         worst_location={"t": float(grid_angles(n)[i])},
         tolerance=tol,
-        lattice={"n": n, "spots": spots, "delta": delta},
+        lattice={"n": n, "spots": FB_SPOTS, "delta": FB_DELTA},
         details={
             "boundary_gap": boundary_worst,
             "boundary_threshold": threshold,

@@ -17,7 +17,6 @@ loop is the plain damped iteration.
 """
 
 import math
-import operator
 import random
 from dataclasses import dataclass, replace
 
@@ -39,6 +38,8 @@ PAIR_BLOCK = 1 << 14  # edge pairs tested at once in polygon_is_simple
 WINDING_BLOCK = 1 << 12  # (edge, target) pairs counted at once in winding_numbers
 DIVERGENCE_FACTOR = 1e6
 WINDING_SAMPLES = 50
+CRITICAL_RADIUS = 0.999  # circle on which interior_critical_points counts
+RATE_FRACTIONS = (0.2, 0.5, 0.9)  # contraction_rate starts, as shares of the certified ball
 ANDERSON_DEPTH = 2  # residual differences kept for mixing
 GRAM_DROP = 1e-10  # relative pivot below which a history column counts as dependent
 
@@ -56,7 +57,6 @@ class SolveOptions:
     tol_update: float = 1e-10
     tol_residual: float = 1e-8
     initial_map: object = None  # None -> scaled_identity(sup_bound + 0.5); float -> that radius
-    seed: int = 0
 
     def resolve_init(self, field):
         init = self.initial_map
@@ -304,7 +304,7 @@ def _solve(fld, zeros, options, depth):
     f = DiskFunction(x)
     # before f' and its trace are cached on f, so that the polygon test's
     # temporaries stay below the iteration's memory peak
-    univalent = univalence(f, n, seed=options.seed)
+    univalent = univalence(f, n)
     res = residual_sup(f, fld, n)
     f_prime = derivative(f)
     if settled:
@@ -438,43 +438,40 @@ def winding_numbers(points, targets, ends=None):
     return out
 
 
-def univalence(f, n, seed=0):
+def univalence(f, n):
     """Injectivity proxy: simple boundary polygon plus unit winding about
     sampled interior image points.
 
     The polygon is the boundary trace on the full n-point grid, with no
     vertex cap, so folds as fine as one grid step are seen.  The verdict is
-    cached on f per (n, seed), like its traces, so a certificate gate on a
-    map the solve already checked costs nothing.  The targets come from
-    random.Random(seed), the stdlib Mersenne Twister, so seed is a
-    non-negative int.
+    cached on f per n, like its traces, so a certificate gate on a map the
+    solve already checked costs nothing.  The targets are one fixed draw
+    from random.Random(0), the stdlib Mersenne Twister, so the verdict
+    depends on the map and its grid alone.
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
     n = check_grid_size(n)
-    return f.memo(("univalence", n, seed), lambda: _univalence(f, n, seed))
+    return f.memo(("univalence", n), lambda: _univalence(f, n))
 
 
-def _univalence(f, n, seed):
+def _univalence(f, n):
     P = f.trace(n)
     B = np.roll(P, -1)
     if not polygon_is_simple(P, B):
         return False
-    rng = random.Random(seed)
+    rng = random.Random(0)
     radii = 0.1 + 0.7 * np.array([rng.random() for _ in range(WINDING_SAMPLES)])
     angles = 2.0 * np.pi * np.array([rng.random() for _ in range(WINDING_SAMPLES)])
     return all(w in (None, 1) for w in winding_numbers(P, f(radii * np.exp(1j * angles)), B))
 
 
-def interior_critical_points(f, n, radius=0.999):
-    """Argument-principle count of zeros of f' in |z| < radius.
+def interior_critical_points(f, n):
+    """Argument-principle count of zeros of f' in |z| < CRITICAL_RADIUS.
 
-    Critical points between `radius` and the boundary are not seen; the
+    Critical points between CRITICAL_RADIUS and the boundary are not seen; the
     solver treats local univalence as "no prescribed zeros and none detected
     here".
     """
-    vals = derivative(f).circle_trace(radius, check_grid_size(n))
+    vals = derivative(f).circle_trace(CRITICAL_RADIUS, check_grid_size(n))
     turns = np.angle(np.roll(vals, -1) / vals).sum() / (2.0 * np.pi)
     if np.abs(vals).min() < 1e-13:
         return max(1, int(np.rint(np.abs(turns))))
@@ -535,7 +532,7 @@ class RateReport:
     runs: int
 
 
-def contraction_rate(fld, certificate, zeros=(), options=None, init_fractions=(0.2, 0.5, 0.9)):
+def contraction_rate(fld, certificate, zeros=(), options=None):
     """Empirical contraction rate against a valid certificate.
 
     Runs plain undamped Picard steps (theta = 1, no mixing: the rate is a
@@ -547,7 +544,7 @@ def contraction_rate(fld, certificate, zeros=(), options=None, init_fractions=(0
         raise ValueError("contraction_rate needs a valid contraction certificate")
     base = options or SolveOptions()
     reports = []
-    for frac in init_fractions:
+    for frac in RATE_FRACTIONS:
         opts = replace(base, theta=1.0, initial_map=float(frac) * certificate.sup_solution_bound)
         reports.append(_solve(fld, zeros, opts, 0))
 

@@ -18,6 +18,8 @@ from .errors import NonFiniteWeightError
 
 TABULATED_FLOOR = 1e-9
 CONTINUITY_TOL = 1e-12
+SUPERHARMONIC_N = 128  # superharmonic_check lattice: 2n + 1 points a side
+SUPERHARMONIC_XI = 16  # and this many xi for a xi-dependent field
 
 
 class WeightField:
@@ -67,7 +69,7 @@ def constant_field(c):
     )
 
 
-def radial_piecewise_field(breakpoints, pieces, sup_bound, name=None, params=None):
+def radial_piecewise_field(breakpoints, pieces, sup_bound, name=None):
     """Rotation-invariant field from radial pieces on [0,b1], (b1,b2], ..., (bm, inf).
 
     Adjacent pieces must agree at the breakpoints to 1e-12; the profile must
@@ -93,7 +95,7 @@ def radial_piecewise_field(breakpoints, pieces, sup_bound, name=None, params=Non
     if sample.min() <= 0.0:
         raise ValueError("radial profile must stay strictly positive")
 
-    return WeightField(None, sup_bound, radial_profile=profile, name=name or "radial_piecewise", params=params)
+    return WeightField(None, sup_bound, radial_profile=profile, name=name or "radial_piecewise")
 
 
 def tabulated_field(path):
@@ -467,17 +469,17 @@ class SuperharmonicResult:
     worst_point: complex
 
 
-def superharmonic_check(field, n=128, n_xi=16):
+def superharmonic_check(field):
     """Five-point discrete Laplacian test of log Phi on the disk |w| <= sup bound.
 
-    Passes when the discrete Laplacian never exceeds 10*h (h = M/n), the
-    discretization allowance for genuinely superharmonic weights.
+    Passes when the discrete Laplacian never exceeds 10*h (h = M/SUPERHARMONIC_N),
+    the discretization allowance for genuinely superharmonic weights.
     """
     M = field.sup_bound
-    h = M / n
-    coords = np.arange(-n, n + 1) * h
+    h = M / SUPERHARMONIC_N
+    coords = np.arange(-SUPERHARMONIC_N, SUPERHARMONIC_N + 1) * h
     W = coords[:, None] + 1j * coords[None, :]
-    xi = _xi_lattice(field, n_xi)
+    xi = _xi_lattice(field, SUPERHARMONIC_XI)
     worst = -np.inf
     worst_point = 0.0 + 0.0j
     tol = 10.0 * h

@@ -128,6 +128,7 @@ def test_solve_then_certify_round_trip(tmp_path, capsys):
     payload = json.loads((tmp_path / "certificates.json").read_text())
     assert abs(payload["residual"] - solve_residual) < 1e-12
     assert len(payload["certificates"]) == 4
+    assert "error" not in payload
 
 
 def test_solve_and_certify_take_each_boundary_trace_once(tmp_path, monkeypatch):
@@ -214,14 +215,26 @@ def test_certify_error_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("checks", [[], ["--checks", "subsolution"]])
-def test_certify_rejects_a_negative_seed_before_any_certificate(tmp_path, capsys, checks):
-    path = write_map(tmp_path / "six.csv", [0.0, 6.0])
-    code = run(["certify", "--field", "staircase", "--map", path, "--seed", "-1", "--out", tmp_path, *checks])
-    assert code == 2
+def test_certify_keeps_the_verdicts_reached_before_an_error(tmp_path, capsys):
+    # z + z^2 gets its subsolution verdict, then folds at the supersolution gate
+    path = write_map(tmp_path / "branched.csv", [0.0, 1.0, 1.0])
+    assert run(["certify", "--field", "staircase", "--map", path, "--out", tmp_path]) == 1
     out, err = capsys.readouterr()
-    assert "PASS" not in out and "FAIL" not in out
-    assert "seed must be non-negative" in err
+    assert out.startswith("PASS subsolution") and out.count("\n") == 1
+    assert err == "error: supersolution certificate needs a univalent map\n"
+    payload = json.loads((tmp_path / "certificates.json").read_text())
+    assert [cert["kind"] for cert in payload["certificates"]] == ["subsolution"]
+    assert payload["error"] == "supersolution certificate needs a univalent map"
+    assert "residual" not in payload
+
+
+@pytest.mark.parametrize("checks", [",", ""])
+def test_certify_rejects_an_empty_check_list(tmp_path, capsys, checks):
+    path = write_map(tmp_path / "six.csv", [0.0, 6.0])
+    assert run(["certify", "--field", "staircase", "--map", path, "--checks", checks, "--out", tmp_path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "checks names no certificate" in err
+    assert not (tmp_path / "certificates.json").exists()
 
 
 def test_certify_subset_of_checks(tmp_path, capsys):
@@ -390,6 +403,23 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfgfile.write_text("field=staircase\nfancy_mode=on\n")
     assert run(["solve", "--config", cfgfile, "--out", tmp_path]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "spectrum", "certify"])
+def test_seed_flag_is_rejected(tmp_path, capsys, command):
+    # the univalence targets are one fixed draw, so there is no seed to set
+    with pytest.raises(SystemExit) as exit_:
+        run([command, "--field", "staircase", "--seed", "0", "--out", tmp_path])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "spectrum", "certify"])
+def test_seed_config_key_is_unknown(tmp_path, capsys, command):
+    cfgfile = tmp_path / "seeded.cfg"
+    cfgfile.write_text("field=staircase\nseed=0\n")
+    assert run([command, "--config", cfgfile, "--out", tmp_path]) == 2
+    assert "unknown config key 'seed'" in capsys.readouterr().err
 
 
 def test_malformed_config_line_rejected(tmp_path, capsys):

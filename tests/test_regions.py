@@ -379,8 +379,6 @@ def test_off_canvas_basepoint_rejected(basepoint):
 def test_demo_family_input_validation():
     with pytest.raises(ValueError, match="256"):
         regions.build_shrinking_spiral_family(size=128)
-    with pytest.raises(ValueError, match="three levels"):
-        regions.build_shrinking_spiral_family(size=512, levels=2)
 
 
 # ---------------------------------------------------------------------------
