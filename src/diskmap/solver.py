@@ -116,13 +116,15 @@ class _Plan:
     n: int
     nodes: np.ndarray  # grid points xi_j
     blaschke: object  # B on the grid, None when there are no zeros (B == 1)
+    k: np.ndarray  # k = 0 .. n-1, the derivative's multipliers
     inv_k: np.ndarray  # 1/k for k = 1 .. n-1, the primitive's divisors
 
 
 def _plan(b, n):
     n = check_grid_size(n)
     trace = blaschke_mod.boundary_trace(b, n) if b.zeros.size else None
-    return _Plan(n, grid_points(n), trace, 1.0 / np.arange(1, n))
+    k = np.arange(n, dtype=np.float64)
+    return _Plan(n, grid_points(n), trace, k, 1.0 / k[1:])
 
 
 def _operator_step(plan, fld, fvals):
@@ -133,8 +135,10 @@ def _operator_step(plan, fld, fvals):
     """
     n = plan.n
     phi = fld.evaluate(plan.nodes, fvals)
-    g = np.exp(1j * conjugate_periodic(np.log(phi)))
+    g = 1j * conjugate_periodic(np.log(phi))
+    np.exp(g, out=g)
     g *= phi
+    del phi
     if plan.blaschke is not None:
         g *= plan.blaschke
     gc = np.fft.fft(g)
@@ -182,8 +186,10 @@ def _pad_coeffs(c, n):
 def solve(fld, zeros=(), options=None):
     """Run the Anderson-mixed iteration to a certified fixed point.
 
-    Convergence means both: boundary sup-norm of the last update below
-    tol_update and residual below tol_residual.  When the update settles on
+    Convergence means both: the sup over the boundary grid of the last
+    update's derivative, |(U(f) - f)'|, below tol_update and residual below
+    tol_residual.  API change: tol_update measured |U(f) - f| before; f'
+    is what the residual and every certificate read.  When the update settles on
     a derivative whose spectral tail is unresolved, the grid doubles (up to
     2**15) and the iteration goes on; max_iters bounds the steps over all
     grids.
@@ -260,7 +266,9 @@ def _solve(fld, zeros, options, depth):
         r, fprime = _operator_step(plan, fld, fvals)
         del fvals, fprime  # fprime views the step's whole spectrum
         r -= x
-        dsup = float(np.abs(np.fft.ifft(r)).max()) * n
+        # sup over the grid of |(U(f) - f)'| = |sum_k k r_k xi^k|, the
+        # derivative that the residual and every certificate read
+        dsup = float(np.abs(np.fft.ifft(plan.k * r)).max()) * n
         l2_hist.append(math.sqrt(np.vdot(r, r).real))
         sup_hist.append(dsup)
         if not math.isfinite(dsup):

@@ -85,14 +85,14 @@ def test_solve_report_records_stop_reason(tmp_path, argv, code, reason):
 
 
 def test_refining_solve_counts_the_steps_of_every_grid(tmp_path):
-    # 6 + 3 + 3 + 3 + 2 steps over the grids 512 .. 8192; the sha256 pins
+    # 6 + 3 + 3 + 3 + 3 steps over the grids 512 .. 8192; the sha256 pins
     # the refined coefficients
     argv = ["solve", "--field", "staircase", "--zeros", "0.995", "--init", "1.0", "--out", tmp_path]
     assert run(argv) == 0
     report = json.loads((tmp_path / "solve_report.json").read_text())
-    assert (report["iterations"], report["n"], report["doublings"]) == (17, 8192, 4)
+    assert (report["iterations"], report["n"], report["doublings"]) == (18, 8192, 4)
     got = hashlib.sha256((tmp_path / "coefficients.csv").read_bytes()).hexdigest()
-    assert got == "21c9115ee8d457b62280c91213640494dbc0961fe38e206eea4d1e20884e6288"
+    assert got == "5fba172bebb47bb847a635f6f1509efe7fb22e0b063cf277b14a118e04abc49f"
 
 
 def test_config_file_with_cli_override(tmp_path):

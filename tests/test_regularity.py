@@ -150,6 +150,18 @@ def test_second_derivative_angle_derivative_verdicts(fld, zeros, options, spectr
         assert res.spectral_gap < 1e-8
 
 
+@pytest.mark.parametrize("n", [512, 8192])
+def test_near_boundary_zero_settles_on_the_derivative(n):
+    # the update is measured on f', so the solve that refines from 512 does
+    # not stop while f' still moves; settling on |U(f) - f| left its
+    # second-derivative gap at 7.5e-6
+    fld = weight.staircase_field()
+    rep = solver.solve(fld, zeros=[0.995], options=solver.SolveOptions(n=n, initial_map=1.0))
+    assert rep.converged and rep.n == 8192
+    res = regularity.second_derivative(rep.f, fld, zeros=[0.995], n=rep.n)
+    assert res.spectral_gap < 1e-8
+
+
 def test_second_derivative_as_function(staircase, branched_report):
     res = regularity.second_derivative(branched_report.f, staircase, zeros=[-0.5])
     g = res.as_function()
