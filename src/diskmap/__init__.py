@@ -4,7 +4,6 @@ prescribed boundary derivative modulus."""
 from .blaschke import BlaschkeProduct, construct as blaschke_product
 from .certify import (
     Certificate,
-    certificate_from_json,
     check_starlike,
     check_subsolution,
     check_supersolution,
@@ -45,7 +44,6 @@ from .solver import (
 )
 from .spectral import (
     DiskFunction,
-    antiderivative,
     conjugate_periodic,
     derivative,
     grid_angles,

@@ -66,20 +66,6 @@ class Certificate:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
-def certificate_from_json(text):
-    raw = json.loads(text)
-    return Certificate(
-        kind=raw["kind"],
-        passed=bool(raw["pass"]),
-        worst_margin=float(raw["worst_margin"]),
-        worst_location=dict(raw["worst_location"]),
-        tolerance=float(raw["tolerance"]),
-        lattice=dict(raw["lattice"]),
-        skipped=int(raw.get("skipped", 0)),
-        details=raw.get("details"),
-    )
-
-
 def _lattice(f, fld, n, n_radii):
     """Extremes of the margin u - log|f'| over the (n_radii, n) lattice.
 

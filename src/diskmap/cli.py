@@ -141,11 +141,11 @@ def build_options(cfg):
     else:
         initial = _as_float({"init": init}, "init", None)
     return SolveOptions(
-        n=_as_int(cfg, "n", 512),
-        theta=_as_float(cfg, "theta", 0.5),
-        max_iters=_as_int(cfg, "max_iters", 2000),
-        tol_update=_as_float(cfg, "tol", 1e-10),
-        tol_residual=_as_float(cfg, "tol_residual", 1e-8),
+        n=_as_int(cfg, "n", SolveOptions.n),
+        theta=_as_float(cfg, "theta", SolveOptions.theta),
+        max_iters=_as_int(cfg, "max_iters", SolveOptions.max_iters),
+        tol_update=_as_float(cfg, "tol", SolveOptions.tol_update),
+        tol_residual=_as_float(cfg, "tol_residual", SolveOptions.tol_residual),
         initial_map=initial,
     )
 
@@ -395,7 +395,7 @@ def cmd_spectrum(cfg):
     fld = build_field(cfg) if cfg.get("field") else None
     if path:
         f = load_coefficients_csv(path)
-        n = _as_int(cfg, "n", 512)
+        n = _as_int(cfg, "n", SolveOptions.n)
     else:
         if fld is None:
             raise ConfigError("spectrum needs map=PATH or a field spec to solve first")
@@ -448,11 +448,12 @@ def build_parser():
     def solve_args(p):
         p.add_argument("--zeros", help="comma list of prescribed critical points, e.g. -0.5")
         p.add_argument("--init", help="auto (default), a radius like 6.5, or csv:PATH")
-        p.add_argument("--n", help="boundary grid size, power of two (default 512)")
-        p.add_argument("--theta", help="damping factor in (0,1] (default 0.5)")
-        p.add_argument("--max-iters", dest="max_iters", help="iteration cap (default 2000)")
-        p.add_argument("--tol", help="sup-norm update tolerance (default 1e-10)")
-        p.add_argument("--tol-residual", dest="tol_residual", help="boundary residual target (default 1e-8)")
+        d = SolveOptions
+        p.add_argument("--n", help=f"finest boundary grid the answer is solved on, power of two (default {d.n})")
+        p.add_argument("--theta", help=f"damping factor in (0,1] (default {d.theta})")
+        p.add_argument("--max-iters", dest="max_iters", help=f"iteration cap (default {d.max_iters})")
+        p.add_argument("--tol", help=f"update tolerance, sup of |(U(f) - f)'| (default {d.tol_update})")
+        p.add_argument("--tol-residual", dest="tol_residual", help=f"boundary residual target (default {d.tol_residual})")
 
     p = sub.add_parser("solve", help="run the damped fixed point solver")
     common(p)
@@ -465,7 +466,7 @@ def build_parser():
     p.add_argument("--map", help="coefficient CSV written by solve")
     p.add_argument("--checks", help=f"comma subset of {','.join(ALL_CHECKS)} (default all)")
     p.add_argument("--n", help="boundary grid size (default 512)")
-    p.add_argument("--tol", help="certificate tolerance (default 1e-8)")
+    p.add_argument("--tol", help=f"certificate tolerance (default {TOL_CERT})")
 
     p = sub.add_parser("scan", help="scaled-identity scan plus field condition checks")
     common(p)

@@ -9,11 +9,16 @@ points of the update
 where B carries the prescribed critical points and S is the Schwarz integral.
 The solver iterates on the Taylor coefficients with Anderson mixing of depth
 ANDERSON_DEPTH on top of the damped step f <- f + theta (U(f) - f) (Walker &
-Ni, SIAM J. Numer. Anal. 49, 2011).  It is one loop over every grid size:
-when the update settles on an f' whose spectral tail is unresolved, the grid
-doubles and the iteration goes on there.  max_iters bounds the steps of the
-whole run, and the update histories span every grid.  With depth 0 the same
-loop is the plain damped iteration.
+Ni, SIAM J. Numer. Anal. 49, 2011).  It is one loop over every grid size.
+It starts on a coarse grid and doubles each time the update settles, until
+it reaches the requested n: nested iteration, the outer loop of full
+multigrid (Brandt, Math. Comp. 31, 1977), so a fine grid only polishes a
+fixed point the coarse grids already found.  From n on, the grid doubles
+only when the update settles on an f' whose spectral tail is unresolved.
+The update is measured where every verdict reads the map, as the sup of
+|(U(f) - f)'| over the grid.  max_iters bounds the steps of the whole run,
+and the update histories span every grid.  With depth 0 the same loop is
+the plain damped iteration.
 """
 
 import math
@@ -31,12 +36,14 @@ from .spectral import (
     conjugate_periodic,
     derivative,
     grid_points,
+    next_power_of_two,
     tail_ratio,
 )
 
 PAIR_BLOCK = 1 << 14  # edge pairs tested at once in polygon_is_simple
 WINDING_BLOCK = 1 << 12  # (edge, target) pairs counted at once in winding_numbers
 DIVERGENCE_FACTOR = 1e6
+COARSE_GRID = 512  # grid a sequenced solve starts on, SolveOptions.n's default
 WINDING_SAMPLES = 50
 CRITICAL_RADIUS = 0.999  # circle on which interior_critical_points counts
 RATE_FRACTIONS = (0.2, 0.5, 0.9)  # contraction_rate starts, as shares of the certified ball
@@ -88,7 +95,7 @@ class SolveReport:
     field_name: str
     tail_ratio: float  # spectral.tail_ratio of f_prime, which the refinement compared
     stop_reason: str  # "tolerance", "residual" (update small, residual not) or "max_iters"
-    doublings: int
+    doublings: int  # refinements past the requested n; the coarse grids below it do not count
 
     def as_dict(self):
         return {
@@ -136,7 +143,7 @@ def _operator_step(plan, fld, fvals):
     n = plan.n
     phi = fld.evaluate(plan.nodes, fvals)
     g = 1j * conjugate_periodic(np.log(phi))
-    np.exp(g, out=g)
+    np.exp(g, out=g)  # in place: this step's temporaries set a solve's memory peak
     g *= phi
     del phi
     if plan.blaschke is not None:
@@ -186,15 +193,18 @@ def _pad_coeffs(c, n):
 def solve(fld, zeros=(), options=None):
     """Run the Anderson-mixed iteration to a certified fixed point.
 
-    Convergence means both: the sup over the boundary grid of the last
-    update's derivative, |(U(f) - f)'|, below tol_update and residual below
-    tol_residual.  API change: tol_update measured |U(f) - f| before; f'
-    is what the residual and every certificate read.  When the update settles on
-    a derivative whose spectral tail is unresolved, the grid doubles (up to
-    2**15) and the iteration goes on; max_iters bounds the steps over all
-    grids.
+    The run starts on COARSE_GRID points (or on the initial map's own grid,
+    if that is finer) and doubles each time the update settles, up to
+    options.n, the finest grid the answer is solved on; a solve with
+    n <= COARSE_GRID runs on n from its first step.  Convergence means both:
+    the sup over the grid of the last update's derivative, |(U(f) - f)'|,
+    below tol_update, and residual below tol_residual.  When the update
+    settles at n or above on a derivative whose spectral tail is
+    unresolved, the grid doubles (up to 2**15) and the iteration goes on;
+    max_iters bounds the steps over all grids.  A budget spent below n
+    still reports on n.
     """
-    return _solve(fld, zeros, options, ANDERSON_DEPTH)
+    return _solve(fld, zeros, options, ANDERSON_DEPTH, sequence=True)
 
 
 def _mixing_weights(dR, cols, r):
@@ -231,8 +241,14 @@ def _mixing_weights(dR, cols, r):
     return gamma
 
 
-def _solve(fld, zeros, options, depth):
+def _solve(fld, zeros, options, depth, sequence=False):
     """One iteration loop over every grid; depth 0 is the plain damped iteration.
+
+    With sequence, the loop starts on the coarse grid (COARSE_GRID, or the
+    initial map's own grid if that is finer, never above options.n) and
+    doubles whenever the update settles below options.n; without it, every
+    step from the first runs at options.n, so that contraction_rate
+    compares the updates of one operator.
 
     With r = U(x) - x the damped step is theta r.  Anderson mixing subtracts
     sum_i gamma_i (dX_i + theta dR_i), where dX_i and dR_i are the last
@@ -241,14 +257,17 @@ def _solve(fld, zeros, options, depth):
     reference update for the divergence guard.
     """
     options = options or SolveOptions()
-    n = check_grid_size(options.n)
+    target = n = check_grid_size(options.n)
     theta = float(options.theta)
     if not 0.0 < theta <= 1.0:
         raise ValueError(
             f"damping factor must lie in (0, 1], got {options.theta}"
         )
     b = blaschke_mod.construct(zeros)
-    x = _pad_coeffs(options.resolve_init(fld).coeffs, n)  # updated in place
+    init = options.resolve_init(fld).coeffs
+    if sequence:
+        n = min(target, max(COARSE_GRID, next_power_of_two(init.size)))
+    x = _pad_coeffs(init, n)  # updated in place
     sup_hist, l2_hist = [], []
     doublings = 0
     plan = None
@@ -284,14 +303,15 @@ def _solve(fld, zeros, options, depth):
             )
         if dsup < options.tol_update:
             x += theta * r
-            settled = derivative(DiskFunction(x)).resolved()
+            settled = n >= target and derivative(DiskFunction(x)).resolved()
             if settled:
                 break
             if n >= MAX_GRID:
                 raise ResolutionExceededError(f"derivative tail unresolved at the maximum grid size {MAX_GRID}")
+            if n >= target:
+                doublings += 1
             n *= 2
             x = _pad_coeffs(x, n)
-            doublings += 1
             plan = dX = dR = r = None  # the next step starts on the doubled grid
             continue
         step = theta * r
@@ -309,6 +329,9 @@ def _solve(fld, zeros, options, depth):
         del r, step  # before the next step allocates its own
 
     plan = dX = dR = r = None  # the iteration buffers go before the final checks
+    if n < target:  # the budget ran out on a coarse grid
+        n = target
+        x = _pad_coeffs(x, n)
     f = DiskFunction(x)
     # before f' and its trace are cached on f, so that the polygon test's
     # temporaries stay below the iteration's memory peak
@@ -543,10 +566,11 @@ class RateReport:
 def contraction_rate(fld, certificate, zeros=(), options=None):
     """Empirical contraction rate against a valid certificate.
 
-    Runs plain undamped Picard steps (theta = 1, no mixing: the rate is a
-    property of the map itself) from several starts inside the certified ball;
-    the certificate bounds every consecutive update ratio by its `ratio`, so
-    the observed maximum should not exceed it (plus discretization slack).
+    Runs plain undamped Picard steps (theta = 1, no mixing, every step on
+    options.n: the rate is a property of one operator) from several starts
+    inside the certified ball; the certificate bounds every consecutive
+    update ratio by its `ratio`, so the observed maximum should not exceed
+    it (plus discretization slack).
     """
     if not certificate.valid:
         raise ValueError("contraction_rate needs a valid contraction certificate")

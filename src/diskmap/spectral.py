@@ -93,16 +93,6 @@ class DiskFunction:
                 got.flags.writeable = False
         return self._memo[key]
 
-    @classmethod
-    def from_boundary(cls, values):
-        """Read Taylor coefficients off nodal boundary values.
-
-        Exact when the underlying function is a polynomial of degree < n;
-        higher modes alias, which resolved() is there to catch.
-        """
-        v = np.asarray(_values(values), dtype=np.complex128)
-        return cls(np.fft.fft(v) / v.size)
-
     @property
     def degree(self):
         return self.coeffs.size - 1
@@ -175,14 +165,6 @@ def derivative(f):
     fp = f.memo("derivative", lambda: DiskFunction(np.arange(1, c.size) * c[1:] if c.size > 1 else [0.0]))
     fp.coeffs.flags.writeable = False
     return fp
-
-
-def antiderivative(f):
-    """Primitive vanishing at 0: c_k -> c_{k-1}/k (length grows by one)."""
-    c = f.coeffs
-    out = np.zeros(c.size + 1, dtype=np.complex128)
-    out[1:] = c / np.arange(1, c.size + 1)
-    return DiskFunction(out)
 
 
 def _signed_freqs(n):

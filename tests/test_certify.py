@@ -1,5 +1,6 @@
 """Comparison certificates: sub/supersolutions, starlikeness, boundary identity."""
 
+import json
 import tracemalloc
 from unittest import mock
 
@@ -316,16 +317,16 @@ def test_newton_inverse_reports_critical_point_and_stall():
 
 def test_certificate_json_round_trip(unit_field):
     cert = certify.check_subsolution(solver.scaled_identity(0.5), unit_field)
-    back = certify.certificate_from_json(cert.to_json())
-    assert back.kind == cert.kind
-    assert back.passed == cert.passed
-    assert back.worst_margin == cert.worst_margin
-    assert back.worst_location == cert.worst_location
-    assert back.lattice == cert.lattice
-    assert back.skipped == cert.skipped
+    back = json.loads(cert.to_json())
+    assert back["kind"] == cert.kind
+    assert back["pass"] == cert.passed
+    assert back["worst_margin"] == cert.worst_margin
+    assert back["worst_location"] == cert.worst_location
+    assert back["lattice"] == cert.lattice
+    assert back["skipped"] == cert.skipped
 
 
 def test_free_boundary_json_keeps_details(staircase, maximal_report):
     cert = certify.free_boundary_check(maximal_report.f, staircase)
-    back = certify.certificate_from_json(cert.to_json())
-    assert back.details["residual"] == cert.details["residual"]
+    back = json.loads(cert.to_json())
+    assert back["details"]["residual"] == cert.details["residual"]

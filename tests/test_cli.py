@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -102,6 +103,17 @@ def test_config_file_with_cli_override(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "solve_report.json").read_text())
     assert abs(report["derivative_at_origin"] - 6.0) < 1e-8
+
+
+def test_solve_defaults_come_from_solve_options(capsys):
+    defaults = solver.SolveOptions()
+    assert cli.build_options({}) == defaults
+    with pytest.raises(SystemExit):
+        cli.main(["solve", "--help"])
+    text = " ".join(capsys.readouterr().out.split("options:", 1)[1].split())
+    for flag, value in (("--n", defaults.n), ("--theta", defaults.theta), ("--max-iters", defaults.max_iters),
+                        ("--tol", defaults.tol_update), ("--tol-residual", defaults.tol_residual)):
+        assert re.search(rf"{flag} \S+ .*?\(default ([^)]*)\)", text).group(1) == str(value), flag
 
 
 def test_shipped_configs_parse():

@@ -285,6 +285,59 @@ def test_fine_grid_solve_stays_within_the_plain_iteration_memory():
     assert peak / 2**20 < 7.38
 
 
+def _grids(monkeypatch):
+    """The grid size of every operator step the solver takes from now on."""
+    seen = []
+    step = solver._operator_step
+
+    def spy(plan, fld, fvals):
+        seen.append(plan.n)
+        return step(plan, fld, fvals)
+
+    monkeypatch.setattr(solver, "_operator_step", spy)
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sequenced_solve_matches_the_solve_on_the_fine_grid_alone(seed, monkeypatch):
+    fld = weight.random_smooth_field(np.random.default_rng(seed))
+    opts = SolveOptions(n=32768)
+    grids = _grids(monkeypatch)
+    rep = solver.solve(fld, options=opts)
+    # nested iteration: the steps climb from the coarse grid to n, and the
+    # doublings below n are not refinements
+    assert grids[0] == solver.COARSE_GRID and grids[-1] == 32768
+    assert grids == sorted(grids) and set(grids) == {solver.COARSE_GRID << i for i in range(7)}
+    assert rep.doublings == 0
+    grids.clear()
+    direct = solver._solve(fld, (), opts, solver.ANDERSON_DEPTH)
+    assert set(grids) == {32768}
+    assert (rep.n, rep.converged, rep.stop_reason) == (direct.n, direct.converged, direct.stop_reason)
+    assert rep.converged
+    assert np.abs(rep.f.coeffs - direct.f.coeffs).max() <= 1e-10
+
+
+def test_warm_start_begins_on_the_initial_maps_grid(monkeypatch):
+    fld = weight.random_smooth_field(np.random.default_rng(0))
+    solved = solver.solve(fld, options=SolveOptions(n=8192))
+    assert solved.f.coeffs.size == 8192
+    grids = _grids(monkeypatch)
+    rep = solver.solve(fld, options=SolveOptions(n=8192, initial_map=solved.f))
+    assert rep.converged and rep.n == 8192
+    assert grids == [8192] * rep.iterations
+    assert rep.iterations <= 2
+
+
+def test_budget_spent_on_a_coarse_grid_reports_the_requested_grid(monkeypatch):
+    fld = weight.random_smooth_field(np.random.default_rng(0))
+    grids = _grids(monkeypatch)
+    rep = solver.solve(fld, options=SolveOptions(n=4096, max_iters=3))
+    assert grids == [solver.COARSE_GRID] * 3
+    assert (rep.stop_reason, rep.n, rep.doublings) == ("max_iters", 4096, 0)
+    assert rep.f.coeffs.size == 4096
+    assert rep.residual == solver.residual_sup(rep.f, fld, 4096)
+
+
 # ---------------------------------------------------------------------------
 # univalence machinery
 
@@ -628,6 +681,16 @@ def test_contraction_rate_keeps_the_callers_other_options(monkeypatch):
             n=64, theta=1.0, max_iters=5, tol_update=1e-9, tol_residual=1e-7,
             initial_map=frac * cert.sup_solution_bound,
         )
+
+
+def test_contraction_rate_measures_one_grid(monkeypatch):
+    # the ratios of consecutive updates are one operator's rate only if
+    # every step runs on the requested grid
+    fld = weight.gauss_radial_field(1.0, 0.1)
+    cert = weight.contraction_certificate(fld, np.sqrt(0.2) * np.exp(-0.5))
+    grids = _grids(monkeypatch)
+    solver.contraction_rate(fld, cert, options=SolveOptions(n=4096))
+    assert set(grids) == {4096}
 
 
 def test_contraction_rate_requires_valid_certificate(staircase):
