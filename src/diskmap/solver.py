@@ -40,7 +40,7 @@ from .spectral import (
     tail_ratio,
 )
 
-PAIR_BLOCK = 1 << 14  # edge pairs tested at once in polygon_is_simple
+PAIR_BLOCK = 1 << 12  # edge pairs tested at once in polygon_is_simple
 WINDING_BLOCK = 1 << 12  # (edge, target) pairs counted at once in winding_numbers
 DIVERGENCE_FACTOR = 1e6
 COARSE_GRID = 512  # grid a sequenced solve starts on, SolveOptions.n's default
@@ -129,9 +129,10 @@ class _Plan:
 
 def _plan(b, n):
     n = check_grid_size(n)
-    trace = blaschke_mod.boundary_trace(b, n) if b.zeros.size else None
+    nodes = grid_points(n)
+    trace = blaschke_mod.evaluate(b, nodes) if b.zeros.size else None
     k = np.arange(n, dtype=np.float64)
-    return _Plan(n, grid_points(n), trace, k, 1.0 / k[1:])
+    return _Plan(n, nodes, trace, k, 1.0 / k[1:])
 
 
 def _operator_step(plan, fld, fvals):
@@ -207,20 +208,20 @@ def solve(fld, zeros=(), options=None):
     return _solve(fld, zeros, options, ANDERSON_DEPTH, sequence=True)
 
 
-def _mixing_weights(dR, cols, r):
-    """Real weights gamma minimizing |r - sum_i gamma_i dR[cols[i]]|.
+def _mixing_weights(dR, r):
+    """Real weights gamma minimizing |r - sum_i gamma_i dR[i]|.
 
-    Complex vectors count as their stacked real and imaginary parts, so the
-    weights are real and keep f'(0) real.  The normal equations
-    Re<dR_i, dR_j> gamma = Re<dR_i, r> go through an LDL^T sweep in the
-    order of cols (newest first); a column whose pivot falls below GRAM_DROP
-    times its squared norm lies in the span of the earlier ones and gets
-    weight 0.  A non-finite system, or one without an independent column,
-    raises DivergenceError.
+    dR is the list of residual differences, newest first.  Complex vectors
+    count as their stacked real and imaginary parts, so the weights are real
+    and keep f'(0) real.  The normal equations Re<dR_i, dR_j> gamma =
+    Re<dR_i, r> go through an LDL^T sweep in the order of dR; a difference
+    whose pivot falls below GRAM_DROP times its squared norm lies in the
+    span of the newer ones and gets weight 0.  A non-finite system, or one
+    without an independent difference, raises DivergenceError.
     """
-    m = len(cols)
-    gram = [[float(np.vdot(dR[i], dR[j]).real) for j in cols] for i in cols]
-    rhs = [float(np.vdot(dR[i], r).real) for i in cols]
+    m = len(dR)
+    gram = [[float(np.vdot(u, v).real) for v in dR] for u in dR]
+    rhs = [float(np.vdot(u, r).real) for u in dR]
     if not np.isfinite([rhs, *gram]).all():
         raise DivergenceError("Anderson mixing system is not finite")
     low = [[0.0] * m for _ in range(m)]
@@ -252,8 +253,11 @@ def _solve(fld, zeros, options, depth, sequence=False):
 
     With r = U(x) - x the damped step is theta r.  Anderson mixing subtracts
     sum_i gamma_i (dX_i + theta dR_i), where dX_i and dR_i are the last
-    changes of x and r and gamma fits r by the dR_i in least squares.  A
-    doubled grid starts with a fresh plan, an empty mixing history and a new
+    changes of x and r and gamma fits r by the dR_i in least squares.  The
+    history holds the last depth steps taken, newest first: dX_i is the
+    step itself, and a full history's newest dR_i reuses the row it evicts,
+    so a grid that settles on its first step allocates none.  A doubled
+    grid starts with a fresh plan, an empty mixing history and a new
     reference update for the divergence guard.
     """
     options = options or SolveOptions()
@@ -276,9 +280,7 @@ def _solve(fld, zeros, options, depth, sequence=False):
     for _ in range(options.max_iters):
         if plan is None:
             plan = _plan(b, n)
-            dX = np.empty((depth, n), dtype=np.complex128)
-            dR = np.empty((depth, n), dtype=np.complex128)
-            cols = []  # history slots, newest first
+            dX, dR = [], []  # the last changes of x and r, newest first
             first_update = None
         fvals = np.fft.ifft(x)
         fvals *= n
@@ -315,16 +317,19 @@ def _solve(fld, zeros, options, depth, sequence=False):
             plan = dX = dR = r = None  # the next step starts on the doubled grid
             continue
         step = theta * r
-        if cols:
-            dR[cols[0]] += r  # completes r_k - r_(k-1)
-            for g, j in zip(_mixing_weights(dR, cols, r), cols):
-                step -= g * dX[j]
-                step -= (theta * g) * dR[j]
+        if dR:
+            dR[0] += r  # completes r_k - r_(k-1)
+            for g, dx, dr in zip(_mixing_weights(dR, r), dX, dR):
+                step -= g * dx
+                step -= (theta * g) * dr
+            del dx, dr
         if depth:
-            slot = cols.pop() if len(cols) == depth else len(cols)
-            dX[slot] = step
-            np.negative(r, out=dR[slot])
-            cols.insert(0, slot)
+            if len(dR) == depth:  # the oldest differences go; -r reuses a row
+                del dX[-1]
+                dR.insert(0, np.negative(r, out=dR.pop()))
+            else:
+                dR.insert(0, -r)
+            dX.insert(0, step)
         x += step
         del r, step  # before the next step allocates its own
 
@@ -387,16 +392,25 @@ def polygon_is_simple(points, ends=None):
     """No two non-adjacent edges of the closed polygon properly cross.
 
     Edge k runs from points[k] to ends[k], which defaults to
-    np.roll(points, -1).  A proper crossing needs overlapping closed
-    x-extents, so the edges are sorted by their left x and each is tested
-    only against the later edges whose left x lies within its own extent (a
-    vectorized sweep in the sense of Shamos & Hoey).  On solved maps that
-    leaves about two pairs per edge, O(m log m) work in all.  Pairs go
+    np.roll(points, -1).  One O(m) pass accepts a polygon star-shaped
+    about 0: every edge turns about 0 by an angle in (0, pi), and turns
+    adding up to less than 3 pi add up to one full turn, so each ray from 0
+    meets the polygon once (Lee & Preparata, J. ACM 26, 1979).  Any other
+    polygon goes through an O(m log m) sweep: a proper crossing needs
+    overlapping closed x-extents, so the edges are sorted by their left x
+    and each is tested only against the later edges whose left x lies
+    within its own extent (a vectorized sweep in the sense of Shamos &
+    Hoey).  On solved maps that leaves about two pairs per edge.  Pairs go
     through in blocks of PAIR_BLOCK and the test stops at the first
     crossing, so memory stays bounded even on wiggly curves.
     """
     A = np.asarray(points, dtype=np.complex128)
     B = np.roll(A, -1) if ends is None else ends
+    with np.errstate(divide="ignore", invalid="ignore"):  # a vertex at 0 gives nan turns
+        turn = np.angle(B / A)
+    if (turn > 0.0).all() and (turn < np.pi).all() and turn.sum() < 3.0 * np.pi:
+        return True
+    del turn
     m = A.size
     left = np.minimum(A.real, B.real)
     order = np.argsort(left, kind="stable")
@@ -503,7 +517,9 @@ def interior_critical_points(f, n):
     here".
     """
     vals = derivative(f).circle_trace(CRITICAL_RADIUS, check_grid_size(n))
-    turns = np.angle(np.roll(vals, -1) / vals).sum() / (2.0 * np.pi)
+    ratios = np.roll(vals, -1)
+    ratios /= vals
+    turns = np.angle(ratios).sum() / (2.0 * np.pi)
     if np.abs(vals).min() < 1e-13:
         return max(1, int(np.rint(np.abs(turns))))
     return int(np.rint(turns))

@@ -45,7 +45,8 @@ def grid_angles(n):
 
 def grid_points(n):
     """Unimodular nodes exp(i t_j) of the boundary grid."""
-    return np.exp(1j * grid_angles(n))
+    t = 1j * grid_angles(n)
+    return np.exp(t, out=t)
 
 
 def tail_ratio(coeffs):
@@ -119,7 +120,9 @@ class DiskFunction:
         size = max(n, next_power_of_two(m))
         padded = np.zeros(r.shape + (size,), dtype=np.complex128)
         padded[..., :m] = c * np.power(r[..., None], np.arange(m)) if r.ndim or r != 1.0 else c
-        got = np.fft.ifft(padded, axis=-1) * size
+        got = np.fft.ifft(padded, axis=-1)
+        del padded
+        got *= size
         # a copy, so that a cached trace does not pin the big-point transform
         return got if size == n else got[..., :: size // n].copy()
 

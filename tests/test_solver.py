@@ -243,8 +243,8 @@ def test_mixing_weights_match_real_least_squares(seed):
     rng = np.random.default_rng(seed)
     dR = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
     r = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    got = solver._mixing_weights(dR, [1, 0], r)
-    want = _reference_weights(dR[[1, 0]], r)
+    got = solver._mixing_weights(list(dR), r)
+    want = _reference_weights(dR, r)
     assert np.abs(np.array(got) - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
 
 
@@ -253,8 +253,7 @@ def test_mixing_weights_drop_a_dependent_column():
     # identities: the older column is dropped and the newer fits r exactly
     e = np.zeros(16, dtype=complex)
     e[1] = 1.0
-    dR = np.array([0.25 * e, -0.5 * e])
-    assert solver._mixing_weights(dR, [0, 1], -0.75 * e) == [-3.0, 0.0]
+    assert solver._mixing_weights([0.25 * e, -0.5 * e], -0.75 * e) == [-3.0, 0.0]
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
@@ -262,12 +261,12 @@ def test_mixing_weights_reject_a_non_finite_system(bad):
     dR = np.ones((2, 8), dtype=complex)
     dR[0, 3] = bad  # 1e200 overflows the Gram entries
     with pytest.raises(DivergenceError, match="not finite"):
-        solver._mixing_weights(dR, [0, 1], np.ones(8, dtype=complex))
+        solver._mixing_weights(list(dR), np.ones(8, dtype=complex))
 
 
 def test_mixing_weights_reject_a_singular_system():
     with pytest.raises(DivergenceError, match="singular"):
-        solver._mixing_weights(np.zeros((2, 8), dtype=complex), [0, 1], np.ones(8, dtype=complex))
+        solver._mixing_weights([np.zeros(8, dtype=complex)] * 2, np.ones(8, dtype=complex))
 
 
 def test_fine_grid_solve_stays_within_the_plain_iteration_memory():
@@ -283,6 +282,33 @@ def test_fine_grid_solve_stays_within_the_plain_iteration_memory():
         tracemalloc.stop()
     assert rep.converged and rep.n == 32768
     assert peak / 2**20 < 7.38
+
+
+def _solve_peak_mib(fld, zeros, opts):
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rep = solver.solve(fld, zeros=zeros, options=opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.converged and rep.n == opts.n
+    return (peak - start) / 2**20
+
+
+def test_a_solve_settled_on_its_first_fine_step_holds_no_mixing_history():
+    # the n = 32768 step settles at once: no history row is allocated, and
+    # the starlike boundary skips the polygon sweep (5.13 MiB when both were
+    # held)
+    fld = weight.random_smooth_field(np.random.default_rng(0))
+    assert _solve_peak_mib(fld, (), SolveOptions(n=32768)) < 4.0
+
+
+def test_the_near_boundary_zero_solve_holds_only_the_history_it_fills(staircase):
+    # 18 steps on 512 .. 8192, most of them mixed; near the critical point
+    # the boundary turns back about 0, so the polygon sweep runs in pair
+    # blocks (2.35 MiB with preallocated rows and 16k-pair blocks)
+    assert _solve_peak_mib(staircase, [0.995], SolveOptions(n=8192, initial_map=1.0)) < 2.0
 
 
 def _grids(monkeypatch):
@@ -389,22 +415,76 @@ def test_polygon_is_simple_matches_all_pairs_reference(m, seed, block):
     swapped[[k, (k + 1) % m]] = swapped[[(k + 1) % m, k]]
     spiked = Q.copy()
     spiked[k] *= -10.0
+    # the stars again with 0 outside them, where the sweep decides
+    stars = (Q, swapped, spiked)
+    shifted = [poly + _clear_of_origin(poly) for poly in stars]
     with mock.patch.object(solver, "PAIR_BLOCK", block or solver.PAIR_BLOCK):
-        for poly in (P, Q, swapped, spiked):
+        for poly in (P, *stars, *shifted):
             assert solver.polygon_is_simple(poly) == _polygon_is_simple_reference(poly)
+
+
+def _clear_of_origin(points):
+    """A shift that takes the polygon off 0, so that it winds 0 times about
+    0 and only the sweep can call it simple."""
+    return 2.0 * np.abs(points).max() + 1.0
+
+
+def _sweep_decides(points):
+    """polygon_is_simple(points), asserting that the pair sweep ran."""
+    with mock.patch.object(solver, "_pair_blocks", wraps=solver._pair_blocks) as sweep:
+        got = solver.polygon_is_simple(points)
+    assert sweep.called
+    return got
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_polygon_is_simple_across_pair_blocks(seed):
-    # a wide star has ~60k x-overlapping edge pairs at m = 800, more than
-    # three default pair blocks
+    # a wide star has ~60k x-overlapping edge pairs at m = 800, about fifteen
+    # default pair blocks; shifted off 0, only the sweep decides it
     rng = np.random.default_rng(seed)
     Q = _star_polygon(rng, 800, 4.0)
-    assert solver.polygon_is_simple(Q)
-    assert _polygon_is_simple_reference(Q)
-    Q[500] *= -10.0  # a spike out through the far side crosses it
-    assert not solver.polygon_is_simple(Q)
-    assert not _polygon_is_simple_reference(Q)
+    spiked = Q.copy()
+    spiked[500] *= -10.0  # a spike out through the far side crosses it
+    shift = _clear_of_origin(spiked)
+    assert solver.polygon_is_simple(Q) and _sweep_decides(Q + shift)
+    assert _polygon_is_simple_reference(Q) and _polygon_is_simple_reference(Q + shift)
+    assert not _sweep_decides(spiked) and not _sweep_decides(spiked + shift)
+    assert not _polygon_is_simple_reference(spiked) and not _polygon_is_simple_reference(spiked + shift)
+
+
+def test_turn_test_refuses_what_is_not_star_shaped_about_0():
+    rng = np.random.default_rng(0)
+    Q = _star_polygon(rng, 64, 0.5)
+    with mock.patch.object(solver, "_pair_blocks", wraps=solver._pair_blocks) as sweep:
+        assert solver.polygon_is_simple(Q)
+    assert not sweep.called  # the star is decided in one pass
+    # clockwise: every turn is negative, and the polygon is still simple
+    assert _sweep_decides(Q[::-1])
+    # xi^2 on 64 nodes turns by less than pi at every edge but winds twice
+    assert not _sweep_decides(spectral.grid_points(64) ** 2)
+    # through 0, at a vertex (no turn there) or inside an edge (a turn of pi)
+    notched = Q.copy()
+    notched[10] = 0.0
+    assert _sweep_decides(notched) == _polygon_is_simple_reference(notched)
+    assert _sweep_decides(np.array([-1.0, 1.0, 1.0 + 1.0j, -1.0 + 1.0j]))
+
+
+@pytest.mark.parametrize("n", [512, 4096])
+def test_turn_test_agrees_with_the_sweep_on_solved_maps(n):
+    fields = [
+        weight.constant_field(2.0) if name == "constant" else weight.make_builtin(name)
+        for name in sorted(weight.BUILTIN_FIELDS)
+    ]
+    cases = [(fld, zeros) for fld in fields for zeros in ([], [-0.5])]
+    cases += [(weight.random_smooth_field(np.random.default_rng(seed)), []) for seed in range(20)]
+    verdicts = set()
+    for fld, zeros in cases:
+        rep = solver.solve(fld, zeros=zeros, options=SolveOptions(n=n))
+        P = rep.f.trace(rep.n)
+        got = solver.polygon_is_simple(P)
+        assert got == _sweep_decides(P + _clear_of_origin(P))
+        verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_collinear_disjoint_edges_are_not_a_crossing():
