@@ -115,8 +115,8 @@ def second_derivative(f, fld, zeros=(), n=512):
     f''/f' = B'/B + S[d/dt log Phi(., f)] / (i z) on |z| = 1.  The angular
     derivative of log Phi(., f) is spectral when its trace is resolved and
     falls back to centered differences otherwise (flagged in the result).
-    The result carries the sup gap against the spectral second derivative
-    of f, which doubles as an a-posteriori error indicator.
+    The result carries the sup gap against the spectral f'', built for the
+    call, which doubles as an a-posteriori error indicator.
     """
     n = check_grid_size(n)
     xi = grid_points(n)
@@ -137,7 +137,8 @@ def second_derivative(f, fld, zeros=(), n=512):
     svals = schwarz_integral(dgdt).trace(n)
     f2 = log_deriv * fpvals + fpvals * svals / (1j * xi)
 
-    spectral_f2 = derivative(derivative(f)).trace(n)
+    # the derivative of a fresh wrapper of f' is not cached on f' for good
+    spectral_f2 = derivative(DiskFunction(derivative(f).coeffs)).trace(n)
     gap = float(np.abs(f2 - spectral_f2).max())
     return SecondDerivativeResult(
         values=f2,

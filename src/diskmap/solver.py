@@ -197,7 +197,8 @@ def solve(fld, zeros=(), options=None):
     The run starts on COARSE_GRID points (or on the initial map's own grid,
     if that is finer) and doubles each time the update settles, up to
     options.n, the finest grid the answer is solved on; a solve with
-    n <= COARSE_GRID runs on n from its first step.  Convergence means both:
+    n <= COARSE_GRID runs on n from its first step, and one with n above
+    MAX_GRID = 2**15 raises ValueError before it.  Convergence means both:
     the sup over the grid of the last update's derivative, |(U(f) - f)'|,
     below tol_update, and residual below tol_residual.  When the update
     settles at n or above on a derivative whose spectral tail is
@@ -249,7 +250,8 @@ def _solve(fld, zeros, options, depth, sequence=False):
     initial map's own grid if that is finer, never above options.n) and
     doubles whenever the update settles below options.n; without it, every
     step from the first runs at options.n, so that contraction_rate
-    compares the updates of one operator.
+    compares the updates of one operator.  An options.n above MAX_GRID is
+    rejected before the first step: no grid could resolve the answer.
 
     With r = U(x) - x the damped step is theta r.  Anderson mixing subtracts
     sum_i gamma_i (dX_i + theta dR_i), where dX_i and dR_i are the last
@@ -262,6 +264,8 @@ def _solve(fld, zeros, options, depth, sequence=False):
     """
     options = options or SolveOptions()
     target = n = check_grid_size(options.n)
+    if target > MAX_GRID:
+        raise ValueError(f"grid size must be at most {MAX_GRID}, got {target}")
     theta = float(options.theta)
     if not 0.0 < theta <= 1.0:
         raise ValueError(

@@ -59,10 +59,10 @@ def tail_ratio(coeffs):
 
 
 def _values(u):
-    """Nodal values on the boundary grid, checked for a valid grid size."""
+    """Real nodal values (the real part of complex input) on a valid grid."""
     v = np.asarray(u)
     check_grid_size(v.shape[-1] if v.ndim else 0)
-    return v
+    return v.real if np.iscomplexobj(v) else np.asarray(v, dtype=np.float64)
 
 
 class DiskFunction:
@@ -114,12 +114,16 @@ class DiskFunction:
         return self._circle_values(np.asarray(r, dtype=np.float64), n)
 
     def _circle_values(self, r, n):
+        """One zero-padded inverse FFT of the coefficients, scaled in place
+        by r**k unless r is the scalar 1."""
         r = np.asarray(r)
         c = self.coeffs
         m = c.size
         size = max(n, next_power_of_two(m))
         padded = np.zeros(r.shape + (size,), dtype=np.complex128)
-        padded[..., :m] = c * np.power(r[..., None], np.arange(m)) if r.ndim or r != 1.0 else c
+        padded[..., :m] = c
+        if r.ndim or r != 1.0:
+            padded[..., :m] *= np.power(r[..., None], np.arange(m))
         got = np.fft.ifft(padded, axis=-1)
         del padded
         got *= size
@@ -170,18 +174,14 @@ def derivative(f):
     return fp
 
 
-def _signed_freqs(n):
-    return np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
-
-
 def conjugate_periodic(u):
-    """Periodic Hilbert conjugate of real nodal data.
+    """Periodic Hilbert conjugate of real nodal data, on the grid only.
 
     Multiplier -i*sign(k) with the mean and the Nyquist mode annihilated;
     conjugate(conjugate(u)) == -(u - mean(u)) up to the dropped Nyquist mode.
+    The operator's grid path: its real transforms fix the solve's bits.
     """
     v = _values(u)
-    v = np.asarray(v, dtype=np.float64) if not np.iscomplexobj(v) else v.real
     n = v.size
     spec = np.fft.rfft(v)
     spec[0] = 0.0
@@ -191,14 +191,14 @@ def conjugate_periodic(u):
 
 
 def schwarz_integral(u):
-    """Analytic completion of real nodal data u.
+    """Analytic completion of real nodal data u, the one source of harmonic
+    data off the grid: the Poisson extension of u is Re F.
 
     Returns F as a DiskFunction with Re F|_circle interpolating u and
     Im F(0) = 0: c_0 = Re u-hat_0, c_k = 2 u-hat_k for 0 < k < n/2, and the
     Nyquist coefficient kept once (real for real input).
     """
     v = _values(u)
-    v = v.real if np.iscomplexobj(v) else np.asarray(v, dtype=np.float64)
     n = v.size
     spec = np.fft.fft(v) / n
     c = np.zeros(n // 2 + 1, dtype=np.complex128)
@@ -209,25 +209,13 @@ def schwarz_integral(u):
 
 
 def poisson_extend(u, z):
-    """Harmonic extension of real nodal data, evaluated at points z, |z| <= 1.
-
-    Spectral form: sum_k u-hat_k r^|k| e^{i k theta}, exact for trigonometric
-    polynomials of degree < n/2 (Nyquist handled as a cosine mode).
+    """Harmonic extension of real nodal data at points z, |z| <= 1: the real
+    part of schwarz_integral(u), evaluated by DiskFunction's chunked Horner.
     """
-    v = _values(u)
-    v = v.real if np.iscomplexobj(v) else np.asarray(v, dtype=np.float64)
-    n = v.size
     z = np.asarray(z, dtype=np.complex128)
-    r = np.abs(z)
-    if np.any(r > 1.0 + 1e-12):
+    if np.any(np.abs(z) > 1.0 + 1e-12):
         raise ValueError("poisson_extend needs |z| <= 1")
-    r = np.minimum(r, 1.0)
-    theta = np.angle(z)
-    spec = np.fft.fft(v) / n
-    k = _signed_freqs(n)
-    radial = np.power(r[..., None], np.abs(k))
-    phases = np.exp(1j * theta[..., None] * k)
-    return (radial * phases * spec).sum(axis=-1).real
+    return schwarz_integral(u)(z).real
 
 
 def poisson_circle(u, r):
@@ -236,18 +224,16 @@ def poisson_circle(u, r):
 
 
 def poisson_circles(u, blocks):
-    """poisson_circle on blocks of radii, all from one spectrum of u: for
-    each array of radii in blocks, one batched inverse transform gives the
-    circles' values, shape radii.shape + (n,)."""
+    """poisson_circle on blocks of radii, all from one schwarz_integral of u:
+    for each array of radii in blocks, the real part of one batched circle
+    trace gives the circles' values, shape radii.shape + (n,)."""
     v = _values(u)
-    v = v.real if np.iscomplexobj(v) else np.asarray(v, dtype=np.float64)
-    spec = np.fft.fft(v)
-    k = np.abs(_signed_freqs(v.size))
+    F = schwarz_integral(v)
     for radii in blocks:
         r = np.asarray(radii, dtype=np.float64)
         if not np.all((0.0 <= r) & (r <= 1.0 + 1e-12)):
             raise ValueError("poisson_circle needs 0 <= r <= 1")
-        yield np.fft.ifft(spec * np.power(np.minimum(r, 1.0)[..., None], k), axis=-1).real
+        yield F.circle_trace(np.minimum(r, 1.0), v.size).real
 
 
 def hp_boundary_distance(f, g, p):

@@ -404,6 +404,9 @@ def test_spectrum_solves_when_given_field(tmp_path):
     ["geometry", "--op", "bogus"],
     ["geometry", "--op", "union", "--inputs", "one.pbm"],
     ["spectrum"],
+    # above the largest grid: it used to climb to 32768 and exit 1, calling
+    # the resolved map 6z unresolved
+    ["solve", "--field", "staircase", "--init", "6.5", "--n", "65536"],
 ])
 def test_config_errors_exit_two(tmp_path, argv, capsys):
     assert run(argv + ["--out", tmp_path]) == 2

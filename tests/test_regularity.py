@@ -1,6 +1,7 @@
 """Spectral decay classification and the boundary second derivative."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,24 @@ def test_near_boundary_zero_settles_on_the_derivative(n):
     assert rep.converged and rep.n == 8192
     res = regularity.second_derivative(rep.f, fld, zeros=[0.995], n=rep.n)
     assert res.spectral_gap < 1e-8
+
+
+def test_second_derivative_caches_nothing_on_the_map():
+    # f'' and its n-point trace stayed cached on f' for the map's lifetime:
+    # 0.251 MiB held after the call at n = 8192
+    fld = weight.staircase_field()
+    rep = solver.solve(fld, zeros=[0.995], options=solver.SolveOptions(n=8192, initial_map=1.0))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        res = regularity.second_derivative(rep.f, fld, zeros=[0.995], n=rep.n)
+        gap = res.spectral_gap
+        del res
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert rep.n == 8192 and held / 2**20 < 0.05
+    assert gap < 1e-8
 
 
 def test_second_derivative_as_function(staircase, branched_report):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import diskmap
 from diskmap import blaschke, certify, solver, spectral, weight
-from diskmap.errors import DivergenceError
+from diskmap.errors import DivergenceError, ResolutionExceededError
 from diskmap.solver import SolveOptions, scaled_identity
 from diskmap.spectral import DiskFunction
 
@@ -38,6 +38,22 @@ def test_resolve_init_variants(staircase):
 def test_solve_rejects_bad_grid(staircase):
     with pytest.raises(ValueError, match="power of two"):
         solver.solve(staircase, options=SolveOptions(n=12))
+
+
+def test_solve_rejects_a_grid_above_the_largest(staircase, monkeypatch):
+    # before any step: n = 65536 used to climb to 32768 and then report the
+    # exactly resolved map 6z as "derivative tail unresolved"
+    monkeypatch.setattr(solver, "_operator_step", None)
+    with pytest.raises(ValueError, match="at most 32768, got 65536"):
+        solver.solve(staircase, options=SolveOptions(n=1 << 16, initial_map=6.5))
+
+
+def test_unresolved_tail_at_the_largest_grid_raises(monkeypatch):
+    # the kinked ripple needs 128 points; with 64 the largest grid, the run
+    # that settles on 64 cannot refine
+    monkeypatch.setattr(solver, "MAX_GRID", 64)
+    with pytest.raises(ResolutionExceededError, match="maximum grid size 64"):
+        solver.solve(weight.ripple_field(smooth=False), options=SolveOptions(n=64))
 
 
 @pytest.mark.parametrize("theta", [0.0, -0.5, 1.5])

@@ -5,6 +5,8 @@ whose Taylor coefficients are log 2 and -(-1/2)^k / k, and the p-metric
 between z and z/2 integrates the constant (1/2)^p.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -307,6 +309,47 @@ def test_poisson_circle_matches_pointwise_extension():
 def test_poisson_rejects_exterior_points():
     with pytest.raises(ValueError):
         poisson_extend(np.ones(8), np.array([1.5 + 0.0j]))
+
+
+def _traced_peak_mib(fn, *args):
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        got = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return got, (peak - start) / 2**20
+
+
+def test_poisson_extend_reads_the_schwarz_integral_in_bounded_memory():
+    # the dense points x n sum it replaced peaked at 11.09 MiB here; the
+    # values are Re F(z) of the Schwarz integral F, within rounding of that
+    # sum and of the oracle log|2 + z|
+    n = 1024
+    u = np.log(np.abs(2.0 + grid_points(n)))
+    rng = np.random.default_rng(14)
+    z = np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
+    z[:8] = grid_points(8)
+    vals, peak = _traced_peak_mib(poisson_extend, u, z)
+    assert peak < 1.0
+    assert np.array_equal(vals, schwarz_integral(u)(z).real)
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    spec = np.fft.fft(u) / n
+    dense = (np.abs(z)[:, None] ** np.abs(k) * np.exp(1j * np.angle(z)[:, None] * k) * spec).sum(axis=-1).real
+    assert np.abs(vals - dense).max() < 1e-14
+    assert np.abs(vals - np.log(np.abs(2.0 + z))).max() < 1e-14
+
+
+def test_circle_trace_scales_the_padded_coefficients_in_place():
+    # 1.38 MiB with the r**k-scaled copy of the coefficients made before the
+    # padded array is filled; 1.00 MiB on the unit circle
+    rng = np.random.default_rng(15)
+    f = DiskFunction(random_coeffs(rng, 1 << 15))
+    vals, peak = _traced_peak_mib(f.circle_trace, 0.999, 1 << 15)
+    assert peak < 1.15
+    padded = f.coeffs * np.power(0.999, np.arange(f.coeffs.size))
+    assert np.array_equal(vals, np.fft.ifft(padded) * (1 << 15))
 
 
 def test_hp_distance_closed_form():

@@ -374,6 +374,37 @@ def test_scale_check_xi_dependent_route():
     assert np.isfinite(res.margin)
 
 
+@pytest.mark.parametrize("fld", [
+    weight.random_smooth_field(np.random.default_rng(7)),
+    weight.random_smooth_field(np.random.default_rng(8)),
+    weight.ripple_field(smooth=True),
+    weight.ripple_field(smooth=False),
+])
+def test_scale_check_goes_one_rho_row_at_a_time(fld):
+    # 3.33 MiB for the random field with the whole (rho, xi, w) lattice at
+    # once; the results are those of that broadcast, which is copied here
+    n_rho, n_radial, n_angular, n_xi = 16, 64, 16, 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        res = weight.radial_scale_check(fld, n_rho=n_rho, n_radial=n_radial, n_angular=n_angular, n_xi=n_xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / 2**20 < 1.0
+    rho = np.arange(1, n_rho + 1) / (n_rho + 1.0)
+    r = np.linspace(0.0, fld.sup_bound, n_radial + 1)[1:]
+    xi = weight._xi_lattice(fld, n_xi)
+    w = (r[None, :] * np.exp(2j * np.pi * np.arange(n_angular) / n_angular)[:, None]).ravel()
+    base = fld.evaluate(xi[:, None], w[None, :])
+    scaled = fld.evaluate(xi[None, :, None], rho[:, None, None] * w[None, None, :])
+    margins = (scaled / rho[:, None, None] - base[None, :, :]).reshape(n_rho, -1)
+    irho, iw = np.unravel_index(np.argmin(margins), margins.shape)
+    assert res.margin == margins[irho, iw] and res.worst_rho == rho[irho]
+    assert res.worst_radius == np.tile(np.abs(w), xi.size)[iw]
+    assert res.strict_margin == margins[rho <= 15.0 / 16.0].min()
+
+
 # ---------------------------------------------------------------------------
 # superharmonic check
 
