@@ -96,6 +96,14 @@ def dilate(mask):
     return out
 
 
+def _dilation_leaves(inner, outer):
+    """Whether the one-cell dilation of inner reaches a cell outside outer;
+    one canvas of temporaries."""
+    out = dilate(inner)
+    np.greater(out, outer, out=out)
+    return bool(out.any())
+
+
 def erode(mask):
     """One-cell erosion of a boolean mask by its 4-neighbours (the cross
     stencil); cells off the canvas count as unset, so the border always erodes."""
@@ -243,7 +251,7 @@ def kernel_of_shrinking(regions):
     """
     regions = _one_frame(regions)
     for i in range(len(regions) - 1):
-        if (dilate(regions[i + 1].mask) & ~regions[i].mask).any():
+        if _dilation_leaves(regions[i + 1].mask, regions[i].mask):
             raise InvalidSequenceError(
                 f"family is not strictly shrinking at step {i} -> {i + 1}", index=i
             )
@@ -298,7 +306,8 @@ def build_shrinking_spiral_family(size=512):
     and the final level adds a two-cell throat into a freshly carved pendant
     cavity.  Intersecting, closing, and eroding seals the throat, so the
     kernel encircles the cavity and fails schoenfliess_test while every term
-    passes the simple-connectivity invariant.
+    passes the simple-connectivity invariant.  The levels are built and
+    checked to shrink one at a time, keeping only the running corridor.
     """
     if size < 256:
         raise ValueError("demo needs at least a 256-cell canvas")
@@ -316,47 +325,37 @@ def build_shrinking_spiral_family(size=512):
     levels = len(tips)  # the demo is calibrated for these three
 
     shape = (size, size)
-    corridors = []
+    bp_angle = np.deg2rad(330.0)
+    bp = (
+        int(round(center[0] + 160.0 * s * np.sin(bp_angle))),
+        int(round(center[1] + 160.0 * s * np.cos(bp_angle))),
+    )
+    regions = []
     corridor = np.zeros(shape, dtype=bool)
     for k in range(levels):
-        if k:
-            corridor = dilate(corridor)
         a_from = -30.0 if k == 0 else tips[k - 1] - 6.0
-        stretch = _paint_curve(shape, _spiral_points(center, a_from, tips[k], r_at), half_widths[k])
-        corridor = corridor | stretch
-        corridors.append(corridor.copy())
-
-    # pendant cavity past the spiral end, reached only through a two-column
-    # throat; the gap between corridor tip and cavity rim leaves enough
-    # sealed length to survive closing, eroding, and the test's dilation
-    tip_r = r_at(tips[-1])
-    cavity_radius = round(14.0 * s)
-    cavity_center = (center[0] - round(tip_r - 12.0 * s) + cavity_radius, center[1])
-    cavity = _disk(shape, cavity_center, cavity_radius)
-    throat = np.zeros(shape, dtype=bool)
-    row_hi = center[0] - int(round(tip_r))
-    row_lo = cavity_center[0] - cavity_radius + 1
-    throat[row_hi : row_lo + 1, center[1] : center[1] + 2] = True
-
-    regions = []
-    for k in range(levels):
-        body = _disk(shape, center, body_r0 - k)
-        mask = body & ~corridors[k]
+        corridor = dilate(corridor)
+        corridor |= _paint_curve(shape, _spiral_points(center, a_from, tips[k], r_at), half_widths[k])
+        mask = _disk(shape, center, body_r0 - k)
+        np.greater(mask, corridor, out=mask)
         if k == levels - 1:
-            mask &= ~(cavity | throat)
-        bp_angle = np.deg2rad(330.0)
-        bp = (
-            int(round(center[0] + 160.0 * s * np.sin(bp_angle))),
-            int(round(center[1] + 160.0 * s * np.cos(bp_angle))),
-        )
+            # pendant cavity past the spiral end, reached only through a
+            # two-column throat; the gap between corridor tip and cavity rim
+            # leaves enough sealed length to survive closing, eroding, and the
+            # test's dilation; both are carved on their bounding boxes
+            tip_r = r_at(tips[-1])
+            radius = round(14.0 * s)
+            top = center[0] - round(tip_r - 12.0 * s)
+            box = mask[top : top + 2 * radius + 1, center[1] - radius : center[1] + radius + 1]
+            np.greater(box, _disk(box.shape, (radius, radius), radius), out=box)
+            mask[center[0] - int(round(tip_r)) : top + 2, center[1] : center[1] + 2] = False
         # one component holding the basepoint by construction, and the body
         # disk keeps a margin of about 44 * size / 512 cells; every carving
         # opens onto the corridor, which breaches the rim, so no level has a hole
-        regions.append(_basepoint_component(mask, bp, RuntimeError("demo basepoint fell outside the carved body")))
-
-    for i in range(levels - 1):
-        if (dilate(regions[i + 1].mask) & ~regions[i].mask).any():
-            raise RuntimeError(f"demo family not strictly shrinking at level {i}")
+        region = _basepoint_component(mask, bp, RuntimeError("demo basepoint fell outside the carved body"))
+        if k and _dilation_leaves(region.mask, regions[-1].mask):
+            raise RuntimeError(f"demo family not strictly shrinking at level {k - 1}")
+        regions.append(region)
     return regions
 
 
@@ -364,13 +363,16 @@ def build_shrinking_spiral_family(size=512):
 # raster IO: portable bitmap plus a JSON sidecar for the basepoint
 
 def save_region(region, path):
-    """Write mask as ASCII PBM (P1) and basepoint metadata alongside."""
+    """Write mask as ASCII PBM (P1) and basepoint metadata alongside; the
+    raster is filled in place and written as it is, one raster of temporaries."""
     path = Path(path)
     mask = region.mask
     raster = np.full((mask.shape[0], 2 * mask.shape[1]), ord(" "), dtype=np.uint8)
-    raster[:, ::2] = mask.view(np.uint8) + ord("0")
+    np.add(mask.view(np.uint8), ord("0"), out=raster[:, ::2])
     raster[:, -1] = ord("\n")
-    path.write_bytes(f"P1\n{mask.shape[1]} {mask.shape[0]}\n".encode() + raster.tobytes())
+    with path.open("wb") as f:
+        f.write(f"P1\n{mask.shape[1]} {mask.shape[0]}\n".encode())
+        f.write(raster)
     sidecar = path.with_suffix(path.suffix + ".json")
     sidecar.write_text(
         json.dumps(
@@ -387,25 +389,41 @@ def save_region(region, path):
 
 def load_region(path):
     """Read a plain PBM (P1) and its sidecar: `#` comments, optional whitespace
-    between bits, exactly width x height bits, each `0` or `1`, and a sidecar
-    basepoint on the raster."""
+    between bits, exactly width x height bits, each `0` or `1`, and a JSON
+    sidecar whose basepoint lies on the raster and whose shape, when given,
+    is the raster's.  Every rejection is a ValueError naming the file.  The
+    bits are a view of the text packed without whitespace, so loading holds
+    about one raster of temporaries beyond the file's text."""
     path = Path(path)
     text = re.sub(rb"#[^\r\n]*", b"", path.read_bytes())
-    header = text.split(maxsplit=3) + [b""]
-    if len(header) < 4 or header[0] != b"P1" or not (header[1].isdigit() and header[2].isdigit()):
+    header = re.match(rb"\s*P1\s+(\d+)\s+(\d+)(?!\S)", text)
+    if header is None:
         raise ValueError(f"{path} is not an ASCII PBM file")
-    width, height = int(header[1]), int(header[2])
-    bits = np.frombuffer(header[3].translate(None, b" \t\n\v\f\r"), dtype=np.uint8) - ord("0")
-    if (bits > 1).any():
+    width, height = header.groups()
+    # drop the whitespace a slice at a time, so the text and its packed form
+    # are all that is held; the packed text starts with the header's tokens
+    packed = bytearray()
+    for i in range(0, len(text), 1 << 16):
+        packed += text[i : i + (1 << 16)].translate(None, b" \t\n\v\f\r")
+    del header, text
+    bits = np.frombuffer(packed, dtype=np.uint8, offset=2 + len(width) + len(height))
+    width, height = int(width), int(height)
+    mask = bits == ord("1")
+    if np.count_nonzero(mask) + np.count_nonzero(bits == ord("0")) != bits.size:
         raise ValueError(f"{path} has a raster bit other than 0 or 1")
     if bits.size != width * height:
         raise ValueError(f"{path} holds {bits.size} raster bits, not {width} x {height}")
     sidecar = path.with_suffix(path.suffix + ".json")
-    meta = json.loads(sidecar.read_text())
+    try:
+        meta = json.loads(sidecar.read_bytes())
+    except ValueError:
+        raise ValueError(f"{path} has a sidecar that is not JSON") from None
     try:
         row, col = (int(i) for i in meta["basepoint"])
     except (KeyError, TypeError, ValueError):
         raise ValueError(f"{path} has no sidecar basepoint of two integers") from None
+    if meta.get("shape", [height, width]) != [height, width]:
+        raise ValueError(f"{path} has its sidecar shape {meta['shape']}, not the raster's [{height}, {width}]")
     if not (0 <= row < height and 0 <= col < width):
         raise ValueError(f"{path} has its sidecar basepoint {meta['basepoint']} off the {width} x {height} raster")
-    return RasterRegion(bits.astype(bool).reshape(height, width), (row, col))
+    return RasterRegion(mask.reshape(height, width), (row, col))

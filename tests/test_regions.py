@@ -1,6 +1,7 @@
 """Raster region algebra: unions, intersections, kernels, accessibility."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,27 @@ def test_demo_family_kernel_walls_off_cavity():
     assert not regions.schoenfliess_test(ker)
 
 
+def traced(fn):
+    """fn() and its tracemalloc peak above the memory held before the call, in MiB."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, (peak - start) / 2**20
+
+
+def test_demo_family_is_built_one_level_at_a_time():
+    # at size 1024 a canvas is 1 MiB: 14.02 MiB with every level's corridor,
+    # body and the full-canvas cavity and throat held until the end, 6.05
+    # with the three outputs and one level's temporaries
+    fam, peak = traced(lambda: regions.build_shrinking_spiral_family(size=1024))
+    assert peak < 7.0
+    assert [f.area() for f in fam] == [555160, 544529, 533789]
+
+
 @pytest.mark.parametrize("size", [256, 512, 1000, 1024])
 def test_disk_matches_int_canvas_on_the_demo_radii(size):
     # the body radii 212 * size / 512 - k, e.g. 414.0625 at size 1000
@@ -414,6 +436,31 @@ def test_pbm_round_trip(tmp_path):
     assert (back.mask == reg.mask).all()
 
 
+@pytest.fixture(scope="module")
+def kernel_pbm(tmp_path_factory):
+    """The 1024 x 1024 demo kernel, saved: 2 MiB of text, a 1 MiB mask."""
+    kernel = regions.kernel_of_shrinking(regions.build_shrinking_spiral_family(size=1024))
+    path = tmp_path_factory.mktemp("kernel") / "kernel.pbm"
+    regions.save_region(kernel, path)
+    return kernel, path
+
+
+def test_save_region_holds_one_raster_of_temporaries(kernel_pbm, tmp_path):
+    # 6.0 MiB with the text built in memory and then joined to its header
+    kernel, path = kernel_pbm
+    _, peak = traced(lambda: regions.save_region(kernel, tmp_path / "kernel.pbm"))
+    assert peak < 2.5
+    assert (tmp_path / "kernel.pbm").read_bytes() == path.read_bytes()
+
+
+def test_load_region_holds_about_one_raster_of_temporaries(kernel_pbm):
+    # 6.0 MiB with the raster split off the text and cast twice
+    kernel, path = kernel_pbm
+    back, peak = traced(lambda: regions.load_region(path))
+    assert peak < 3.5
+    assert np.array_equal(back.mask, kernel.mask) and back.basepoint == kernel.basepoint
+
+
 def test_load_rejects_non_pbm(tmp_path):
     path = tmp_path / "bad.pbm"
     path.write_text("P5\n2 2\n0 1 1 0\n")
@@ -484,3 +531,22 @@ def test_load_rejects_malformed_sidecar_basepoint(tmp_path, meta):
 
 def test_load_keeps_basepoint_on_the_raster(tmp_path):
     assert regions.load_region(write_pbm(tmp_path, b"P1\n2 2\n0 1 1 0\n", (1, 1))).basepoint == (1, 1)
+
+
+@pytest.mark.parametrize("text", [b"{basepoint: [0, 0]}", b"\x80"], ids=["syntax", "encoding"])
+def test_load_rejects_sidecar_that_is_not_json_naming_the_file(tmp_path, text):
+    path = write_pbm(tmp_path, b"P1\n2 2\n0 1 1 0\n")
+    (tmp_path / "plain.pbm.json").write_bytes(text)
+    with pytest.raises(ValueError, match=r"plain\.pbm has a sidecar that is not JSON"):
+        regions.load_region(path)
+
+
+@pytest.mark.parametrize("shape", [[3, 3], [3, 2], [2], "2 x 3"])
+def test_load_rejects_sidecar_shape_other_than_the_raster(tmp_path, shape):
+    # rows then columns, as save_region writes it: [2, 3] for this raster
+    path = write_pbm(tmp_path, b"P1\n3 2\n0 1 1\n0 1 1\n")
+    (tmp_path / "plain.pbm.json").write_text(json.dumps({"basepoint": [0, 1], "shape": shape}))
+    with pytest.raises(ValueError, match=r"plain\.pbm has its sidecar shape .* not the raster's \[2, 3\]"):
+        regions.load_region(path)
+    (tmp_path / "plain.pbm.json").write_text(json.dumps({"basepoint": [0, 1], "shape": [2, 3]}))
+    assert regions.load_region(path).mask.shape == (2, 3)

@@ -336,6 +336,43 @@ def test_contraction_rejects_negative_lipschitz(staircase):
         weight.contraction_certificate(staircase, -1.0)
 
 
+@pytest.mark.parametrize("fld", [
+    weight.random_smooth_field(np.random.default_rng(7)),
+    weight.random_smooth_field(np.random.default_rng(8)),
+    weight.ripple_field(smooth=False),
+    weight.gauss_radial_field(1.0, 0.1),
+])
+def test_contraction_certificate_goes_one_xi_row_at_a_time(fld):
+    # 3.37 MiB for the random field with the whole (xi, angle, radius)
+    # lattice and both difference arrays at once; the certificate is that of
+    # the broadcast, which is copied here
+    n_radial, n_angular, n_xi = 256, 64, 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cert = weight.contraction_certificate(fld, 0.7, n_radial=n_radial, n_angular=n_angular, n_xi=n_xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / 2**20 < 1.5
+    radii = np.linspace(0.0, fld.sup_bound, n_radial + 1)
+    w = radii[None, :] * np.exp(2j * np.pi * np.arange(n_angular) / n_angular)[:, None]
+    xi = weight._xi_lattice(fld, n_xi)
+    vals = fld.evaluate(xi[:, None, None], w[None, :, :])
+    i0 = int(np.argmax(np.maximum.accumulate(vals.max(axis=(0, 1))) <= radii))
+    m0 = float(np.minimum.accumulate(vals.min(axis=(0, 1)))[i0])
+    gap = np.abs(w[1:, 1:] - w[:-1, 1:])
+    sampled = max(
+        float(np.abs(np.diff(vals, axis=2)).max() / (radii[1] - radii[0])),
+        float((np.abs(np.diff(vals, axis=1)).max(axis=0)[:, 1:] / gap).max()),
+    )
+    assert cert.sup_solution_bound == radii[i0] and cert.inf_weight_bound == m0
+    assert cert.sampled_lipschitz == sampled and cert.ratio == 0.7 * (1.0 + radii[i0] / m0)
+    assert cert.lipschitz_verified == (sampled <= 0.7 * (1.0 + 1e-9) + 1e-9)
+    assert cert.valid == (cert.ratio < 1.0 and cert.lipschitz_verified)
+    assert cert.lattice == (xi.size, n_angular, n_radial + 1)
+
+
 def test_contraction_as_dict_round_trips(staircase):
     cert = weight.contraction_certificate(staircase, 4.0 / 3.0)
     d = dataclasses.asdict(cert)
