@@ -48,7 +48,6 @@ from .spectral import (
     derivative,
     grid_angles,
     hp_boundary_distance,
-    poisson_circle,
     poisson_extend,
     schwarz_integral,
 )

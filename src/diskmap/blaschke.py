@@ -21,11 +21,6 @@ class BlaschkeProduct:
         self.zeros = np.asarray(zeros, dtype=np.complex128)
         self.eta = complex(eta)
 
-    @property
-    def value_at_origin(self):
-        """B(0) = eta * prod(-z_j), real and positive by construction."""
-        return float(np.real(self.eta * np.prod(-self.zeros))) if self.zeros.size else 1.0
-
     def __call__(self, z):
         return evaluate(self, z)
 

@@ -13,14 +13,13 @@ log Phi(., f(.)) on circles filling the disk:
 All margins share the certificate tolerance 1e-8.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateBoundaryError, NotUnivalentError
 from .solver import boundary_weight, residual_sup, univalence
-from .spectral import check_grid_size, derivative, grid_angles, grid_points, next_power_of_two, poisson_circles
+from .spectral import check_grid_size, derivative, grid_angles, grid_points, next_power_of_two, schwarz_integral
 
 TOL_CERT = 1e-8
 DERIVATIVE_FLOOR = 1e-14
@@ -62,9 +61,6 @@ class Certificate:
             out["details"] = self.details
         return out
 
-    def to_json(self):
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
-
 
 def _lattice(f, fld, n, n_radii):
     """Extremes of the margin u - log|f'| over the (n_radii, n) lattice.
@@ -72,8 +68,9 @@ def _lattice(f, fld, n, n_radii):
     Returns ((lowest, r, t), (highest, r, t), skipped).  Each extreme sits at
     its first cell in row-major order; cells where |f'| < DERIVATIVE_FLOOR
     are left out and counted, so a lowest of inf means all were skipped.
-    Rows go through in blocks, each one batched transform of log Phi's
-    spectrum and one of f'.  _fence caches the scalars on f per
+    u is the real part of one schwarz_integral of log Phi along f (radii at
+    most 0.999).  Rows go through in blocks, each one batched circle trace
+    of it and one of f'.  _fence caches the scalars on f per
     (fld, n, n_radii), so both fences read one pass.
     """
     n = check_grid_size(n)
@@ -82,11 +79,11 @@ def _lattice(f, fld, n, n_radii):
     fp = derivative(f)
     radii = np.linspace(0.1, 0.999, n_radii)
     rows = max(1, LATTICE_BLOCK // max(n, fp.coeffs.size))
-    starts = range(0, n_radii, rows)
-    blocks = [radii[i : i + rows] for i in starts]
-    log_phi = np.log(boundary_weight(f, fld, n))
+    harmonic = schwarz_integral(np.log(boundary_weight(f, fld, n)))
     lows, highs, skipped = [], [], 0
-    for start, block, u in zip(starts, blocks, poisson_circles(log_phi, blocks)):
+    for start in range(0, n_radii, rows):
+        block = radii[start : start + rows]
+        u = harmonic.circle_trace(block, n).real
         margin = np.abs(fp.circle_trace(block, n))
         skip = margin < DERIVATIVE_FLOOR
         skipped += int(skip.sum())

@@ -192,6 +192,9 @@ def load_coefficients_csv(path):
         raise ConfigError(f"cannot read coefficient CSV {path}: {e}") from None
     if rows.shape[1] != 3:
         raise ConfigError(f"{path}: expected columns k,re_ck,im_ck")
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ConfigError(f"{path}: data row {bad[0] + 1} is not finite: {rows[bad[0]].tolist()}")
     order = np.argsort(rows[:, 0])
     rows = rows[order]
     if not np.array_equal(rows[:, 0], np.arange(rows.shape[0])):

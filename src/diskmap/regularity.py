@@ -13,15 +13,7 @@ import numpy as np
 
 from . import blaschke as blaschke_mod
 from .solver import boundary_weight
-from .spectral import (
-    RESOLVED_RATIO,
-    DiskFunction,
-    check_grid_size,
-    derivative,
-    grid_points,
-    schwarz_integral,
-    tail_ratio,
-)
+from .spectral import DiskFunction, check_grid_size, derivative, grid_points, resolved, schwarz_integral
 
 NOISE_FLOOR_RATIO = 1e-13
 MIN_FIT_POINTS = 8
@@ -105,9 +97,6 @@ class SecondDerivativeResult:
     spectral_gap: float
     used_spectral_angle_derivative: bool
 
-    def as_function(self):
-        return DiskFunction(np.fft.fft(self.values) / self.n)
-
 
 def second_derivative(f, fld, zeros=(), n=512):
     """Boundary values of f'' from the differentiated representation.
@@ -123,7 +112,7 @@ def second_derivative(f, fld, zeros=(), n=512):
     fpvals = derivative(f).trace(n)
     g = np.log(boundary_weight(f, fld, n))
     ghat = np.fft.fft(g)
-    spectral_ok = tail_ratio(ghat[: n // 2 + 1]) < RESOLVED_RATIO  # g is real: one side suffices
+    spectral_ok = resolved(ghat[: n // 2 + 1])  # g is real: one side suffices
     if spectral_ok:
         kk = np.fft.fftfreq(n, d=1.0 / n)
         kk[n // 2] = 0.0

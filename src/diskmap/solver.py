@@ -37,6 +37,7 @@ from .spectral import (
     derivative,
     grid_points,
     next_power_of_two,
+    resolved,
     tail_ratio,
 )
 
@@ -81,7 +82,6 @@ class SolveOptions:
 @dataclass
 class SolveReport:
     f: DiskFunction
-    f_prime: DiskFunction
     n: int
     iterations: int  # steps over every grid, as many as update_history holds
     converged: bool
@@ -93,7 +93,7 @@ class SolveReport:
     theta: float
     zeros: tuple
     field_name: str
-    tail_ratio: float  # spectral.tail_ratio of f_prime, which the refinement compared
+    tail_ratio: float  # spectral.tail_ratio of derivative(f), which the refinement compared
     stop_reason: str  # "tolerance", "residual" (update small, residual not) or "max_iters"
     doublings: int  # refinements past the requested n; the coarse grids below it do not count
 
@@ -112,7 +112,7 @@ class SolveReport:
             "final_update": self.update_history[-1] if self.update_history else None,
             "tail_ratio": self.tail_ratio,
             "doublings": self.doublings,
-            "derivative_at_origin": float(self.f_prime.coeffs[0].real),
+            "derivative_at_origin": float(derivative(self.f).coeffs[0].real),
         }
 
 
@@ -309,7 +309,7 @@ def _solve(fld, zeros, options, depth, sequence=False):
             )
         if dsup < options.tol_update:
             x += theta * r
-            settled = n >= target and derivative(DiskFunction(x)).resolved()
+            settled = n >= target and resolved(derivative(DiskFunction(x)).coeffs)
             if settled:
                 break
             if n >= MAX_GRID:
@@ -346,14 +346,12 @@ def _solve(fld, zeros, options, depth, sequence=False):
     # temporaries stay below the iteration's memory peak
     univalent = univalence(f, n)
     res = residual_sup(f, fld, n)
-    f_prime = derivative(f)
     if settled:
         stop_reason = "tolerance" if res <= options.tol_residual else "residual"
     else:
         stop_reason = "max_iters"
     return SolveReport(
         f=f,
-        f_prime=f_prime,
         n=n,
         iterations=len(sup_hist),
         converged=stop_reason == "tolerance",
@@ -365,7 +363,7 @@ def _solve(fld, zeros, options, depth, sequence=False):
         theta=theta,
         zeros=tuple(np.asarray(zeros, dtype=np.complex128)) if len(zeros) else (),
         field_name=fld.name,
-        tail_ratio=tail_ratio(f_prime.coeffs),
+        tail_ratio=tail_ratio(derivative(f).coeffs),
         stop_reason=stop_reason,
         doublings=doublings,
     )
@@ -392,24 +390,24 @@ def _pair_blocks(starts, counts, block):
         r0 = r1
 
 
-def polygon_is_simple(points, ends=None):
+def polygon_is_simple(points):
     """No two non-adjacent edges of the closed polygon properly cross.
 
-    Edge k runs from points[k] to ends[k], which defaults to
-    np.roll(points, -1).  One O(m) pass accepts a polygon star-shaped
-    about 0: every edge turns about 0 by an angle in (0, pi), and turns
-    adding up to less than 3 pi add up to one full turn, so each ray from 0
-    meets the polygon once (Lee & Preparata, J. ACM 26, 1979).  Any other
-    polygon goes through an O(m log m) sweep: a proper crossing needs
-    overlapping closed x-extents, so the edges are sorted by their left x
-    and each is tested only against the later edges whose left x lies
-    within its own extent (a vectorized sweep in the sense of Shamos &
-    Hoey).  On solved maps that leaves about two pairs per edge.  Pairs go
-    through in blocks of PAIR_BLOCK and the test stops at the first
-    crossing, so memory stays bounded even on wiggly curves.
+    Edge k runs from points[k] to points[k + 1], the last one back to
+    points[0].  One O(m) pass accepts a polygon star-shaped about 0: every
+    edge turns about 0 by an angle in (0, pi), and turns adding up to less
+    than 3 pi add up to one full turn, so each ray from 0 meets the polygon
+    once (Lee & Preparata, J. ACM 26, 1979).  Any other polygon goes through
+    an O(m log m) sweep: a proper crossing needs overlapping closed
+    x-extents, so the edges are sorted by their left x and each is tested
+    only against the later edges whose left x lies within its own extent (a
+    vectorized sweep in the sense of Shamos & Hoey).  On solved maps that
+    leaves about two pairs per edge.  Pairs go through in blocks of
+    PAIR_BLOCK and the test stops at the first crossing, so memory stays
+    bounded even on wiggly curves.
     """
     A = np.asarray(points, dtype=np.complex128)
-    B = np.roll(A, -1) if ends is None else ends
+    B = np.roll(A, -1)
     with np.errstate(divide="ignore", invalid="ignore"):  # a vertex at 0 gives nan turns
         turn = np.angle(B / A)
     if (turn > 0.0).all() and (turn < np.pi).all() and turn.sum() < 3.0 * np.pi:
@@ -442,21 +440,21 @@ def polygon_is_simple(points, ends=None):
     return True
 
 
-def winding_numbers(points, targets, ends=None):
+def winding_numbers(points, targets):
     """Winding number of the closed polygon about each target, or None for
     a target within 1e-12 of a vertex.
 
-    Edge k runs from points[k] to ends[k] (default np.roll(points, -1)).
-    One signed count of the edges crossing a rightward ray from each target
-    (Hormann & Agathos, Comput. Geom. 20, 2001): an edge going up with the
-    target on its left counts +1, one going down with the target on its
-    right -1.  Edges are half-open in y, so a ray through a vertex counts
-    it once and a horizontal edge never.  With the targets sorted by
-    height, an edge meets only the targets whose heights it spans; those
-    (edge, target) pairs go through in blocks of WINDING_BLOCK.
+    Edge k runs from points[k] to points[k + 1], the last one back to
+    points[0].  One signed count of the edges crossing a rightward ray from
+    each target (Hormann & Agathos, Comput. Geom. 20, 2001): an edge going
+    up with the target on its left counts +1, one going down with the
+    target on its right -1.  Edges are half-open in y, so a ray through a
+    vertex counts it once and a horizontal edge never.  With the targets
+    sorted by height, an edge meets only the targets whose heights it
+    spans; those (edge, target) pairs go through in blocks of WINDING_BLOCK.
     """
     P = np.asarray(points, dtype=np.complex128)
-    B = np.roll(P, -1) if ends is None else ends
+    B = np.roll(P, -1)
     w = np.asarray(targets, dtype=np.complex128).ravel()
     order = np.argsort(w.imag, kind="stable")
     w = w[order]
@@ -504,13 +502,12 @@ def univalence(f, n):
 
 def _univalence(f, n):
     P = f.trace(n)
-    B = np.roll(P, -1)
-    if not polygon_is_simple(P, B):
+    if not polygon_is_simple(P):
         return False
     rng = random.Random(0)
     radii = 0.1 + 0.7 * np.array([rng.random() for _ in range(WINDING_SAMPLES)])
     angles = 2.0 * np.pi * np.array([rng.random() for _ in range(WINDING_SAMPLES)])
-    return all(w in (None, 1) for w in winding_numbers(P, f(radii * np.exp(1j * angles)), B))
+    return all(w in (None, 1) for w in winding_numbers(P, f(radii * np.exp(1j * angles))))
 
 
 def interior_critical_points(f, n):

@@ -51,11 +51,17 @@ def grid_points(n):
 
 def tail_ratio(coeffs):
     """Largest of the last max(1, m // 8) of m moduli over the peak (0.0 if all
-    vanish); resolved means below RESOLVED_RATIO.  A window, not one index: a
-    map with m-fold symmetry has a spectrum that is zero off multiples of m."""
+    vanish).  A window, not one index: a map with m-fold symmetry has a
+    spectrum that is zero off multiples of m."""
     mags = np.abs(coeffs)
     peak = mags.max()
     return float(mags[-max(1, mags.size // 8) :].max() / peak) if peak else 0.0
+
+
+def resolved(coeffs):
+    """The one resolution rule: the spectral tail is negligible next to the
+    peak, tail_ratio(coeffs) < RESOLVED_RATIO."""
+    return tail_ratio(coeffs) < RESOLVED_RATIO
 
 
 def _values(u):
@@ -93,14 +99,6 @@ class DiskFunction:
             if isinstance(got, np.ndarray):
                 got.flags.writeable = False
         return self._memo[key]
-
-    @property
-    def degree(self):
-        return self.coeffs.size - 1
-
-    def resolved(self):
-        """The spectral tail is negligible next to the peak (see tail_ratio)."""
-        return tail_ratio(self.coeffs) < RESOLVED_RATIO
 
     def trace(self, n):
         """Boundary values at the n-point grid, cached per n (read-only)."""
@@ -216,24 +214,6 @@ def poisson_extend(u, z):
     if np.any(np.abs(z) > 1.0 + 1e-12):
         raise ValueError("poisson_extend needs |z| <= 1")
     return schwarz_integral(u)(z).real
-
-
-def poisson_circle(u, r):
-    """Harmonic extension of real nodal data on the full circle of radius r."""
-    return next(poisson_circles(u, [r]))
-
-
-def poisson_circles(u, blocks):
-    """poisson_circle on blocks of radii, all from one schwarz_integral of u:
-    for each array of radii in blocks, the real part of one batched circle
-    trace gives the circles' values, shape radii.shape + (n,)."""
-    v = _values(u)
-    F = schwarz_integral(v)
-    for radii in blocks:
-        r = np.asarray(radii, dtype=np.float64)
-        if not np.all((0.0 <= r) & (r <= 1.0 + 1e-12)):
-            raise ValueError("poisson_circle needs 0 <= r <= 1")
-        yield F.circle_trace(np.minimum(r, 1.0), v.size).real
 
 
 def hp_boundary_distance(f, g, p):

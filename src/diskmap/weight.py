@@ -28,9 +28,9 @@ class WeightField:
     With fn None the field is radial: Phi(xi, w) = radial_profile(|w|).
     """
 
-    __slots__ = ("name", "sup_bound", "xi_dependent", "radial_profile", "_fn", "params")
+    __slots__ = ("name", "sup_bound", "xi_dependent", "radial_profile", "_fn")
 
-    def __init__(self, fn, sup_bound, xi_dependent=False, radial_profile=None, name=None, params=None):
+    def __init__(self, fn, sup_bound, xi_dependent=False, radial_profile=None, name=None):
         if not np.isfinite(sup_bound) or sup_bound <= 0.0:
             raise ValueError("sup bound must be finite and positive")
         if fn is None:
@@ -40,7 +40,6 @@ class WeightField:
         self.xi_dependent = bool(xi_dependent)
         self.radial_profile = radial_profile
         self.name = name or "callable"
-        self.params = dict(params or {})
 
     def evaluate(self, xi, w):
         """Phi at unimodular xi and image points w, broadcast together.
@@ -65,7 +64,6 @@ def constant_field(c):
         sup_bound=c,
         radial_profile=lambda r: np.full_like(np.asarray(r, dtype=np.float64), c),
         name=f"constant({c})",
-        params={"c": c},
     )
 
 
@@ -148,7 +146,7 @@ def tabulated_field(path):
     sup = float(cols["phi"].max())
     if sup <= 0.0:
         raise ValueError("tabulated weight has no positive values")
-    return WeightField(fn, sup, radial_profile=profile, name=name, params={"path": str(path)})
+    return WeightField(fn, sup, radial_profile=profile, name=name)
 
 
 def _floored(out):
@@ -229,7 +227,6 @@ def gauss_radial_field(c=1.0, a=0.1):
         sup_bound=c,
         radial_profile=lambda r: c * np.exp(-a * np.square(np.asarray(r, np.float64))),
         name=f"gauss_radial(c={c},a={a})",
-        params={"c": c, "a": a},
     )
 
 
@@ -243,7 +240,6 @@ def cosine_radial_field(c=1.0, eps=0.2, gamma=1.0):
         sup_bound=c * (1.0 + eps),
         radial_profile=lambda r: c * (1.0 + eps * np.cos(gamma * np.asarray(r, np.float64))),
         name=f"cosine_radial(c={c},eps={eps},gamma={gamma})",
-        params={"c": c, "eps": eps, "gamma": gamma},
     )
 
 
@@ -283,7 +279,7 @@ def ripple_field(smooth=True):
         return 2.0 + osc * np.exp(-np.square(np.abs(wb)))
 
     name = "ripple_analytic" if smooth else "ripple_kink"
-    return WeightField(fn, sup_bound=3.0, name=name, params={"smooth": bool(smooth)})
+    return WeightField(fn, sup_bound=3.0, name=name)
 
 
 BUILTIN_FIELDS = {
@@ -331,7 +327,6 @@ def random_smooth_field(rng):
         sup_bound=c * np.exp(alpha + beta),
         xi_dependent=True,
         name="random_smooth",
-        params={"c": c, "alpha": alpha, "beta": beta, "gamma": gamma, "t0": t0, "delta": delta},
     )
 
 

@@ -10,7 +10,7 @@ from diskmap.spectral import grid_points
 
 def test_empty_product_is_one():
     b = blaschke.construct([])
-    assert b.value_at_origin == 1.0
+    assert b(0.0) == 1.0
     z = np.array([0.0, 0.3 + 0.4j, 1.0])
     assert np.abs(b(z) - 1.0).max() == 0.0
     assert np.abs(blaschke.log_derivative(b, z)).max() == 0.0
@@ -29,7 +29,7 @@ def test_unimodular_on_circle_and_positive_at_origin(zeros):
     v = b(np.array(0.0 + 0.0j))
     assert abs(v.imag) < 1e-15
     assert v.real > 0.0
-    assert abs(b.value_at_origin - v.real) < 1e-15
+    assert abs(b.eta * np.prod(-b.zeros) - v) < 1e-15
 
 
 def test_vanishes_exactly_at_zeros():

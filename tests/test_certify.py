@@ -68,8 +68,8 @@ def test_exact_solutions_sit_on_both_fences(staircase, r):
 
 def test_fence_takes_one_log_phi_spectrum():
     # both fences read one lattice: log Phi is transformed once per map, and
-    # the two extremes are bitwise those of one poisson_circle and one
-    # circle_trace call per radius
+    # the two extremes are bitwise those of one harmonic circle trace and
+    # one circle_trace of f' per radius
     fld = weight.random_smooth_field(np.random.default_rng(2))
     f = DiskFunction([0.0, 1.0, 0.3, 0.05j])
     n, n_radii = 256, 16
@@ -81,7 +81,8 @@ def test_fence_takes_one_log_phi_spectrum():
     fp = derivative(f)
     radii = np.linspace(0.1, 0.999, n_radii)
     margins = np.array([
-        spectral.poisson_circle(log_phi, r) - np.log(np.abs(fp.circle_trace(r, n))) for r in radii
+        spectral.schwarz_integral(log_phi).circle_trace(r, n).real - np.log(np.abs(fp.circle_trace(r, n)))
+        for r in radii
     ])
     angles = spectral.grid_angles(n)
     lo = np.unravel_index(np.argmin(margins), margins.shape)
@@ -94,9 +95,9 @@ def test_fence_takes_one_log_phi_spectrum():
 
 
 def _per_radius_fences(f, fld, n, n_radii, tol=certify.TOL_CERT):
-    """The reference sub- and supersolution fences: one poisson_circle and
-    one circle_trace per radius, and each fence's worst cell kept on a
-    strict < from row to row."""
+    """The reference sub- and supersolution fences: one circle trace of the
+    harmonic extension of log Phi and one of f' per radius, and each
+    fence's worst cell kept on a strict < from row to row."""
     log_phi = np.log(fld.evaluate(spectral.grid_points(n), f.trace(n)))
     fp = derivative(f)
     angles = spectral.grid_angles(n)
@@ -106,7 +107,7 @@ def _per_radius_fences(f, fld, n, n_radii, tol=certify.TOL_CERT):
         skip = mod_fp < certify.DERIVATIVE_FLOOR
         skipped += int(skip.sum())
         with np.errstate(divide="ignore"):
-            margin = spectral.poisson_circle(log_phi, r) - np.log(mod_fp)
+            margin = spectral.schwarz_integral(log_phi).circle_trace(r, n).real - np.log(mod_fp)
         for k, sign in enumerate((1.0, -1.0)):
             usable = np.where(skip, np.inf, sign * margin)
             i = int(np.argmin(usable))
@@ -317,7 +318,7 @@ def test_newton_inverse_reports_critical_point_and_stall():
 
 def test_certificate_json_round_trip(unit_field):
     cert = certify.check_subsolution(solver.scaled_identity(0.5), unit_field)
-    back = json.loads(cert.to_json())
+    back = json.loads(json.dumps(cert.as_dict()))
     assert back["kind"] == cert.kind
     assert back["pass"] == cert.passed
     assert back["worst_margin"] == cert.worst_margin
@@ -328,5 +329,5 @@ def test_certificate_json_round_trip(unit_field):
 
 def test_free_boundary_json_keeps_details(staircase, maximal_report):
     cert = certify.free_boundary_check(maximal_report.f, staircase)
-    back = json.loads(cert.to_json())
+    back = json.loads(json.dumps(cert.as_dict()))
     assert back["details"]["residual"] == cert.details["residual"]

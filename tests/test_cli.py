@@ -467,6 +467,24 @@ def test_nan_cell_in_tabulated_csv_exits_two(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ["certify", "--field", "staircase", "--map"],
+    ["spectrum", "--map"],
+    ["solve", "--field", "staircase", "--init"],
+], ids=["certify", "spectrum", "solve"])
+def test_non_finite_coefficient_csv_exits_two(tmp_path, capsys, command, value):
+    # every command reads a map through the one loader, which rejects a NaN
+    # or infinite coefficient before anything is solved, certified or written
+    path = tmp_path / "bad.csv"
+    path.write_text(f"k,re_ck,im_ck\n0,0.0,0.0\n1,{value},0.0\n2,0.5,0.0\n")
+    spec = f"csv:{path}" if command[0] == "solve" else path
+    assert run(command + [spec, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and f"{path}: data row 2 is not finite" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
+
 # ---------------------------------------------------------------------------
 # JSON bytes: _plain serializes result dataclasses through dataclasses.asdict.
 # The hand-written as_dict bodies it replaced are kept here as the oracle.

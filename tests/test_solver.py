@@ -131,7 +131,7 @@ def test_grid_doubles_until_tail_resolves():
     assert rep.converged
     assert rep.doublings >= 1
     assert rep.n >= 16
-    assert rep.f_prime.resolved()
+    assert spectral.resolved(spectral.derivative(rep.f).coeffs)
 
 
 def test_nan_weight_fails_on_first_operator_step():
@@ -195,7 +195,7 @@ def test_unresolved_tail_refines_whatever_the_stop_reason(staircase):
     # instead of the run stopping on "residual"
     rep = solver.solve(staircase, zeros=[0.995], options=SolveOptions(n=512, initial_map=1.0))
     assert (rep.n, rep.doublings, rep.stop_reason) == (8192, 4, "tolerance")
-    assert rep.f_prime.resolved()
+    assert spectral.resolved(spectral.derivative(rep.f).coeffs)
     # one loop, one report: 6 + 3 + 3 + 3 + 3 steps on the grids 512 .. 8192
     assert rep.iterations == len(rep.update_history) == len(rep.update_history_l2) == 18
 
@@ -233,7 +233,7 @@ def _oracle_cases():
 def test_report_tail_ratio_is_the_refinement_measure():
     for name, fld, zeros, opts in _oracle_cases():
         rep = solver.solve(fld, zeros=zeros, options=opts)
-        assert rep.tail_ratio == spectral.tail_ratio(rep.f_prime.coeffs), name
+        assert rep.tail_ratio == spectral.tail_ratio(spectral.derivative(rep.f).coeffs), name
 
 
 def test_anderson_matches_plain_damped_iteration_in_fewer_steps():

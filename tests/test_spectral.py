@@ -23,8 +23,6 @@ from diskmap.spectral import (
     hp_boundary_distance,
     is_power_of_two,
     next_power_of_two,
-    poisson_circle,
-    poisson_circles,
     poisson_extend,
     schwarz_integral,
 )
@@ -119,11 +117,6 @@ def test_circle_blocks_are_the_one_radius_rows(m, n):
     block = f.circle_trace(radii, n)
     assert block.shape == (17, n) and f.circle_trace(0.5, n).shape == (n,)
     assert block.tobytes() == b"".join(f.circle_trace(r, n).tobytes() for r in radii)
-    u = rng.standard_normal(n)
-    rows = np.concatenate(list(poisson_circles(u, [radii[:1], radii[1:9], radii[9:]])))
-    assert rows.tobytes() == b"".join(poisson_circle(u, r).tobytes() for r in radii)
-    with pytest.raises(ValueError):
-        next(poisson_circles(u, [np.array([0.5, 1.5])]))
 
 
 def test_call_is_horner():
@@ -183,16 +176,15 @@ def test_call_chunks_many_points(monkeypatch):
 
 
 def test_degree_and_resolved():
-    f = DiskFunction([0.0, 1.0, 0.0, 0.0])
-    assert f.degree == 3  # storage length, trailing zeros included
+    assert DiskFunction([0.0, 1.0, 0.0, 0.0]).coeffs.size == 4  # trailing zeros are kept
     padded = np.zeros(512, dtype=complex)
     padded[1] = 6.0
-    assert DiskFunction(padded).resolved()
+    assert spectral.resolved(padded)
     slow = DiskFunction(0.999 ** np.arange(512, dtype=float) + 0j)
-    assert not slow.resolved()
+    assert not spectral.resolved(slow.coeffs)
     # 4-fold symmetric: the top coefficient is an exact zero, its window is not
     symmetric = np.where(np.arange(512) % 4 == 1, slow.coeffs, 0.0)
-    assert symmetric[-1] == 0.0 and not DiskFunction(symmetric).resolved()
+    assert symmetric[-1] == 0.0 and not spectral.resolved(symmetric)
 
 
 @pytest.mark.parametrize("m", [*range(1, 10), 16, 17, 64, 100])
@@ -206,7 +198,7 @@ def test_tail_ratio_reads_the_last_eighth(m):
     c[m - window] = 1e-3j  # the window's first index
     want = 1.0 if m == 1 else 1e-3 / 4.0
     assert spectral.tail_ratio(c) == want
-    assert DiskFunction(c).resolved() == (want < spectral.RESOLVED_RATIO)
+    assert spectral.resolved(c) == (want < spectral.RESOLVED_RATIO)
 
 
 def test_derivative_is_built_once_and_shares_its_traces():
@@ -301,7 +293,7 @@ def test_poisson_circle_matches_pointwise_extension():
     t = grid_angles(n)
     u = sum(rng.standard_normal() * np.cos(k * t) for k in range(1, 8))
     r = 0.55
-    circle = poisson_circle(u, r)
+    circle = schwarz_integral(u).circle_trace(r, n).real
     pts = r * grid_points(n)
     assert np.abs(circle - poisson_extend(u, pts)).max() < 1e-12
 

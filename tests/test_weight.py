@@ -117,9 +117,13 @@ def test_radial_field_evaluates_its_profile_at_the_modulus():
 def test_random_smooth_field_sup_is_attained():
     for seed in range(6):
         f = weight.random_smooth_field(np.random.default_rng(seed))
-        p = f.params
-        xi0 = np.exp(1j * p["t0"])
-        w0 = np.sqrt((2.0 * np.pi - p["delta"]) / p["gamma"])
+        # the field's six draws replayed from the seed: c, alpha, beta, then
+        # the three that place its peak
+        draws = np.random.default_rng(seed)
+        draws.uniform(0.9, 1.8), draws.uniform(0.0, 0.25), draws.uniform(0.0, 0.12)
+        gamma, t0, delta = draws.uniform(0.4, 1.2), draws.uniform(0.0, 2.0 * np.pi), draws.uniform(0.0, 2.0 * np.pi)
+        xi0 = np.exp(1j * t0)
+        w0 = np.sqrt((2.0 * np.pi - delta) / gamma)
         peak = float(f.evaluate(xi0, np.array(w0 + 0.0j)))
         assert abs(peak - f.sup_bound) < 1e-12 * f.sup_bound
         rng = np.random.default_rng(100 + seed)
