@@ -51,7 +51,8 @@ class Certificate:
         out = {
             "kind": self.kind,
             "pass": self.passed,
-            "worst_margin": self.worst_margin,
+            # null when every lattice cell was skipped: strict JSON has no Infinity
+            "worst_margin": self.worst_margin if np.isfinite(self.worst_margin) else None,
             "worst_location": self.worst_location,
             "tolerance": self.tolerance,
             "lattice": self.lattice,

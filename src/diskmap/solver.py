@@ -10,11 +10,11 @@ where B carries the prescribed critical points and S is the Schwarz integral.
 The solver iterates on the Taylor coefficients with Anderson mixing of depth
 ANDERSON_DEPTH on top of the damped step f <- f + theta (U(f) - f) (Walker &
 Ni, SIAM J. Numer. Anal. 49, 2011).  It is one loop over every grid size.
-It starts on a coarse grid and doubles each time the update settles, until
-it reaches the requested n: nested iteration, the outer loop of full
-multigrid (Brandt, Math. Comp. 31, 1977), so a fine grid only polishes a
-fixed point the coarse grids already found.  From n on, the grid doubles
-only when the update settles on an f' whose spectral tail is unresolved.
+It starts on a coarse grid, and each time the update settles on an f'
+whose spectral tail is unresolved the grid doubles: nested iteration, the
+outer loop of full multigrid (Brandt, Math. Comp. 31, 1977).  Below the
+requested n, a coarse fixed point that resolves f' is zero-padded straight
+to n, which then takes at least one step.
 The update is measured where every verdict reads the map, as the sup of
 |(U(f) - f)'| over the grid.  max_iters bounds the steps of the whole run,
 and the update histories span every grid.  With depth 0 the same loop is
@@ -149,9 +149,8 @@ def _operator_step(plan, fld, fvals):
     del phi
     if plan.blaschke is not None:
         g *= plan.blaschke
-    gc = np.fft.fft(g)
+    gc = np.fft.fft(g, norm="forward")
     del g
-    gc /= n
     gc[0] = gc[0].real  # U(f)'(0) = B(0) exp(S(0)) is real and positive
     fprime = gc[: n - 1]
     prim = np.empty(n, dtype=np.complex128)
@@ -195,14 +194,14 @@ def solve(fld, zeros=(), options=None):
     """Run the Anderson-mixed iteration to a certified fixed point.
 
     The run starts on COARSE_GRID points (or on the initial map's own grid,
-    if that is finer) and doubles each time the update settles, up to
-    options.n, the finest grid the answer is solved on; a solve with
-    n <= COARSE_GRID runs on n from its first step, and one with n above
-    MAX_GRID = 2**15 raises ValueError before it.  Convergence means both:
-    the sup over the grid of the last update's derivative, |(U(f) - f)'|,
-    below tol_update, and residual below tol_residual.  When the update
-    settles at n or above on a derivative whose spectral tail is
-    unresolved, the grid doubles (up to 2**15) and the iteration goes on;
+    if that is finer), and the grid doubles (up to 2**15) each time the
+    update settles on an f' whose spectral tail is unresolved.  Below
+    options.n, the finest grid the answer is solved on, a resolved f' is
+    zero-padded straight to n, which then takes at least one step of its
+    own.  A solve with n <= COARSE_GRID runs on n from its first step, and
+    one with n above MAX_GRID raises ValueError before it.  Convergence
+    means both: the sup over the grid of the last update's derivative,
+    |(U(f) - f)'|, below tol_update, and residual below tol_residual.
     max_iters bounds the steps over all grids.  A budget spent below n
     still reports on n.
     """
@@ -247,19 +246,21 @@ def _solve(fld, zeros, options, depth, sequence=False):
     """One iteration loop over every grid; depth 0 is the plain damped iteration.
 
     With sequence, the loop starts on the coarse grid (COARSE_GRID, or the
-    initial map's own grid if that is finer, never above options.n) and
-    doubles whenever the update settles below options.n; without it, every
-    step from the first runs at options.n, so that contraction_rate
-    compares the updates of one operator.  An options.n above MAX_GRID is
-    rejected before the first step: no grid could resolve the answer.
+    initial map's own grid if that is finer, never above options.n), and
+    each time the update settles below options.n it doubles on an f' that
+    is not spectral.resolved and jumps to options.n on one that is; without
+    it, every step from the first runs at options.n, so that
+    contraction_rate compares the updates of one operator.  An options.n
+    above MAX_GRID is rejected before the first step: no grid could resolve
+    the answer.
 
     With r = U(x) - x the damped step is theta r.  Anderson mixing subtracts
     sum_i gamma_i (dX_i + theta dR_i), where dX_i and dR_i are the last
     changes of x and r and gamma fits r by the dR_i in least squares.  The
     history holds the last depth steps taken, newest first: dX_i is the
     step itself, and a full history's newest dR_i reuses the row it evicts,
-    so a grid that settles on its first step allocates none.  A doubled
-    grid starts with a fresh plan, an empty mixing history and a new
+    so a grid that settles on its first step allocates none.  A new grid
+    starts with a fresh plan, an empty mixing history and a new
     reference update for the divergence guard.
     """
     options = options or SolveOptions()
@@ -279,21 +280,20 @@ def _solve(fld, zeros, options, depth, sequence=False):
     sup_hist, l2_hist = [], []
     doublings = 0
     plan = None
-    settled = False
+    stop_reason = "max_iters"
 
     for _ in range(options.max_iters):
         if plan is None:
             plan = _plan(b, n)
             dX, dR = [], []  # the last changes of x and r, newest first
             first_update = None
-        fvals = np.fft.ifft(x)
-        fvals *= n
+        fvals = np.fft.ifft(x, norm="forward")
         r, fprime = _operator_step(plan, fld, fvals)
         del fvals, fprime  # fprime views the step's whole spectrum
         r -= x
         # sup over the grid of |(U(f) - f)'| = |sum_k k r_k xi^k|, the
         # derivative that the residual and every certificate read
-        dsup = float(np.abs(np.fft.ifft(plan.k * r)).max()) * n
+        dsup = float(np.abs(np.fft.ifft(plan.k * r, norm="forward")).max())
         l2_hist.append(math.sqrt(np.vdot(r, r).real))
         sup_hist.append(dsup)
         if not math.isfinite(dsup):
@@ -309,16 +309,17 @@ def _solve(fld, zeros, options, depth, sequence=False):
             )
         if dsup < options.tol_update:
             x += theta * r
-            settled = n >= target and resolved(derivative(DiskFunction(x)).coeffs)
-            if settled:
+            fine = resolved(derivative(DiskFunction(x)).coeffs)
+            if fine and n >= target:
+                stop_reason = "tolerance"
                 break
             if n >= MAX_GRID:
                 raise ResolutionExceededError(f"derivative tail unresolved at the maximum grid size {MAX_GRID}")
             if n >= target:
                 doublings += 1
-            n *= 2
+            n = target if fine else 2 * n
             x = _pad_coeffs(x, n)
-            plan = dX = dR = r = None  # the next step starts on the doubled grid
+            plan = dX = dR = r = None  # the next step starts on the new grid
             continue
         step = theta * r
         if dR:
@@ -346,10 +347,8 @@ def _solve(fld, zeros, options, depth, sequence=False):
     # temporaries stay below the iteration's memory peak
     univalent = univalence(f, n)
     res = residual_sup(f, fld, n)
-    if settled:
-        stop_reason = "tolerance" if res <= options.tol_residual else "residual"
-    else:
-        stop_reason = "max_iters"
+    if stop_reason == "tolerance" and not res <= options.tol_residual:
+        stop_reason = "residual"  # the update settled, the residual did not
     return SolveReport(
         f=f,
         n=n,

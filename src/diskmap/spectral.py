@@ -122,9 +122,8 @@ class DiskFunction:
         padded[..., :m] = c
         if r.ndim or r != 1.0:
             padded[..., :m] *= np.power(r[..., None], np.arange(m))
-        got = np.fft.ifft(padded, axis=-1)
+        got = np.fft.ifft(padded, axis=-1, norm="forward")
         del padded
-        got *= size
         # a copy, so that a cached trace does not pin the big-point transform
         return got if size == n else got[..., :: size // n].copy()
 
@@ -198,7 +197,7 @@ def schwarz_integral(u):
     """
     v = _values(u)
     n = v.size
-    spec = np.fft.fft(v) / n
+    spec = np.fft.fft(v, norm="forward")
     c = np.zeros(n // 2 + 1, dtype=np.complex128)
     c[0] = spec[0].real
     c[1 : n // 2] = 2.0 * spec[1 : n // 2]

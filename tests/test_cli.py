@@ -240,6 +240,20 @@ def test_certify_keeps_the_verdicts_reached_before_an_error(tmp_path, capsys):
     assert "residual" not in payload
 
 
+def test_certify_writes_strict_json_when_every_cell_is_skipped(tmp_path, capsys):
+    # f' vanishes on the whole fence lattice, so the margin is inf
+    path = write_map(tmp_path / "flat.csv", [0.5])
+    assert run(["certify", "--field", "staircase", "--map", path, "--checks", "subsolution", "--out", tmp_path]) == 1
+    assert capsys.readouterr().out == "FAIL subsolution: worst_margin=inf\n"
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    payload = json.loads((tmp_path / "certificates.json").read_text(), parse_constant=reject)
+    [cert] = payload["certificates"]
+    assert (cert["worst_margin"], cert["skipped"], cert["pass"]) == (None, 8192, False)
+
+
 @pytest.mark.parametrize("checks", [",", ""])
 def test_certify_rejects_an_empty_check_list(tmp_path, capsys, checks):
     path = write_map(tmp_path / "six.csv", [0.0, 6.0])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import itertools
 import random
 import tracemalloc
 from unittest import mock
@@ -346,10 +347,10 @@ def test_sequenced_solve_matches_the_solve_on_the_fine_grid_alone(seed, monkeypa
     opts = SolveOptions(n=32768)
     grids = _grids(monkeypatch)
     rep = solver.solve(fld, options=opts)
-    # nested iteration: the steps climb from the coarse grid to n, and the
-    # doublings below n are not refinements
+    # nested iteration: the coarse fixed point resolves f', so it is padded
+    # straight to n, and the jump below n is not a refinement
     assert grids[0] == solver.COARSE_GRID and grids[-1] == 32768
-    assert grids == sorted(grids) and set(grids) == {solver.COARSE_GRID << i for i in range(7)}
+    assert grids == sorted(grids) and set(grids) == {solver.COARSE_GRID, 32768}
     assert rep.doublings == 0
     grids.clear()
     direct = solver._solve(fld, (), opts, solver.ANDERSON_DEPTH)
@@ -357,6 +358,25 @@ def test_sequenced_solve_matches_the_solve_on_the_fine_grid_alone(seed, monkeypa
     assert (rep.n, rep.converged, rep.stop_reason) == (direct.n, direct.converged, direct.stop_reason)
     assert rep.converged
     assert np.abs(rep.f.coeffs - direct.f.coeffs).max() <= 1e-10
+
+
+def test_a_resolved_coarse_fixed_point_goes_straight_to_n(monkeypatch):
+    # the 512-point fixed point resolves f': one confirming step on n, none
+    # on the grids between
+    fld = weight.random_smooth_field(np.random.default_rng(0))
+    grids = _grids(monkeypatch)
+    rep = solver.solve(fld, options=SolveOptions(n=32768))
+    assert grids == [solver.COARSE_GRID] * 9 + [32768]
+    assert (rep.n, rep.converged, rep.doublings, rep.iterations) == (32768, True, 0, 10)
+
+
+def test_the_coarse_grids_double_only_while_f_prime_is_unresolved(monkeypatch):
+    # the branched solve doubles until 4096 resolves f', then jumps to n
+    grids = _grids(monkeypatch)
+    rep = solver.solve(weight.bounded_parabola_field(), zeros=[-0.5], options=SolveOptions(n=32768))
+    steps = [(n, len(list(run))) for n, run in itertools.groupby(grids)]
+    assert steps == [(512, 36), (1024, 18), (2048, 16), (4096, 16), (32768, 16)]
+    assert (rep.n, rep.converged, rep.doublings) == (32768, True, 0)
 
 
 def test_warm_start_begins_on_the_initial_maps_grid(monkeypatch):

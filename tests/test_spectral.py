@@ -67,6 +67,16 @@ def test_coefficient_boundary_round_trip(seed):
     assert np.abs(back.coeffs[m:]).max() < 1e-13
 
 
+@pytest.mark.parametrize("n", [8, 512, 32768])
+def test_unnormalized_trace_matches_the_rescaled_inverse_transform_bit_for_bit(n):
+    # scaling by the power of two n is exact, so dropping it changes no bit
+    rng = np.random.default_rng(n)
+    padded = np.zeros(n, dtype=np.complex128)
+    padded[: n // 2] = random_coeffs(rng, n // 2)
+    got = DiskFunction(padded[: n // 2]).trace(n)
+    assert got.tobytes() == (np.fft.ifft(padded) * n).tobytes()
+
+
 def test_trace_subsamples_unresolved_coefficients():
     rng = np.random.default_rng(3)
     f = DiskFunction(random_coeffs(rng, 21))
