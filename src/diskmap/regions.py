@@ -13,8 +13,8 @@ set operations used when comparing image domains of solved maps:
   region, with every boundary cell reachable from it?
 
 Components are found on the rows' runs of set cells with a vectorised
-union-find, and the one-cell morphology is four shifted boolean operations,
-so the module needs numpy alone.
+union-find, the one-cell morphology is four contiguous shifts of the flat
+canvas, and disks are painted one span per row, so the module needs numpy alone.
 """
 
 import json
@@ -86,13 +86,27 @@ def _paint(shape, start, stop):
     return np.repeat(np.arange(bounds.size - 1) % 2 == 1, np.diff(bounds)).reshape(h, w + 1)[:, 1:]
 
 
+def _cross(mask, op):
+    """mask combined by op with its 4-neighbours, each a contiguous shift of
+    the flat canvas; a horizontal shift wraps a row's last cell onto the next
+    row's first, so the caller mends the two edge columns."""
+    w = mask.shape[1]
+    src = np.ascontiguousarray(mask).reshape(-1)
+    out = src.copy()
+    for k in (w, 1):
+        op(out[k:], src[:-k], out=out[k:])
+        op(out[:-k], src[k:], out=out[:-k])
+    return out.reshape(mask.shape)
+
+
 def dilate(mask):
     """One-cell dilation of a boolean mask by its 4-neighbours (the cross stencil)."""
-    out = mask.copy()
-    out[1:] |= mask[:-1]
-    out[:-1] |= mask[1:]
-    out[:, 1:] |= mask[:, :-1]
-    out[:, :-1] |= mask[:, 1:]
+    out = _cross(mask, np.logical_or)
+    # redo each edge column as its own (one column wide, purely vertical)
+    # dilation plus its inner neighbour
+    if mask.shape[1] > 1:
+        for c, beside in ((0, 1), (-1, -2)):
+            out[:, c] = dilate(mask[:, [c]])[:, 0] | mask[:, beside]
     return out
 
 
@@ -106,12 +120,9 @@ def _dilation_leaves(inner, outer):
 
 def erode(mask):
     """One-cell erosion of a boolean mask by its 4-neighbours (the cross
-    stencil); cells off the canvas count as unset, so the border always erodes."""
-    out = mask.copy()
-    out[1:] &= mask[:-1]
-    out[:-1] &= mask[1:]
-    out[:, 1:] &= mask[:, :-1]
-    out[:, :-1] &= mask[:, 1:]
+    stencil); cells off the canvas count as unset, so the border always erodes
+    (which also clears what the flat shifts wrapped into the edge columns)."""
+    out = _cross(mask, np.logical_and)
     out[[0, -1], :] = False
     out[:, [0, -1]] = False
     return out
@@ -142,7 +153,7 @@ class RasterRegion:
         return not _bounded_complement(self.mask).any()
 
     def area(self):
-        return int(self.mask.sum())
+        return int(np.count_nonzero(self.mask))
 
     def same_frame(self, other):
         return self.mask.shape == other.mask.shape and self.basepoint == other.basepoint
@@ -197,16 +208,24 @@ def _basepoint_component(mask, basepoint, missing):
     return RasterRegion(_paint(mask.shape, start[keep], stop[keep]), basepoint)
 
 
+def _fold(op, regions):
+    """The regions' masks combined by op, in place on one fresh canvas."""
+    out = regions[0].mask.copy()
+    for r in regions[1:]:
+        op(out, r.mask, out=out)
+    return out
+
+
 def extended_union(*regions):
     """Union of the regions with all holes filled."""
     regions = _one_frame(regions)
-    return RasterRegion(fill_holes(np.logical_or.reduce([r.mask for r in regions])), regions[0].basepoint)
+    return RasterRegion(fill_holes(_fold(np.logical_or, regions)), regions[0].basepoint)
 
 
 def reduced_intersection(*regions):
     """Basepoint component of the intersection of the regions."""
     regions = _one_frame(regions)
-    inter = np.logical_and.reduce([r.mask for r in regions])
+    inter = _fold(np.logical_and, regions)
     return _basepoint_component(
         inter, regions[0].basepoint, EmptyIntersectionError("intersection misses the basepoint")
     )
@@ -255,7 +274,7 @@ def kernel_of_shrinking(regions):
             raise InvalidSequenceError(
                 f"family is not strictly shrinking at step {i} -> {i + 1}", index=i
             )
-    inter = np.logical_and.reduce([r.mask for r in regions])
+    inter = _fold(np.logical_and, regions)
     bp = regions[0].basepoint
     if not _at(inter, bp):
         raise EmptyIntersectionError("intersection misses the basepoint")
@@ -286,9 +305,17 @@ def _paint_curve(shape, points, half_width):
 
 
 def _disk(shape, center, radius):
-    rr, cc = np.ogrid[: shape[0], : shape[1]]
-    # row against column: only a bool canvas; the dyadic demo radii keep every term exact
-    return (cc - center[1]) ** 2 <= radius * radius - (rr - center[0]) ** 2
+    """Cells with dx^2 <= radius^2 - dy^2, painted as one span per row."""
+    rows = np.arange(shape[0])
+    room = radius * radius - (rows - center[0]) ** 2
+    # the half-chord is the largest m with m^2 <= room, the comparison each
+    # cell would make; a correctly rounded sqrt may overshoot it by one, never undershoot
+    m = np.floor(np.sqrt(np.maximum(room, 0))).astype(np.int64)
+    m -= m * m > room
+    # clipped to the canvas, a row the disk misses keeps an empty span
+    lo = np.clip(center[1] - m, 0, shape[1])
+    offset = rows * (shape[1] + 1) + 1
+    return _paint(shape, offset + lo, offset + np.clip(center[1] + m + 1, lo, shape[1]))
 
 
 def _spiral_points(center, a_from, a_to, r_at, step_deg=0.2):
@@ -395,7 +422,9 @@ def load_region(path):
     bits are a view of the text packed without whitespace, so loading holds
     about one raster of temporaries beyond the file's text."""
     path = Path(path)
-    text = re.sub(rb"#[^\r\n]*", b"", path.read_bytes())
+    text = path.read_bytes()
+    if b"#" in text:
+        text = re.sub(rb"#[^\r\n]*", b"", text)
     header = re.match(rb"\s*P1\s+(\d+)\s+(\d+)(?!\S)", text)
     if header is None:
         raise ValueError(f"{path} is not an ASCII PBM file")

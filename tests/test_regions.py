@@ -171,6 +171,31 @@ def test_nary_forms_need_input():
         regions.kernel_of_shrinking([])
 
 
+@settings(max_examples=40, deadline=None)
+@given(count=st.sampled_from([1, 2, 5]), seed=st.integers(0, 2**32 - 1))
+def test_nary_folds_match_the_stacked_reduce(count, seed):
+    # the folds work in place on one canvas, which must be a copy: every
+    # input mask is unchanged afterwards
+    rng = np.random.default_rng(seed)
+    terms = [random_region(rng) for _ in range(count)]
+    # successive erosions of one region shrink strictly (an opening lies
+    # inside its region) and keep the basepoint, whose disk has radius 6 or more
+    family = [terms[0]]
+    for _ in range(count - 1):
+        family.append(RasterRegion(regions.erode(family[-1].mask), BASE))
+    before = [r.mask.copy() for r in terms + family]
+
+    union = np.logical_or.reduce([r.mask for r in terms])
+    assert np.array_equal(regions.extended_union(*terms).mask, regions.fill_holes(union))
+    labels, _ = ndimage.label(np.logical_and.reduce([r.mask for r in terms]), structure=CROSS)
+    assert np.array_equal(regions.reduced_intersection(*terms).mask, labels == labels[BASE])
+    inter = np.logical_and.reduce([r.mask for r in family])
+    labels, _ = ndimage.label(regions.erode(regions.erode(regions.dilate(inter))), structure=CROSS)
+    assert np.array_equal(regions.kernel_of_shrinking(family).mask, labels == labels[BASE])
+    for r, mask in zip(terms + family, before):
+        assert np.array_equal(r.mask, mask)
+
+
 # ---------------------------------------------------------------------------
 # kernels of shrinking families
 
@@ -291,10 +316,22 @@ def test_disk_matches_int_canvas_on_the_demo_radii(size):
     h=st.integers(1, 40),
     w=st.integers(1, 40),
     center=st.tuples(st.integers(-8, 48), st.integers(-8, 48)),
-    radius=st.one_of(st.integers(0, 50), st.integers(0, 800).map(lambda k: k / 16.0)),
+    radius=st.one_of(
+        st.integers(0, 50), st.integers(0, 800).map(lambda k: k / 16.0), st.floats(0, 60)
+    ),
 )
 @example(h=40, w=40, center=(0, 39), radius=12.0625)
 @example(h=40, w=40, center=(39, 40), radius=0.0)
+# Pythagorean rows, where r^2 - dy^2 is a perfect square and the row's
+# half-chord must round neither up nor down: 3-4-5, 5-12-13, 7-24-25 and 15-20-25
+@example(h=40, w=40, center=(20, 20), radius=5)
+@example(h=40, w=40, center=(20, 20), radius=5.0)
+@example(h=40, w=40, center=(20, 20), radius=13)
+@example(h=40, w=40, center=(20, 20), radius=13.0)
+@example(h=40, w=40, center=(20, 20), radius=25)
+@example(h=40, w=40, center=(20, 20), radius=25.0)
+# r^2 - 1 is the double just below 81, whose square root rounds up to 9.0
+@example(h=40, w=40, center=(20, 20), radius=9.055385138137416)
 def test_disk_matches_int_canvas_near_the_edges(h, w, center, radius):
     got = regions._disk((h, w), center, radius)
     assert np.array_equal(got, disk_with_int_canvas((h, w), center, radius))
@@ -378,6 +415,28 @@ def assert_matches_ndimage(mask):
 def test_runs_and_morphology_match_ndimage(shape, density, seed):
     # random masks touch the canvas border on every side
     assert_matches_ndimage(np.random.default_rng(seed).random(shape) < density)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+    density=st.floats(0.3, 0.7),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=(9, 1), density=0.5, seed=3)
+@example(shape=(9, 2), density=0.5, seed=4)
+@example(shape=(1, 9), density=0.5, seed=5)
+@example(shape=(2, 9), density=0.5, seed=6)
+@example(shape=(1, 1), density=0.5, seed=7)
+def test_morphology_matches_ndimage_on_any_layout(shape, density, seed):
+    # the flat shifts need a C-contiguous canvas: a transposed mask, a strided
+    # view and a Fortran-ordered copy must come out the same and stay unchanged
+    mask = np.random.default_rng(seed).random(shape) < density
+    for layout in (mask, mask.T, mask[::2, ::3], np.asfortranarray(mask)):
+        before = layout.copy()
+        assert np.array_equal(regions.dilate(layout), ndimage.binary_dilation(layout, structure=CROSS))
+        assert np.array_equal(regions.erode(layout), ndimage.binary_erosion(layout, structure=CROSS))
+        assert np.array_equal(layout, before)
 
 
 @pytest.mark.parametrize("size", [256, 512, 1024])
