@@ -1,7 +1,9 @@
 """Command line front end: solve, certify, scan, geometry, spectrum.
 
-Configuration comes from an optional flat ``key=value`` file (``--config``)
-with command line flags taking precedence; unknown config keys are rejected.
+Each setting is a flag with one type and one default.  An optional flat
+``key=value`` file (``--config``) replaces the defaults of the flags it
+names, each value typed by its flag; flags on the command line win, and
+unknown config keys are rejected.
 Reports are JSON, traces and coefficients are CSV, curve plots are
 standalone SVG, raster regions are PBM with a JSON sidecar.
 
@@ -36,7 +38,7 @@ from .regions import (
     schoenfliess_test,
 )
 from .regularity import second_derivative, spectrum_report
-from .solver import SolveOptions, boundary_weight, radial_scan, residual_sup, solve
+from .solver import SolveOptions, boundary_weight, check_tolerance, radial_scan, residual_sup, solve
 from .spectral import DiskFunction, derivative, grid_angles
 from .weight import make_builtin, radial_scale_check, superharmonic_check, tabulated_field
 
@@ -63,44 +65,24 @@ def read_config(path):
     return out
 
 
-def merge_config(args):
-    """Config file first, then explicit command line values on top.
-
-    The known keys of a subcommand are the destinations of its flags.
-    """
-    cfg = read_config(args.config) if args.config else {}
-    known = set(vars(args)) - {"command", "config"}
-    for key in cfg:
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r} for {args.command}; known: {sorted(known)}")
-    for key in known:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    return cfg
-
-
 def _split_list(text):
-    return [item.strip() for item in str(text).split(",") if item.strip()]
+    return [item.strip() for item in text.split(",") if item.strip()]
 
 
-def _as_float(cfg, key, default):
-    try:
-        return float(cfg.get(key, default))
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from None
+def field_params(text):
+    """Builtin field parameters from name=value pairs, e.g. c=1.2,a=0.3."""
+    params = {}
+    for item in _split_list(text):
+        if "=" not in item:
+            raise ConfigError(f"field_args entries look like name=value, got {item!r}")
+        key, value = item.split("=", 1)
+        params[key.strip()] = float(value)
+    return params
 
 
-def _as_int(cfg, key, default):
-    try:
-        return int(cfg.get(key, default))
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}") from None
-
-
-def build_field(cfg):
+def build_field(args):
     """Field descriptor: builtin name, constant:VALUE, or csv:PATH."""
-    desc = cfg.get("field")
+    desc = args.field
     if not desc:
         raise ConfigError("missing field (builtin name, constant:VALUE, or csv:PATH)")
     if desc.startswith("csv:"):
@@ -108,56 +90,37 @@ def build_field(cfg):
             return tabulated_field(desc[4:])
         except (OSError, ValueError) as e:
             raise ConfigError(f"cannot load tabulated field: {e}") from None
-    if desc.startswith("constant:"):
-        return weight.constant_field(_as_float({"c": desc.split(":", 1)[1]}, "c", None))
-    params = {}
-    for item in _split_list(cfg.get("field_args", "")):
-        if "=" not in item:
-            raise ConfigError(f"field_args entries look like name=value, got {item!r}")
-        key, value = item.split("=", 1)
-        params[key.strip()] = _as_float({key: value}, key.strip(), None)
     try:
-        return make_builtin(desc, **params)
+        if desc.startswith("constant:"):
+            return weight.constant_field(desc.removeprefix("constant:"))
+        return make_builtin(desc, **args.field_args)
     except (ValueError, TypeError) as e:
-        raise ConfigError(str(e)) from None
+        raise ConfigError(f"field {desc}: {e}") from None
 
 
-def parse_zeros(text):
-    out = []
-    for item in _split_list(text):
-        try:
-            out.append(complex(item))
-        except ValueError:
-            raise ConfigError(f"cannot parse zero {item!r} (use forms like -0.5 or 0.3+0.2j)") from None
-    return out
+def critical_points(text):
+    """Prescribed critical points, e.g. -0.5,0.3+0.2j."""
+    return [complex(item) for item in _split_list(text)]
 
 
-def build_options(cfg):
-    init = cfg.get("init", "auto")
-    if init == "auto":
-        initial = None
-    elif isinstance(init, str) and init.startswith("csv:"):
-        initial = load_coefficients_csv(init[4:])
-    else:
-        initial = _as_float({"init": init}, "init", None)
+def initial_map(text):
+    """auto (None: start above the field's sup bound), a radius, or csv:PATH."""
+    if text == "auto":
+        return None
+    if text.startswith("csv:"):
+        return load_coefficients_csv(text[4:])
+    return float(text)
+
+
+def build_options(args):
     return SolveOptions(
-        n=_as_int(cfg, "n", SolveOptions.n),
-        theta=_as_float(cfg, "theta", SolveOptions.theta),
-        max_iters=_as_int(cfg, "max_iters", SolveOptions.max_iters),
-        tol_update=_as_float(cfg, "tol", SolveOptions.tol_update),
-        tol_residual=_as_float(cfg, "tol_residual", SolveOptions.tol_residual),
-        initial_map=initial,
+        n=args.n,
+        theta=args.theta,
+        max_iters=args.max_iters,
+        tol_update=args.tol,
+        tol_residual=args.tol_residual,
+        initial_map=args.init,
     )
-
-
-def output_plan(cfg, default_emit="json,csv"):
-    out_dir = cfg.get("out", ".")
-    emit = set(_split_list(cfg.get("emit", default_emit)))
-    bad = emit - {"csv", "svg", "json"}
-    if bad:
-        raise ConfigError(f"emit knows csv, svg, json; got {sorted(bad)}")
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir, emit
 
 
 def _plain(obj):
@@ -246,19 +209,20 @@ def write_curve_svg(path, points):
         fh.write(svg)
 
 
-def cmd_solve(cfg):
-    fld = build_field(cfg)
-    zeros = parse_zeros(cfg.get("zeros", ""))
-    options = build_options(cfg)
-    out_dir, emit = output_plan(cfg)
-    report = solve(fld, zeros=zeros, options=options)
-    if "json" in emit:
-        write_json(os.path.join(out_dir, "solve_report.json"), report.as_dict())
-    if "csv" in emit:
-        write_coefficients_csv(os.path.join(out_dir, "coefficients.csv"), report.f)
-        write_boundary_csv(os.path.join(out_dir, "boundary.csv"), report.f, fld, report.n)
-    if "svg" in emit:
-        write_curve_svg(os.path.join(out_dir, "curve.svg"), report.f.trace(report.n))
+def cmd_solve(args):
+    fld = build_field(args)
+    bad = set(args.emit) - {"csv", "svg", "json"}
+    if bad:
+        raise ConfigError(f"emit knows csv, svg, json; got {sorted(bad)}")
+    os.makedirs(args.out, exist_ok=True)
+    report = solve(fld, zeros=args.zeros, options=build_options(args))
+    if "json" in args.emit:
+        write_json(os.path.join(args.out, "solve_report.json"), report.as_dict())
+    if "csv" in args.emit:
+        write_coefficients_csv(os.path.join(args.out, "coefficients.csv"), report.f)
+        write_boundary_csv(os.path.join(args.out, "boundary.csv"), report.f, fld, report.n)
+    if "svg" in args.emit:
+        write_curve_svg(os.path.join(args.out, "curve.svg"), report.f.trace(report.n))
     status = "converged" if report.converged else "did not converge"
     print(
         f"solve {fld.name}: {status} in {report.iterations} iterations, n={report.n}, "
@@ -267,21 +231,19 @@ def cmd_solve(cfg):
     return 0 if report.converged else 1
 
 
-def cmd_certify(cfg):
-    path = cfg.get("map")
+def cmd_certify(args):
+    path = args.map
     if not path:
         raise ConfigError("certify needs map=PATH pointing at a coefficient CSV")
     f = load_coefficients_csv(path)
-    fld = build_field(cfg)
-    n = _as_int(cfg, "n", 512)
-    tol = _as_float(cfg, "tol", TOL_CERT)
-    checks = _split_list(cfg.get("checks", "subsolution,supersolution,starlike,free_boundary"))
-    unknown = set(checks) - set(ALL_CHECKS)
+    fld = build_field(args)
+    n, tol = args.n, check_tolerance("tol", args.tol)
+    unknown = set(args.checks) - set(ALL_CHECKS)
     if unknown:
         raise ConfigError(f"unknown checks {sorted(unknown)}; known: {list(ALL_CHECKS)}")
-    if not checks:
+    if not args.checks:
         raise ConfigError(f"checks names no certificate; known: {list(ALL_CHECKS)}")
-    out_dir, emit = output_plan(cfg, default_emit="json")
+    os.makedirs(args.out, exist_ok=True)
 
     check = {
         "subsolution": lambda: check_subsolution(f, fld, n=n, tol=tol),
@@ -293,7 +255,7 @@ def cmd_certify(cfg):
     payload = {"map": path, "field": fld.name}
     error = None
     try:
-        for kind in checks:
+        for kind in args.checks:
             cert = check[kind]()
             results.append(cert)
             print(f"{'PASS' if cert.passed else 'FAIL'} {cert.kind}: worst_margin={cert.worst_margin:.6e}")
@@ -303,28 +265,19 @@ def cmd_certify(cfg):
         error = e
         payload["error"] = str(e)
     payload["certificates"] = [cert.as_dict() for cert in results]
-    if "json" in emit:
-        write_json(os.path.join(out_dir, "certificates.json"), payload)
+    write_json(os.path.join(args.out, "certificates.json"), payload)
     if error is not None:
         raise error
     return 0 if all(cert.passed for cert in results) else 1
 
 
-def cmd_scan(cfg):
-    fld = build_field(cfg)
-    out_dir, emit = output_plan(cfg, default_emit="json")
+def cmd_scan(args):
+    fld = build_field(args)
+    os.makedirs(args.out, exist_ok=True)
     payload = {"field": fld.name}
 
     if fld.radial_profile is not None:
-        r_min = cfg.get("r_min")
-        r_max = cfg.get("r_max")
-        scan = radial_scan(
-            fld,
-            r_min=None if r_min is None else _as_float(cfg, "r_min", None),
-            r_max=None if r_max is None else _as_float(cfg, "r_max", None),
-            steps=_as_int(cfg, "steps", 10000),
-            tol=None if "scan_tol" not in cfg else _as_float(cfg, "scan_tol", None),
-        )
+        scan = radial_scan(fld, r_min=args.r_min, r_max=args.r_max, steps=args.steps, tol=args.scan_tol)
         payload["radial_scan"] = scan
         print(f"radial scan: {len(scan.intervals)} solution interval(s) {scan.intervals}")
     else:
@@ -339,25 +292,23 @@ def cmd_scan(cfg):
     payload["superharmonic_check"] = sup
     print(f"{'PASS' if sup.passed else 'FAIL'} superharmonic condition: excess={sup.worst:.3e}")
 
-    if "json" in emit:
-        write_json(os.path.join(out_dir, "scan.json"), payload)
+    write_json(os.path.join(args.out, "scan.json"), payload)
     return 0
 
 
-def cmd_geometry(cfg):
-    op = cfg.get("op", "demo")
-    out_dir, emit = output_plan(cfg, default_emit="json")
+def cmd_geometry(args):
+    op = args.op
+    os.makedirs(args.out, exist_ok=True)
     if op == "demo":
-        size = _as_int(cfg, "size", 512)
-        family = build_shrinking_spiral_family(size=size)
+        family = build_shrinking_spiral_family(size=args.size)
         kernel = kernel_of_shrinking(family)
         verdict = schoenfliess_test(kernel)
         for k, region in enumerate(family):
-            save_region(region, os.path.join(out_dir, f"level_{k}.pbm"))
-        save_region(kernel, os.path.join(out_dir, "kernel.pbm"))
+            save_region(region, os.path.join(args.out, f"level_{k}.pbm"))
+        save_region(kernel, os.path.join(args.out, "kernel.pbm"))
         payload = {
             "op": "demo",
-            "size": size,
+            "size": args.size,
             "areas": [r.area() for r in family],
             "simply_connected": [r.is_simply_connected() for r in family],
             "kernel_area": kernel.area(),
@@ -368,7 +319,7 @@ def cmd_geometry(cfg):
             f"schoenfliess {verdict}"
         )
     elif op in ("union", "intersection"):
-        paths = _split_list(cfg.get("inputs", ""))
+        paths = args.inputs
         if len(paths) < 2:
             raise ConfigError(f"geometry op={op} needs inputs=a.pbm,b.pbm,...")
         try:
@@ -376,7 +327,7 @@ def cmd_geometry(cfg):
         except (OSError, ValueError) as e:
             raise ConfigError(f"cannot load region: {e}") from None
         result = (extended_union if op == "union" else reduced_intersection)(*regions)
-        save_region(result, os.path.join(out_dir, f"{op}.pbm"))
+        save_region(result, os.path.join(args.out, f"{op}.pbm"))
         payload = {
             "op": op,
             "inputs": paths,
@@ -386,30 +337,27 @@ def cmd_geometry(cfg):
         print(f"{op} of {len(paths)} regions: area {result.area()}")
     else:
         raise ConfigError(f"geometry op must be demo, union, or intersection, got {op!r}")
-    if "json" in emit:
-        write_json(os.path.join(out_dir, "geometry.json"), payload)
+    write_json(os.path.join(args.out, "geometry.json"), payload)
     return 0
 
 
-def cmd_spectrum(cfg):
-    out_dir, emit = output_plan(cfg, default_emit="json")
-    zeros = parse_zeros(cfg.get("zeros", ""))
-    path = cfg.get("map")
-    fld = build_field(cfg) if cfg.get("field") else None
+def cmd_spectrum(args):
+    os.makedirs(args.out, exist_ok=True)
+    path = args.map
+    fld = build_field(args) if args.field else None
     if path:
-        f = load_coefficients_csv(path)
-        n = _as_int(cfg, "n", SolveOptions.n)
+        f, n = load_coefficients_csv(path), args.n
     else:
         if fld is None:
             raise ConfigError("spectrum needs map=PATH or a field spec to solve first")
-        report = solve(fld, zeros=zeros, options=build_options(cfg))
+        report = solve(fld, zeros=args.zeros, options=build_options(args))
         f, n = report.f, report.n
 
     spec = spectrum_report(f)
     payload = {"spectrum": spec}
     print(f"spectrum: {spec.claim}")
     if fld is not None:
-        second = second_derivative(f, fld, zeros=zeros, n=n)
+        second = second_derivative(f, fld, zeros=args.zeros, n=n)
         payload["second_derivative"] = {
             "n": second.n,
             "spectral_gap": second.spectral_gap,
@@ -417,8 +365,7 @@ def cmd_spectrum(cfg):
             "sup_norm": float(np.abs(second.values).max()),
         }
         print(f"second derivative gap vs spectral: {second.spectral_gap:.3e}")
-    if "json" in emit:
-        write_json(os.path.join(out_dir, "spectrum.json"), payload)
+    write_json(os.path.join(args.out, "spectrum.json"), payload)
     return 0
 
 
@@ -432,75 +379,101 @@ COMMANDS = {
 
 
 def build_parser():
+    """The diskmap parser and its subcommand parsers by name.
+
+    Type errors raise argparse.ArgumentError (exit_on_error=False), so that
+    main reports a bad value from a flag or a config file as a configuration
+    error.
+    """
     parser = argparse.ArgumentParser(
         prog="diskmap",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help):
+        p = sub.add_parser(name, help=help, exit_on_error=False)
         p.add_argument("--config", help="flat key=value configuration file")
-        p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--emit", help="comma subset of csv,svg,json")
+        p.add_argument("--out", default=".", help="output directory (default %(default)s)")
+        return p
 
     def field_args(p):
         p.add_argument("--field", help="builtin field name, constant:VALUE, or csv:PATH")
-        p.add_argument("--field-args", dest="field_args", help="builtin parameters, e.g. c=1.2,a=0.3")
+        p.add_argument("--field-args", type=field_params, default="", help="builtin parameters, e.g. c=1.2,a=0.3")
 
     def solve_args(p):
-        p.add_argument("--zeros", help="comma list of prescribed critical points, e.g. -0.5")
-        p.add_argument("--init", help="auto (default), a radius like 6.5, or csv:PATH")
         d = SolveOptions
-        p.add_argument("--n", help=f"finest boundary grid the answer is solved on, power of two (default {d.n})")
-        p.add_argument("--theta", help=f"damping factor in (0,1] (default {d.theta})")
-        p.add_argument("--max-iters", dest="max_iters", help=f"iteration cap (default {d.max_iters})")
-        p.add_argument("--tol", help=f"update tolerance, sup of |(U(f) - f)'| (default {d.tol_update})")
-        p.add_argument("--tol-residual", dest="tol_residual", help=f"boundary residual target (default {d.tol_residual})")
+        p.add_argument("--zeros", type=critical_points, default="", help="comma list of prescribed critical points, e.g. -0.5")
+        p.add_argument("--init", type=initial_map, default="auto", help="auto, a radius like 6.5, or csv:PATH (default %(default)s)")
+        p.add_argument("--n", type=int, default=d.n, help="finest boundary grid the answer is solved on, power of two (default %(default)s)")
+        p.add_argument("--theta", type=float, default=d.theta, help="damping factor in (0,1] (default %(default)s)")
+        p.add_argument("--max-iters", type=int, default=d.max_iters, help="iteration cap (default %(default)s)")
+        p.add_argument("--tol", type=float, default=d.tol_update, help="update tolerance, sup of |(U(f) - f)'| (default %(default)s)")
+        p.add_argument("--tol-residual", type=float, default=d.tol_residual, help="boundary residual target (default %(default)s)")
 
-    p = sub.add_parser("solve", help="run the damped fixed point solver")
-    common(p)
+    p = command("solve", "run the damped fixed point solver")
+    p.add_argument("--emit", type=_split_list, default="json,csv", help="comma subset of csv,svg,json (default %(default)s)")
     field_args(p)
     solve_args(p)
 
-    p = sub.add_parser("certify", help="run boundary certificates on saved coefficients")
-    common(p)
+    p = command("certify", "run boundary certificates on saved coefficients")
     field_args(p)
     p.add_argument("--map", help="coefficient CSV written by solve")
-    p.add_argument("--checks", help=f"comma subset of {','.join(ALL_CHECKS)} (default all)")
-    p.add_argument("--n", help="boundary grid size (default 512)")
-    p.add_argument("--tol", help=f"certificate tolerance (default {TOL_CERT})")
+    p.add_argument("--checks", type=_split_list, default=",".join(ALL_CHECKS), help="comma list of certificates (default %(default)s)")
+    p.add_argument("--n", type=int, default=SolveOptions.n, help="boundary grid size (default %(default)s)")
+    p.add_argument("--tol", type=float, default=TOL_CERT, help="certificate tolerance (default %(default)s)")
 
-    p = sub.add_parser("scan", help="scaled-identity scan plus field condition checks")
-    common(p)
+    p = command("scan", "scaled-identity scan plus field condition checks")
     field_args(p)
-    p.add_argument("--r-min", dest="r_min", help="scan lower endpoint (default 0)")
-    p.add_argument("--r-max", dest="r_max", help="scan upper endpoint (default 1.5 * sup bound)")
-    p.add_argument("--steps", help="scan resolution (default 10000)")
-    p.add_argument("--scan-tol", dest="scan_tol", help="match tolerance (default max(1e-4, spacing/2))")
+    p.add_argument("--r-min", type=float, default=0.0, help="scan lower endpoint (default %(default)s)")
+    p.add_argument("--r-max", type=float, help="scan upper endpoint (default 1.5 * sup bound)")
+    p.add_argument("--steps", type=int, default=10000, help="scan resolution (default %(default)s)")
+    p.add_argument("--scan-tol", type=float, help="match tolerance (default max(1e-4, spacing/2))")
 
-    p = sub.add_parser("geometry", help="raster region algebra and the shrinking demo")
-    common(p)
-    p.add_argument("--op", help="demo (default), union, or intersection")
-    p.add_argument("--inputs", help="comma list of PBM files for union/intersection")
-    p.add_argument("--size", help="demo canvas size (default 512)")
+    p = command("geometry", "raster region algebra and the shrinking demo")
+    p.add_argument("--op", default="demo", help="demo, union, or intersection (default %(default)s)")
+    p.add_argument("--inputs", type=_split_list, default="", help="comma list of PBM files for union/intersection")
+    p.add_argument("--size", type=int, default=512, help="demo canvas size (default %(default)s)")
 
-    p = sub.add_parser("spectrum", help="coefficient decay report for a solved or saved map")
-    common(p)
+    p = command("spectrum", "coefficient decay report for a solved or saved map")
     field_args(p)
     p.add_argument("--map", help="coefficient CSV to analyze instead of solving")
     solve_args(p)
 
-    return parser
+    return parser, sub.choices
+
+
+def parse_args(argv=None):
+    """The typed settings of one command.
+
+    A config file's values replace the defaults of the flags they name, so
+    each is converted by its flag's type, and a flag given on the command
+    line still wins.
+    """
+    parser, commands = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # a usage error on every Python: from 3.12.5, parse_args raises
+        # unrecognized arguments as an ArgumentError when exit_on_error is off
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    if args.config:
+        cfg = read_config(args.config)
+        known = set(vars(args)) - {"command", "config"}
+        for key in cfg:
+            if key not in known:
+                raise ConfigError(f"unknown config key {key!r} for {args.command}; known: {sorted(known)}")
+        commands[args.command].set_defaults(**cfg)
+        args = parser.parse_known_args(argv)[0]
+    return args
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = merge_config(args)
-        return COMMANDS[args.command](cfg)
-    except ConfigError as e:
+        args = parse_args(argv)
+        return COMMANDS[args.command](args)
+    except (ConfigError, argparse.ArgumentError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     except DiskmapError as e:

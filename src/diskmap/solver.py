@@ -242,6 +242,13 @@ def _mixing_weights(dR, r):
     return gamma
 
 
+def check_tolerance(name, tol):
+    """A stopping or certificate tolerance must be finite and non-negative."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {tol}")
+    return tol
+
+
 def _solve(fld, zeros, options, depth, sequence=False):
     """One iteration loop over every grid; depth 0 is the plain damped iteration.
 
@@ -272,6 +279,8 @@ def _solve(fld, zeros, options, depth, sequence=False):
         raise ValueError(
             f"damping factor must lie in (0, 1], got {options.theta}"
         )
+    check_tolerance("tol_update", options.tol_update)
+    check_tolerance("tol_residual", options.tol_residual)
     b = blaschke_mod.construct(zeros)
     init = options.resolve_init(fld).coeffs
     if sequence:
@@ -556,17 +565,9 @@ def radial_scan(fld, r_min=None, r_max=None, steps=10000, tol=None):
     spacing = r[1] - r[0]
     tol = max(1e-4, 0.5 * spacing) if tol is None else float(tol)
     g = np.abs(r - fld.radial_profile(r))
-    mask = g <= tol
-    intervals = []
-    start = None
-    for i, hit in enumerate(mask):
-        if hit and start is None:
-            start = i
-        elif not hit and start is not None:
-            intervals.append((float(r[start]), float(r[i - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(r[start]), float(r[-1])))
+    # run edges: each run of hits starts at an even edge and ends before the next
+    edges = np.flatnonzero(np.diff(g <= tol, prepend=False, append=False))
+    intervals = [(float(r[a]), float(r[b - 1])) for a, b in zip(edges[::2], edges[1::2])]
     return ScanResult(intervals=intervals, tolerance=tol, r_min=r_min, r_max=r_max, steps=int(steps))
 
 

@@ -107,7 +107,7 @@ def test_config_file_with_cli_override(tmp_path):
 
 def test_solve_defaults_come_from_solve_options(capsys):
     defaults = solver.SolveOptions()
-    assert cli.build_options({}) == defaults
+    assert cli.build_options(cli.parse_args(["solve"])) == defaults
     with pytest.raises(SystemExit):
         cli.main(["solve", "--help"])
     text = " ".join(capsys.readouterr().out.split("options:", 1)[1].split())
@@ -117,10 +117,31 @@ def test_solve_defaults_come_from_solve_options(capsys):
 
 
 def test_shipped_configs_parse():
-    for name in ("configs/staircase_maximal.cfg", "configs/staircase_branched.cfg"):
-        cfg = cli.merge_config(cli.build_parser().parse_args(["solve", "--config", name]))
-        assert cfg == cli.read_config(name)
-        assert cfg["field"] == "staircase"
+    for name, zeros in (("configs/staircase_maximal.cfg", []), ("configs/staircase_branched.cfg", [-0.5])):
+        args = cli.parse_args(["solve", "--config", name])
+        cfg = cli.read_config(name)
+        assert (args.field, args.zeros, args.emit) == ("staircase", zeros, ["json", "csv", "svg"])
+        assert (args.init, args.n, args.theta) == (float(cfg["init"]), int(cfg["n"]), float(cfg["theta"]))
+
+
+def test_flags_override_the_config_file(tmp_path):
+    # an int, a float and a string setting: the file replaces the defaults,
+    # typed by the flags, and the flags given on the command line win
+    cfgfile = tmp_path / "solve.cfg"
+    cfgfile.write_text("field=gauss_radial\nn=1024\ntheta=0.25\n")
+    args = cli.parse_args(["solve", "--config", str(cfgfile)])
+    assert (args.field, args.n, args.theta) == ("gauss_radial", 1024, 0.25)
+    args = cli.parse_args(["solve", "--config", str(cfgfile), "--field", "staircase", "--n", "2048", "--theta", "0.75"])
+    assert (args.field, args.n, args.theta) == ("staircase", 2048, 0.75)
+
+
+def test_help_shows_the_library_defaults(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        cli.main(["certify", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"--tol TOL certificate tolerance (default {certify.TOL_CERT})" in text
+    assert f"--checks CHECKS comma list of certificates (default {','.join(cli.ALL_CHECKS)})" in text
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +446,52 @@ def test_spectrum_solves_when_given_field(tmp_path):
 def test_config_errors_exit_two(tmp_path, argv, capsys):
     assert run(argv + ["--out", tmp_path]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,key,flag", [
+    ("solve", "n", "--n"),
+    ("solve", "theta", "--theta"),
+    ("certify", "tol", "--tol"),
+    ("scan", "steps", "--steps"),
+    ("geometry", "size", "--size"),
+    ("spectrum", "max_iters", "--max-iters"),
+])
+def test_config_value_is_typed_by_its_flag(tmp_path, capsys, command, key, flag):
+    cfgfile = tmp_path / "typed.cfg"
+    cfgfile.write_text(f"{key} = abc\n")
+    assert run([command, "--config", cfgfile, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: argument {flag}: invalid ") and "value: 'abc'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["typed.cfg"]
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["solve", "--field", "staircase", "--init", "6.5", "--tol", "nan"], "tol_update"),
+    (["solve", "--field", "staircase", "--init", "6.5", "--tol-residual", "-1"], "tol_residual"),
+    (["certify", "--field", "staircase", "--map", "six.csv", "--tol", "nan"], "tol"),
+])
+def test_bad_tolerance_exits_two(tmp_path, capsys, argv, key):
+    # nan used to stop the solve with a singular mixing system and fail every
+    # certificate, and a negative residual target ran to "did not converge"
+    write_map(tmp_path / "six.csv", [0.0, 6.0])
+    argv = [str(tmp_path / a) if a == "six.csv" else a for a in argv]
+    assert run(argv + ["--out", tmp_path / "out"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"{key} must be finite and non-negative" in err
+    assert list((tmp_path / "out").glob("*")) == []
+
+
+@pytest.mark.parametrize("command", ["certify", "scan", "geometry", "spectrum"])
+def test_emit_is_only_a_solve_setting(tmp_path, capsys, command):
+    # the other commands always write their one JSON file
+    with pytest.raises(SystemExit) as exit_:
+        run([command, "--emit", "json", "--out", tmp_path])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --emit json" in capsys.readouterr().err
+    cfgfile = tmp_path / "emit.cfg"
+    cfgfile.write_text("emit=json\n")
+    assert run([command, "--config", cfgfile, "--out", tmp_path]) == 2
+    assert "unknown config key 'emit'" in capsys.readouterr().err
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import diskmap
@@ -735,6 +735,35 @@ def test_scan_requires_radial_profile():
 def test_scan_rejects_bad_range(staircase):
     with pytest.raises(ValueError):
         solver.radial_scan(staircase, r_min=2.0, r_max=1.0)
+
+
+def loop_runs(r, mask):
+    """The per-step run loop radial_scan used before its run edges, as the oracle."""
+    intervals = []
+    start = None
+    for i, hit in enumerate(mask):
+        if hit and start is None:
+            start = i
+        elif not hit and start is not None:
+            intervals.append((float(r[start]), float(r[i - 1])))
+            start = None
+    if start is not None:
+        intervals.append((float(r[start]), float(r[-1])))
+    return intervals
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask=st.lists(st.booleans(), min_size=2, max_size=64))
+@example(mask=[True, True])
+@example(mask=[False, False])
+@example(mask=[True, False, True])
+@example(mask=[False, True, True, False])
+def test_scan_runs_match_the_loop(mask):
+    # the profile sits on r exactly where the mask holds and 1 away elsewhere
+    hits = np.array(mask)
+    fld = weight.WeightField(None, sup_bound=1.0, radial_profile=lambda r: r - np.where(hits, 0.0, 1.0))
+    res = solver.radial_scan(fld, r_min=0.0, r_max=1.0, steps=hits.size, tol=0.5)
+    assert res.intervals == loop_runs(np.linspace(0.0, 1.0, hits.size), hits)
 
 
 # ---------------------------------------------------------------------------
