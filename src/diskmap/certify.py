@@ -27,6 +27,7 @@ FD_STEP = 1e-6
 FD_TOL = 1e-4
 NEWTON_TOL = 1e-13
 NEWTON_STEPS = 60
+FENCE_RADII = 16  # circles of the fence lattice, from r = 0.1 to 0.999
 FB_SPOTS = 8  # interior points of the free boundary gradient check
 FB_DELTA = 1e-3  # their distance inside the unit circle
 # lattice values per row block of the fence, a row being as long as the
@@ -63,26 +64,24 @@ class Certificate:
         return out
 
 
-def _lattice(f, fld, n, n_radii):
-    """Extremes of the margin u - log|f'| over the (n_radii, n) lattice.
+def _lattice(f, fld, n):
+    """Extremes of the margin u - log|f'| over the (FENCE_RADII, n) lattice.
 
     Returns ((lowest, r, t), (highest, r, t), skipped).  Each extreme sits at
     its first cell in row-major order; cells where |f'| < DERIVATIVE_FLOOR
     are left out and counted, so a lowest of inf means all were skipped.
     u is the real part of one schwarz_integral of log Phi along f (radii at
     most 0.999).  Rows go through in blocks, each one batched circle trace
-    of it and one of f'.  _fence caches the scalars on f per
-    (fld, n, n_radii), so both fences read one pass.
+    of it and one of f'.  _fence caches the scalars on f per (fld, n), so
+    both fences read one pass.
     """
     n = check_grid_size(n)
-    if n_radii < 1:
-        raise ValueError(f"the fence lattice needs at least one radius, got {n_radii}")
     fp = derivative(f)
-    radii = np.linspace(0.1, 0.999, n_radii)
+    radii = np.linspace(0.1, 0.999, FENCE_RADII)
     rows = max(1, LATTICE_BLOCK // max(n, fp.coeffs.size))
     harmonic = schwarz_integral(np.log(boundary_weight(f, fld, n)))
     lows, highs, skipped = [], [], 0
-    for start in range(0, n_radii, rows):
+    for start in range(0, FENCE_RADII, rows):
         block = radii[start : start + rows]
         u = harmonic.circle_trace(block, n).real
         margin = np.abs(fp.circle_trace(block, n))
@@ -115,35 +114,35 @@ def _require_univalent(f, n, name):
         raise NotUnivalentError(f"{name} certificate needs a univalent map")
 
 
-def _fence(kind, sign, f, fld, n, n_radii, tol):
+def _fence(kind, sign, f, fld, n, tol):
     """The lowest of sign * (u - log|f'|) over the lattice, as a certificate;
     negation is exact, so the supersolution's is minus the highest margin."""
-    lowest, highest, skipped = f.memo(("fence", fld, n, n_radii), lambda: _lattice(f, fld, n, n_radii))
+    lowest, highest, skipped = f.memo(("fence", fld, n), lambda: _lattice(f, fld, n))
     value, r, t = lowest if sign > 0 else highest
     worst = sign * value
     return Certificate(
         kind=kind,
-        passed=bool(worst >= -tol) and skipped < n * n_radii,
+        passed=bool(worst >= -tol) and skipped < n * FENCE_RADII,
         worst_margin=worst,
         worst_location={} if worst == np.inf else {"r": r, "t": t},
         tolerance=tol,
-        lattice={"n": n, "radii": n_radii},
+        lattice={"n": n, "radii": FENCE_RADII},
         skipped=skipped,
     )
 
 
-def check_subsolution(f, fld, n=512, n_radii=16, tol=TOL_CERT):
+def check_subsolution(f, fld, n=512, tol=TOL_CERT):
     """f is a subsolution when |f'| never exceeds the harmonic majorant of
     Phi along f; lattice points where f' vanishes are skipped and counted,
     and a lattice with none left fails."""
-    return _fence("subsolution", 1.0, f, fld, n, n_radii, tol)
+    return _fence("subsolution", 1.0, f, fld, n, tol)
 
 
-def check_supersolution(f, fld, n=512, n_radii=16, tol=TOL_CERT):
+def check_supersolution(f, fld, n=512, tol=TOL_CERT):
     """Supersolutions must be univalent and keep |f'| above the harmonic
     minorant; folded boundaries are rejected outright."""
     _require_univalent(f, n, "supersolution")
-    return _fence("supersolution", -1.0, f, fld, n, n_radii, tol)
+    return _fence("supersolution", -1.0, f, fld, n, tol)
 
 
 def check_starlike(f, n=512, tol=TOL_CERT):

@@ -446,26 +446,30 @@ def build_parser():
 
 
 def parse_args(argv=None):
-    """The typed settings of one command.
+    """The typed settings of one command, from one parse.
 
-    A config file's values replace the defaults of the flags they name, so
-    each is converted by its flag's type, and a flag given on the command
-    line still wins.
+    A pre-parser that knows only the commands and --config finds the file
+    without running a converter; its values replace the defaults of the
+    flags they name, and a flag given on the command line still wins.
     """
     parser, commands = build_parser()
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre_commands = pre.add_subparsers(dest="command")
+    for name in commands:
+        pre_commands.add_parser(name, add_help=False, exit_on_error=False).add_argument("--config")
+    found = pre.parse_known_args(argv)[0]
+    if getattr(found, "config", None):
+        cfg = read_config(found.config)
+        known = {action.dest for action in commands[found.command]._actions} - {"help", "config"}
+        for key in cfg:
+            if key not in known:
+                raise ConfigError(f"unknown config key {key!r} for {found.command}; known: {sorted(known)}")
+        commands[found.command].set_defaults(**cfg)
     args, extra = parser.parse_known_args(argv)
     if extra:
         # a usage error on every Python: from 3.12.5, parse_args raises
         # unrecognized arguments as an ArgumentError when exit_on_error is off
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    if args.config:
-        cfg = read_config(args.config)
-        known = set(vars(args)) - {"command", "config"}
-        for key in cfg:
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r} for {args.command}; known: {sorted(known)}")
-        commands[args.command].set_defaults(**cfg)
-        args = parser.parse_known_args(argv)[0]
     return args
 
 

@@ -44,7 +44,7 @@ from .spectral import (
 PAIR_BLOCK = 1 << 12  # edge pairs tested at once in polygon_is_simple
 WINDING_BLOCK = 1 << 12  # (edge, target) pairs counted at once in winding_numbers
 DIVERGENCE_FACTOR = 1e6
-COARSE_GRID = 512  # grid a sequenced solve starts on, SolveOptions.n's default
+COARSE_GRID = 512  # grid a solve starts on at the least, SolveOptions.n's default
 WINDING_SAMPLES = 50
 CRITICAL_RADIUS = 0.999  # circle on which interior_critical_points counts
 RATE_FRACTIONS = (0.2, 0.5, 0.9)  # contraction_rate starts, as shares of the certified ball
@@ -205,7 +205,7 @@ def solve(fld, zeros=(), options=None):
     max_iters bounds the steps over all grids.  A budget spent below n
     still reports on n.
     """
-    return _solve(fld, zeros, options, ANDERSON_DEPTH, sequence=True)
+    return _solve(fld, zeros, options, ANDERSON_DEPTH)
 
 
 def _mixing_weights(dR, r):
@@ -249,17 +249,15 @@ def check_tolerance(name, tol):
     return tol
 
 
-def _solve(fld, zeros, options, depth, sequence=False):
+def _solve(fld, zeros, options, depth):
     """One iteration loop over every grid; depth 0 is the plain damped iteration.
 
-    With sequence, the loop starts on the coarse grid (COARSE_GRID, or the
-    initial map's own grid if that is finer, never above options.n), and
-    each time the update settles below options.n it doubles on an f' that
-    is not spectral.resolved and jumps to options.n on one that is; without
-    it, every step from the first runs at options.n, so that
-    contraction_rate compares the updates of one operator.  An options.n
-    above MAX_GRID is rejected before the first step: no grid could resolve
-    the answer.
+    The loop starts on the coarse grid (COARSE_GRID, or the initial map's
+    own grid if that is finer, never above options.n), and each time the
+    update settles below options.n it doubles on an f' that is not
+    spectral.resolved and jumps to options.n on one that is.  An options.n
+    above MAX_GRID is rejected before the first step: no grid could
+    resolve the answer.
 
     With r = U(x) - x the damped step is theta r.  Anderson mixing subtracts
     sum_i gamma_i (dX_i + theta dR_i), where dX_i and dR_i are the last
@@ -283,8 +281,7 @@ def _solve(fld, zeros, options, depth, sequence=False):
     check_tolerance("tol_residual", options.tol_residual)
     b = blaschke_mod.construct(zeros)
     init = options.resolve_init(fld).coeffs
-    if sequence:
-        n = min(target, max(COARSE_GRID, next_power_of_two(init.size)))
+    n = min(target, max(COARSE_GRID, next_power_of_two(init.size)))
     x = _pad_coeffs(init, n)  # updated in place
     sup_hist, l2_hist = [], []
     doublings = 0
@@ -580,22 +577,23 @@ class RateReport:
     runs: int
 
 
-def contraction_rate(fld, certificate, zeros=(), options=None):
+def contraction_rate(fld, certificate, options=None):
     """Empirical contraction rate against a valid certificate.
 
-    Runs plain undamped Picard steps (theta = 1, no mixing, every step on
-    options.n: the rate is a property of one operator) from several starts
-    inside the certified ball; the certificate bounds every consecutive
-    update ratio by its `ratio`, so the observed maximum should not exceed
-    it (plus discretization slack).
+    Runs plain undamped Picard steps (theta = 1, no mixing) from scaled
+    identities inside the certified ball, zero-padded to options.n so that
+    every step runs on options.n: the rate is a property of one operator.
+    The certificate bounds every consecutive update ratio by its `ratio`,
+    so the observed maximum should not exceed it (plus discretization slack).
     """
     if not certificate.valid:
         raise ValueError("contraction_rate needs a valid contraction certificate")
     base = options or SolveOptions()
     reports = []
     for frac in RATE_FRACTIONS:
-        opts = replace(base, theta=1.0, initial_map=float(frac) * certificate.sup_solution_bound)
-        reports.append(_solve(fld, zeros, opts, 0))
+        init = scaled_identity(float(frac) * certificate.sup_solution_bound).coeffs
+        opts = replace(base, theta=1.0, initial_map=DiskFunction(_pad_coeffs(init, base.n)))
+        reports.append(_solve(fld, (), opts, 0))
 
     rate = 0.0
     for rep in reports:

@@ -20,6 +20,8 @@ TABULATED_FLOOR = 1e-9
 CONTINUITY_TOL = 1e-12
 SUPERHARMONIC_N = 128  # superharmonic_check lattice: 2n + 1 points a side
 SUPERHARMONIC_XI = 16  # and this many xi for a xi-dependent field
+CONTRACTION_LATTICE = (1024, 256, 64)  # contraction_certificate: radial steps, angles, xi
+SCALE_LATTICE = (64, 512, 128, 32)  # radial_scale_check: rho, radial steps, angles, xi
 
 
 class WeightField:
@@ -359,20 +361,21 @@ class ContractionCertificate:
     lattice: tuple
 
 
-def contraction_certificate(field, lipschitz, n_radial=1024, n_angular=256, n_xi=64):
+def contraction_certificate(field, lipschitz):
     """Certify contraction of the update operator from lattice bounds.
 
     Finds the smallest lattice radius M0 with max Phi over {|w| <= M0} <= M0
     (solution a-priori bound), the lattice min m0 of Phi over that ball, and
     reports ratio = L (1 + M0/m0).  The caller supplies the Lipschitz
     constant L of Phi in w; the lattice difference quotients spot-check it.
-    It goes one xi row at a time; max and min are exact, so nothing changes.
+    It goes one xi row of CONTRACTION_LATTICE at a time; max and min are
+    exact, so nothing changes.
     """
     lipschitz = float(lipschitz)
     if lipschitz < 0.0:
         raise ValueError("Lipschitz constant must be nonnegative")
-    M = field.sup_bound
-    radii = np.linspace(0.0, M, n_radial + 1)
+    n_radial, n_angular, n_xi = CONTRACTION_LATTICE
+    radii = np.linspace(0.0, field.sup_bound, n_radial + 1)
     angles = np.exp(2j * np.pi * np.arange(n_angular) / n_angular)
     xi = _xi_lattice(field, n_xi)
     w = radii[None, :] * angles[:, None]
@@ -395,12 +398,8 @@ def contraction_certificate(field, lipschitz, n_radial=1024, n_angular=256, n_xi
     M0 = float(radii[i0])
     m0 = float(np.minimum.accumulate(by_radius_min)[i0])
 
-    dr = radii[1] - radii[0]
-    sampled = float(radial_step / dr)
-    if n_angular > 1:
-        gap = np.abs(w[1:, 1:] - w[:-1, 1:])
-        ang_quot = (angular_step[:, 1:] / gap).max()
-        sampled = float(max(sampled, ang_quot))
+    gap = np.abs(w[1:, 1:] - w[:-1, 1:])
+    sampled = float(max(radial_step / (radii[1] - radii[0]), (angular_step[:, 1:] / gap).max()))
     verified = sampled <= lipschitz * (1.0 + 1e-9) + 1e-9
 
     ratio = lipschitz * (1.0 + M0 / m0)
@@ -426,7 +425,7 @@ class ScaleCheckResult:
     worst_rho: float
 
 
-def radial_scale_check(field, n_rho=64, n_radial=512, n_angular=128, n_xi=32):
+def radial_scale_check(field):
     """Check the scale condition Phi(xi, w) <= Phi(xi, rho w)/rho, 0 < rho < 1.
 
     margin = min over the lattice of Phi(xi, rho w)/rho - Phi(xi, w); the
@@ -434,11 +433,11 @@ def radial_scale_check(field, n_rho=64, n_radial=512, n_angular=128, n_xi=32):
     looks away from rho = 1 (rho <= 15/16) and wants margin > 1e-6, which is
     what the starlikeness upgrade needs.  A radial profile is evaluated on
     the whole (rho, radius) lattice at once, any other field one rho row of
-    (xi, w) at a time.
+    (xi, w) at a time; the lattice is SCALE_LATTICE.
     """
-    M = field.sup_bound
+    n_rho, n_radial, n_angular, n_xi = SCALE_LATTICE
     rho = np.arange(1, n_rho + 1) / (n_rho + 1.0)
-    r = np.linspace(0.0, M, n_radial + 1)[1:]
+    r = np.linspace(0.0, field.sup_bound, n_radial + 1)[1:]
     if field.radial_profile is not None:
         base = field.radial_profile(r)[None, :]
         scaled = field.radial_profile(rho[:, None] * r[None, :])

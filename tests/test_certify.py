@@ -72,14 +72,14 @@ def test_fence_takes_one_log_phi_spectrum():
     # one circle_trace of f' per radius
     fld = weight.random_smooth_field(np.random.default_rng(2))
     f = DiskFunction([0.0, 1.0, 0.3, 0.05j])
-    n, n_radii = 256, 16
+    n = 256
     with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft:
-        sub = certify.check_subsolution(f, fld, n=n, n_radii=n_radii)
-        sup = certify.check_supersolution(f, fld, n=n, n_radii=n_radii)
+        sub = certify.check_subsolution(f, fld, n=n)
+        sup = certify.check_supersolution(f, fld, n=n)
     assert fft.call_count == 1
     log_phi = np.log(fld.evaluate(spectral.grid_points(n), f.trace(n)))
     fp = derivative(f)
-    radii = np.linspace(0.1, 0.999, n_radii)
+    radii = np.linspace(0.1, 0.999, certify.FENCE_RADII)
     margins = np.array([
         spectral.schwarz_integral(log_phi).circle_trace(r, n).real - np.log(np.abs(fp.circle_trace(r, n)))
         for r in radii
@@ -161,16 +161,17 @@ def oracle_maps():
 
 
 @pytest.mark.parametrize("n", [8, 64, 512, 4096])
-def test_lattice_fences_match_the_per_radius_fence(oracle_maps, n):
+def test_lattice_fences_match_the_per_radius_fence(oracle_maps, n, monkeypatch):
     assert len(oracle_maps) >= 100
     skipped = 0
     for f, fld in oracle_maps:
         for n_radii in (1, 2, 16, 17):
+            monkeypatch.setattr(certify, "FENCE_RADII", n_radii)
             f._memo.clear()  # a fresh lattice per n_radii
             with mock.patch.object(certify, "univalence", return_value=True):
                 got = [
-                    certify.check_subsolution(f, fld, n=n, n_radii=n_radii),
-                    certify.check_supersolution(f, fld, n=n, n_radii=n_radii),
+                    certify.check_subsolution(f, fld, n=n),
+                    certify.check_supersolution(f, fld, n=n),
                 ]
             want = _per_radius_fences(f, fld, n, n_radii)
             assert [repr(c.as_dict()) for c in got] == [repr(c.as_dict()) for c in want]
@@ -179,12 +180,10 @@ def test_lattice_fences_match_the_per_radius_fence(oracle_maps, n):
 
 
 def test_fence_needs_a_radius(staircase):
-    # with no radius the lattice is empty and the fence used to pass at inf;
-    # 16 radii fail it at -1.20
+    # with no radius the lattice would be empty and the fence would pass at
+    # inf; the FENCE_RADII circles fail it at -1.20
     f = DiskFunction([0.0, 20.0])
     assert certify.check_subsolution(f, staircase).worst_margin < -1.0
-    with pytest.raises(ValueError, match="radius"):
-        certify.check_subsolution(f, staircase, n_radii=0)
 
 
 def test_fence_with_every_cell_skipped_fails(staircase):

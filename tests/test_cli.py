@@ -135,6 +135,22 @@ def test_flags_override_the_config_file(tmp_path):
     assert (args.field, args.n, args.theta) == ("staircase", 2048, 0.75)
 
 
+def test_config_file_runs_each_converter_once(tmp_path, monkeypatch):
+    # a pre-parser finds --config without converting any flag, so an initial
+    # map CSV is read once, from the command line or from the file
+    six = write_map(tmp_path / "six.csv", [0.0, 6.0])
+    cfgfile = tmp_path / "solve.cfg"
+    cfgfile.write_text(f"field=staircase\ninit=csv:{six}\n")
+    loads = []
+    load = cli.load_coefficients_csv
+    monkeypatch.setattr(cli, "load_coefficients_csv", lambda path: loads.append(path) or load(path))
+    args = cli.parse_args(["solve", "--config", str(cfgfile), "--init", f"csv:{six}"])
+    assert loads == [str(six)] and args.init.coeffs.tolist() == [0.0, 6.0]
+    loads.clear()
+    cli.parse_args(["solve", "--config", str(cfgfile)])
+    assert loads == [str(six)]
+
+
 def test_help_shows_the_library_defaults(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "200")
     with pytest.raises(SystemExit):
@@ -643,11 +659,11 @@ SERIALIZED = {
     "scan_gauss": (old_scan_as_dict, lambda: solver.radial_scan(GAUSS)),
     "contraction": (
         old_contraction_as_dict,
-        lambda: weight.contraction_certificate(STAIR, 4.0 / 3.0, n_radial=256, n_angular=64),
+        lambda: weight.contraction_certificate(STAIR, 4.0 / 3.0),
     ),
     "scale_staircase": (old_scale_as_dict, lambda: weight.radial_scale_check(STAIR)),
     "scale_gauss": (old_scale_as_dict, lambda: weight.radial_scale_check(GAUSS)),
-    "scale_ripple": (old_scale_as_dict, lambda: weight.radial_scale_check(RIPPLE, n_radial=64, n_angular=16)),
+    "scale_ripple": (old_scale_as_dict, lambda: weight.radial_scale_check(RIPPLE)),
     "superharmonic_staircase": (old_superharmonic_as_dict, lambda: weight.superharmonic_check(STAIR)),
     "superharmonic_gauss": (old_superharmonic_as_dict, lambda: weight.superharmonic_check(GAUSS)),
     "spectrum_geometric": (old_spectrum_as_dict, _spectrum(np.concatenate([[0.0], 0.7 ** np.arange(64)]))),

@@ -353,7 +353,9 @@ def test_sequenced_solve_matches_the_solve_on_the_fine_grid_alone(seed, monkeypa
     assert grids == sorted(grids) and set(grids) == {solver.COARSE_GRID, 32768}
     assert rep.doublings == 0
     grids.clear()
-    direct = solver._solve(fld, (), opts, solver.ANDERSON_DEPTH)
+    # the same start zero-padded to n runs on the fine grid alone
+    padded = DiskFunction(solver._pad_coeffs(opts.resolve_init(fld).coeffs, 32768))
+    direct = solver._solve(fld, (), dataclasses.replace(opts, initial_map=padded), solver.ANDERSON_DEPTH)
     assert set(grids) == {32768}
     assert (rep.n, rep.converged, rep.stop_reason) == (direct.n, direct.converged, direct.stop_reason)
     assert rep.converged
@@ -377,6 +379,22 @@ def test_the_coarse_grids_double_only_while_f_prime_is_unresolved(monkeypatch):
     steps = [(n, len(list(run))) for n, run in itertools.groupby(grids)]
     assert steps == [(512, 36), (1024, 18), (2048, 16), (4096, 16), (32768, 16)]
     assert (rep.n, rep.converged, rep.doublings) == (32768, True, 0)
+
+
+@pytest.mark.parametrize("field,zeros", [
+    (weight.random_smooth_field(np.random.default_rng(0)), []),
+    (weight.bounded_parabola_field(), [-0.5]),
+])
+def test_an_initial_map_with_n_coefficients_takes_every_step_on_n(field, zeros, monkeypatch):
+    # the first grid is the initial map's own when that is finer than
+    # COARSE_GRID: a cold start zero-padded to n, as contraction_rate's runs
+    # begin, never visits a coarse grid (the warm start below is one or two
+    # steps)
+    init = DiskFunction(solver._pad_coeffs(scaled_identity(field.sup_bound + 0.5).coeffs, 4096))
+    grids = _grids(monkeypatch)
+    rep = solver.solve(field, zeros=zeros, options=SolveOptions(n=4096, initial_map=init))
+    assert (rep.n, rep.converged, rep.doublings) == (4096, True, 0)
+    assert grids == [4096] * rep.iterations and rep.iterations > 1
 
 
 def test_warm_start_begins_on_the_initial_maps_grid(monkeypatch):
@@ -822,10 +840,12 @@ def test_contraction_rate_keeps_the_callers_other_options(monkeypatch):
     solver.contraction_rate(fld, cert, options=base)
     assert [depth for _, depth in seen] == [0, 0, 0]
     for (opts, _), frac in zip(seen, (0.2, 0.5, 0.9)):
-        assert opts == SolveOptions(
+        assert dataclasses.replace(opts, initial_map=None) == SolveOptions(
             n=64, theta=1.0, max_iters=5, tol_update=1e-9, tol_residual=1e-7,
-            initial_map=frac * cert.sup_solution_bound,
         )
+        # each start is the scaled identity zero-padded to n
+        want = solver._pad_coeffs(scaled_identity(frac * cert.sup_solution_bound).coeffs, 64)
+        assert np.array_equal(opts.initial_map.coeffs, want)
 
 
 def test_contraction_rate_measures_one_grid(monkeypatch):

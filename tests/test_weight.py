@@ -346,15 +346,16 @@ def test_contraction_rejects_negative_lipschitz(staircase):
     weight.ripple_field(smooth=False),
     weight.gauss_radial_field(1.0, 0.1),
 ])
-def test_contraction_certificate_goes_one_xi_row_at_a_time(fld):
+def test_contraction_certificate_goes_one_xi_row_at_a_time(fld, monkeypatch):
     # 3.37 MiB for the random field with the whole (xi, angle, radius)
     # lattice and both difference arrays at once; the certificate is that of
     # the broadcast, which is copied here
     n_radial, n_angular, n_xi = 256, 64, 8
+    monkeypatch.setattr(weight, "CONTRACTION_LATTICE", (n_radial, n_angular, n_xi))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        cert = weight.contraction_certificate(fld, 0.7, n_radial=n_radial, n_angular=n_angular, n_xi=n_xi)
+        cert = weight.contraction_certificate(fld, 0.7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -408,9 +409,10 @@ def test_scale_gauss_strictly_passes():
     assert res.strict_margin > 0.08
 
 
-def test_scale_check_xi_dependent_route():
+def test_scale_check_xi_dependent_route(monkeypatch):
+    monkeypatch.setattr(weight, "SCALE_LATTICE", (16, 64, 32, 8))
     f = weight.random_smooth_field(np.random.default_rng(7))
-    res = weight.radial_scale_check(f, n_rho=16, n_radial=64, n_angular=32, n_xi=8)
+    res = weight.radial_scale_check(f)
     assert isinstance(res.passed, bool)
     assert np.isfinite(res.margin)
 
@@ -421,14 +423,15 @@ def test_scale_check_xi_dependent_route():
     weight.ripple_field(smooth=True),
     weight.ripple_field(smooth=False),
 ])
-def test_scale_check_goes_one_rho_row_at_a_time(fld):
+def test_scale_check_goes_one_rho_row_at_a_time(fld, monkeypatch):
     # 3.33 MiB for the random field with the whole (rho, xi, w) lattice at
     # once; the results are those of that broadcast, which is copied here
     n_rho, n_radial, n_angular, n_xi = 16, 64, 16, 8
+    monkeypatch.setattr(weight, "SCALE_LATTICE", (n_rho, n_radial, n_angular, n_xi))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        res = weight.radial_scale_check(fld, n_rho=n_rho, n_radial=n_radial, n_angular=n_angular, n_xi=n_xi)
+        res = weight.radial_scale_check(fld)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
