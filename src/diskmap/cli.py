@@ -413,7 +413,7 @@ def build_parser():
         p.add_argument("--tol", type=float, default=d.tol_update, help="update tolerance, sup of |(U(f) - f)'| (default %(default)s)")
         p.add_argument("--tol-residual", type=float, default=d.tol_residual, help="boundary residual target (default %(default)s)")
 
-    p = command("solve", "run the damped fixed point solver")
+    p = command("solve", "run the Anderson-mixed fixed point solver")
     p.add_argument("--emit", type=_split_list, default="json,csv", help="comma subset of csv,svg,json (default %(default)s)")
     field_args(p)
     solve_args(p)

@@ -65,7 +65,7 @@ def test_solve_is_byte_deterministic(tmp_path):
 
 def test_solve_nonconvergence_exits_one(tmp_path, capsys):
     code = run([
-        "solve", "--field", "staircase", "--init", "20", "--max-iters", "2",
+        "solve", "--field", "staircase", "--init", "20", "--max-iters", "1",
         "--out", tmp_path, "--emit", "json",
     ])
     assert code == 1
@@ -74,26 +74,29 @@ def test_solve_nonconvergence_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,code,reason", [
     (["--init", "6.5"], 0, "tolerance"),
-    (["--init", "20", "--max-iters", "2"], 1, "max_iters"),
+    (["--init", "20", "--max-iters", "1"], 1, "max_iters"),
     (["--init", "6.5", "--tol-residual", "1e-20"], 1, "residual"),
     # the n = 512 solve settles on an unresolved tail and refines to 8192
     (["--init", "1.0", "--zeros", "0.995"], 0, "tolerance"),
+    # z^2 + z on the damped path; the other cases take the undamped default
+    (["--init", "1.0", "--zeros", "-0.5", "--theta", "0.5"], 0, "tolerance"),
 ])
 def test_solve_report_records_stop_reason(tmp_path, argv, code, reason):
     assert run(["solve", "--field", "staircase", *argv, "--out", tmp_path, "--emit", "json"]) == code
     report = json.loads((tmp_path / "solve_report.json").read_text())
     assert report["stop_reason"] == reason
+    assert report["theta"] == (0.5 if "--theta" in argv else 1.0)
 
 
 def test_refining_solve_counts_the_steps_of_every_grid(tmp_path):
-    # 6 + 3 + 3 + 3 + 3 steps over the grids 512 .. 8192; the sha256 pins
+    # 7 + 2 + 2 + 2 + 2 steps over the grids 512 .. 8192; the sha256 pins
     # the refined coefficients
     argv = ["solve", "--field", "staircase", "--zeros", "0.995", "--init", "1.0", "--out", tmp_path]
     assert run(argv) == 0
     report = json.loads((tmp_path / "solve_report.json").read_text())
-    assert (report["iterations"], report["n"], report["doublings"]) == (18, 8192, 4)
+    assert (report["iterations"], report["n"], report["doublings"]) == (15, 8192, 4)
     got = hashlib.sha256((tmp_path / "coefficients.csv").read_bytes()).hexdigest()
-    assert got == "5fba172bebb47bb847a635f6f1509efe7fb22e0b063cf277b14a118e04abc49f"
+    assert got == "9d78dd97ad7649f1f1fea74132b949c93fcf62e1ce0d43257bdaa5219032a046"
 
 
 def test_config_file_with_cli_override(tmp_path):
