@@ -23,7 +23,6 @@ the plain iteration.
 """
 
 import math
-import random
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,10 +42,8 @@ from .spectral import (
 )
 
 PAIR_BLOCK = 1 << 12  # edge pairs tested at once in polygon_is_simple
-WINDING_BLOCK = 1 << 12  # (edge, target) pairs counted at once in winding_numbers
 DIVERGENCE_FACTOR = 1e6
 COARSE_GRID = 512  # grid a solve starts on at the least, SolveOptions.n's default
-WINDING_SAMPLES = 50
 CRITICAL_RADIUS = 0.999  # circle on which interior_critical_points counts
 RATE_FRACTIONS = (0.2, 0.5, 0.9)  # contraction_rate starts, as shares of the certified ball
 ANDERSON_DEPTH = 2  # residual differences kept for mixing
@@ -420,7 +417,8 @@ def polygon_is_simple(points):
     vectorized sweep in the sense of Shamos & Hoey).  On solved maps that
     leaves about two pairs per edge.  Pairs go through in blocks of
     PAIR_BLOCK and the test stops at the first crossing, so memory stays
-    bounded even on wiggly curves.
+    bounded even on wiggly curves.  Coincident edges, as on a polygon
+    traversed twice, are not a proper crossing.
     """
     A = np.asarray(points, dtype=np.complex128)
     B = np.roll(A, -1)
@@ -456,61 +454,28 @@ def polygon_is_simple(points):
     return True
 
 
-def winding_numbers(points, targets):
-    """Winding number of the closed polygon about each target, or None for
-    a target within 1e-12 of a vertex.
-
-    Edge k runs from points[k] to points[k + 1], the last one back to
-    points[0].  One signed count of the edges crossing a rightward ray from
-    each target (Hormann & Agathos, Comput. Geom. 20, 2001): an edge going
-    up with the target on its left counts +1, one going down with the
-    target on its right -1.  Edges are half-open in y, so a ray through a
-    vertex counts it once and a horizontal edge never.  With the targets
-    sorted by height, an edge meets only the targets whose heights it
-    spans; those (edge, target) pairs go through in blocks of WINDING_BLOCK.
-    """
-    P = np.asarray(points, dtype=np.complex128)
-    B = np.roll(P, -1)
-    w = np.asarray(targets, dtype=np.complex128).ravel()
-    order = np.argsort(w.imag, kind="stable")
-    w = w[order]
-    # edge k spans the sorted targets between ra[k] and rb[k], the counts
-    # of targets below its two ends
-    ra = np.searchsorted(w.imag, P.imag)
-    rb = np.searchsorted(w.imag, B.imag)
-    k = np.flatnonzero(ra != rb)
-    ra, rb = ra[k], rb[k]
-    up = rb > ra
-    lo = np.minimum(ra, rb)
-    wind = np.zeros(w.size, dtype=np.int64)
-    for i, j in _pair_blocks(lo, np.maximum(ra, rb) - lo, WINDING_BLOCK):
-        e = k[i]
-        side = _cross(B[e] - P[e], w[j] - P[e])
-        wind += np.bincount(j[up[i] & (side > 0)], minlength=w.size)
-        wind -= np.bincount(j[~up[i] & (side < 0)], minlength=w.size)
-    # a target within 1e-12 of a vertex is within 1e-12 of its height
-    lo = np.searchsorted(w.imag, P.imag - 1e-12)
-    hi = np.searchsorted(w.imag, P.imag + 1e-12, side="right")
-    v = np.flatnonzero(hi > lo)
-    near = np.zeros(w.size, dtype=bool)
-    for i, j in _pair_blocks(lo[v], hi[v] - lo[v], WINDING_BLOCK):
-        near[j[np.abs(P[v[i]] - w[j]) < 1e-12]] = True
-    out = [None] * w.size
-    for t, wt, skip in zip(order.tolist(), wind.tolist(), near.tolist()):
-        out[t] = None if skip else wt
-    return out
+def _turns(vals):
+    """Winding number of the closed polygon vals about 0 as a float: the
+    sum of angle(vals[k + 1] / vals[k]) over 2 pi, nan through a vertex at 0."""
+    ratios = np.roll(vals, -1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios /= vals
+    return np.angle(ratios).sum() / (2.0 * np.pi)
 
 
 def univalence(f, n):
-    """Injectivity proxy: simple boundary polygon plus unit winding about
-    sampled interior image points.
+    """Injectivity proxy: the boundary polygon is simple and winds once about
+    f(0).
 
     The polygon is the boundary trace on the full n-point grid, with no
-    vertex cap, so folds as fine as one grid step are seen.  The verdict is
-    cached on f per n, like its traces, so a certificate gate on a map the
-    solve already checked costs nothing.  The targets are one fixed draw
-    from random.Random(0), the stdlib Mersenne Twister, so the verdict
-    depends on the map and its grid alone.
+    vertex cap, so folds as fine as one grid step are seen.  An analytic
+    map whose boundary curve is simple is univalent, and the curve winds
+    once about f(0) (Darboux's theorem; Duren, Univalent Functions, 1983).
+    The polygon can be simple where the curve is not: it is traversed twice
+    for z^2 and runs clockwise for a map aliased onto z-bar on the grid.
+    The winding count rejects both; it is O(n), so it runs before the
+    polygon test.  The verdict is cached on f per n, like its traces, so a
+    certificate gate on a map the solve already checked costs nothing.
     """
     n = check_grid_size(n)
     return f.memo(("univalence", n), lambda: _univalence(f, n))
@@ -518,12 +483,7 @@ def univalence(f, n):
 
 def _univalence(f, n):
     P = f.trace(n)
-    if not polygon_is_simple(P):
-        return False
-    rng = random.Random(0)
-    radii = 0.1 + 0.7 * np.array([rng.random() for _ in range(WINDING_SAMPLES)])
-    angles = 2.0 * np.pi * np.array([rng.random() for _ in range(WINDING_SAMPLES)])
-    return all(w in (None, 1) for w in winding_numbers(P, f(radii * np.exp(1j * angles))))
+    return bool(np.rint(_turns(P - f.coeffs[0])) == 1 and polygon_is_simple(P))
 
 
 def interior_critical_points(f, n):
@@ -534,9 +494,7 @@ def interior_critical_points(f, n):
     here".
     """
     vals = derivative(f).circle_trace(CRITICAL_RADIUS, check_grid_size(n))
-    ratios = np.roll(vals, -1)
-    ratios /= vals
-    turns = np.angle(ratios).sum() / (2.0 * np.pi)
+    turns = _turns(vals)
     if np.abs(vals).min() < 1e-13:
         return max(1, int(np.rint(np.abs(turns))))
     return int(np.rint(turns))
