@@ -9,7 +9,6 @@ exactly at the z_j.
 import numpy as np
 
 from .errors import DegenerateBoundaryError
-from .spectral import grid_points
 
 DENOM_GUARD = 1e-14
 
@@ -50,11 +49,6 @@ def evaluate(b, z):
     return b.eta * np.prod((zz - b.zeros) / denom, axis=-1)
 
 
-def boundary_trace(b, n):
-    """Nodal values of B on the standard n-point circle grid."""
-    return evaluate(b, grid_points(n))
-
-
 def log_derivative(b, z):
     """B'(z)/B(z) = sum_j [1/(z - z_j) + conj(z_j)/(1 - conj(z_j) z)].
 
@@ -68,9 +62,3 @@ def log_derivative(b, z):
     first = 1.0 / (zz - b.zeros)
     second = np.conj(b.zeros) / (1.0 - np.conj(b.zeros) * zz)
     return (first + second).sum(axis=-1)
-
-
-def derivative_trace(b, n):
-    """Nodal values of B' on the n-point circle grid."""
-    pts = grid_points(n)
-    return evaluate(b, pts) * log_derivative(b, pts)

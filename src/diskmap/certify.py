@@ -114,7 +114,7 @@ def _require_univalent(f, n, name):
         raise NotUnivalentError(f"{name} certificate needs a univalent map")
 
 
-def _fence(kind, sign, f, fld, n, tol):
+def _fence(kind, sign, f, fld, n):
     """The lowest of sign * (u - log|f'|) over the lattice, as a certificate;
     negation is exact, so the supersolution's is minus the highest margin."""
     lowest, highest, skipped = f.memo(("fence", fld, n), lambda: _lattice(f, fld, n))
@@ -122,30 +122,30 @@ def _fence(kind, sign, f, fld, n, tol):
     worst = sign * value
     return Certificate(
         kind=kind,
-        passed=bool(worst >= -tol) and skipped < n * FENCE_RADII,
+        passed=bool(worst >= -TOL_CERT) and skipped < n * FENCE_RADII,
         worst_margin=worst,
         worst_location={} if worst == np.inf else {"r": r, "t": t},
-        tolerance=tol,
+        tolerance=TOL_CERT,
         lattice={"n": n, "radii": FENCE_RADII},
         skipped=skipped,
     )
 
 
-def check_subsolution(f, fld, n=512, tol=TOL_CERT):
+def check_subsolution(f, fld, n=512):
     """f is a subsolution when |f'| never exceeds the harmonic majorant of
     Phi along f; lattice points where f' vanishes are skipped and counted,
     and a lattice with none left fails."""
-    return _fence("subsolution", 1.0, f, fld, n, tol)
+    return _fence("subsolution", 1.0, f, fld, n)
 
 
-def check_supersolution(f, fld, n=512, tol=TOL_CERT):
+def check_supersolution(f, fld, n=512):
     """Supersolutions must be univalent and keep |f'| above the harmonic
     minorant; folded boundaries are rejected outright."""
     _require_univalent(f, n, "supersolution")
-    return _fence("supersolution", -1.0, f, fld, n, tol)
+    return _fence("supersolution", -1.0, f, fld, n)
 
 
-def check_starlike(f, n=512, tol=TOL_CERT):
+def check_starlike(f, n=512):
     """Boundary starlikeness Re(z f'/f) >= 0 for a univalent map."""
     _require_univalent(f, n, "starlike")
     n = check_grid_size(n)
@@ -159,10 +159,10 @@ def check_starlike(f, n=512, tol=TOL_CERT):
     worst = float(quotient[i])
     return Certificate(
         kind="starlike",
-        passed=bool(worst >= -tol),
+        passed=bool(worst >= -TOL_CERT),
         worst_margin=worst,
         worst_location={"t": float(grid_angles(n)[i])},
-        tolerance=tol,
+        tolerance=TOL_CERT,
         lattice={"n": n},
     )
 
@@ -188,7 +188,7 @@ def _newton_inverse(f, fp, w, z0):
     raise DegenerateBoundaryError("Newton inversion failed to converge")
 
 
-def free_boundary_check(f, fld, n=512, tol=TOL_CERT):
+def free_boundary_check(f, fld, n=512):
     """Check the free boundary identity along the solved boundary.
 
     Boundary part: |1/|f'| - 1/Phi(., f)| stays under a threshold derived
@@ -207,7 +207,7 @@ def free_boundary_check(f, fld, n=512, tol=TOL_CERT):
     if m1 < 1e-12 or m2 < 1e-12:
         raise DegenerateBoundaryError("boundary derivative or weight vanishes; identity undefined")
     residual = residual_sup(f, fld, n)
-    threshold = residual / (m1 * m2) + tol
+    threshold = residual / (m1 * m2) + TOL_CERT
     gap = np.abs(1.0 / np.abs(fpvals) - 1.0 / phi)
     i = int(np.argmax(gap))
     boundary_worst = float(gap[i])
@@ -231,7 +231,7 @@ def free_boundary_check(f, fld, n=512, tol=TOL_CERT):
         passed=passed,
         worst_margin=margin,
         worst_location={"t": float(grid_angles(n)[i])},
-        tolerance=tol,
+        tolerance=TOL_CERT,
         lattice={"n": n, "spots": FB_SPOTS, "delta": FB_DELTA},
         details={
             "boundary_gap": boundary_worst,

@@ -20,13 +20,7 @@ import sys
 import numpy as np
 
 from . import weight
-from .certify import (
-    TOL_CERT,
-    check_starlike,
-    check_subsolution,
-    check_supersolution,
-    free_boundary_check,
-)
+from .certify import check_starlike, check_subsolution, check_supersolution, free_boundary_check
 from .errors import ConfigError, DiskmapError
 from .regions import (
     build_shrinking_spiral_family,
@@ -38,7 +32,7 @@ from .regions import (
     schoenfliess_test,
 )
 from .regularity import second_derivative, spectrum_report
-from .solver import SolveOptions, boundary_weight, check_tolerance, radial_scan, residual_sup, solve
+from .solver import SolveOptions, boundary_weight, radial_scan, residual_sup, solve
 from .spectral import DiskFunction, derivative, grid_angles
 from .weight import make_builtin, radial_scale_check, superharmonic_check, tabulated_field
 
@@ -115,7 +109,6 @@ def initial_map(text):
 def build_options(args):
     return SolveOptions(
         n=args.n,
-        theta=args.theta,
         max_iters=args.max_iters,
         tol_update=args.tol,
         tol_residual=args.tol_residual,
@@ -133,6 +126,13 @@ def _plain(obj):
     if dataclasses.is_dataclass(obj):
         return dataclasses.asdict(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _output(args, name):
+    """The path of one output file; --out is made on the first write, so a
+    command that fails before it leaves no directory behind."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
 
 
 def write_json(path, payload):
@@ -214,15 +214,14 @@ def cmd_solve(args):
     bad = set(args.emit) - {"csv", "svg", "json"}
     if bad:
         raise ConfigError(f"emit knows csv, svg, json; got {sorted(bad)}")
-    os.makedirs(args.out, exist_ok=True)
     report = solve(fld, zeros=args.zeros, options=build_options(args))
     if "json" in args.emit:
-        write_json(os.path.join(args.out, "solve_report.json"), report.as_dict())
+        write_json(_output(args, "solve_report.json"), report.as_dict())
     if "csv" in args.emit:
-        write_coefficients_csv(os.path.join(args.out, "coefficients.csv"), report.f)
-        write_boundary_csv(os.path.join(args.out, "boundary.csv"), report.f, fld, report.n)
+        write_coefficients_csv(_output(args, "coefficients.csv"), report.f)
+        write_boundary_csv(_output(args, "boundary.csv"), report.f, fld, report.n)
     if "svg" in args.emit:
-        write_curve_svg(os.path.join(args.out, "curve.svg"), report.f.trace(report.n))
+        write_curve_svg(_output(args, "curve.svg"), report.f.trace(report.n))
     status = "converged" if report.converged else "did not converge"
     print(
         f"solve {fld.name}: {status} in {report.iterations} iterations, n={report.n}, "
@@ -237,19 +236,18 @@ def cmd_certify(args):
         raise ConfigError("certify needs map=PATH pointing at a coefficient CSV")
     f = load_coefficients_csv(path)
     fld = build_field(args)
-    n, tol = args.n, check_tolerance("tol", args.tol)
+    n = args.n
     unknown = set(args.checks) - set(ALL_CHECKS)
     if unknown:
         raise ConfigError(f"unknown checks {sorted(unknown)}; known: {list(ALL_CHECKS)}")
     if not args.checks:
         raise ConfigError(f"checks names no certificate; known: {list(ALL_CHECKS)}")
-    os.makedirs(args.out, exist_ok=True)
 
     check = {
-        "subsolution": lambda: check_subsolution(f, fld, n=n, tol=tol),
-        "supersolution": lambda: check_supersolution(f, fld, n=n, tol=tol),
-        "starlike": lambda: check_starlike(f, n=n, tol=tol),
-        "free_boundary": lambda: free_boundary_check(f, fld, n=n, tol=tol),
+        "subsolution": lambda: check_subsolution(f, fld, n=n),
+        "supersolution": lambda: check_supersolution(f, fld, n=n),
+        "starlike": lambda: check_starlike(f, n=n),
+        "free_boundary": lambda: free_boundary_check(f, fld, n=n),
     }
     results = []
     payload = {"map": path, "field": fld.name}
@@ -265,7 +263,7 @@ def cmd_certify(args):
         error = e
         payload["error"] = str(e)
     payload["certificates"] = [cert.as_dict() for cert in results]
-    write_json(os.path.join(args.out, "certificates.json"), payload)
+    write_json(_output(args, "certificates.json"), payload)
     if error is not None:
         raise error
     return 0 if all(cert.passed for cert in results) else 1
@@ -273,7 +271,6 @@ def cmd_certify(args):
 
 def cmd_scan(args):
     fld = build_field(args)
-    os.makedirs(args.out, exist_ok=True)
     payload = {"field": fld.name}
 
     if fld.radial_profile is not None:
@@ -292,20 +289,19 @@ def cmd_scan(args):
     payload["superharmonic_check"] = sup
     print(f"{'PASS' if sup.passed else 'FAIL'} superharmonic condition: excess={sup.worst:.3e}")
 
-    write_json(os.path.join(args.out, "scan.json"), payload)
+    write_json(_output(args, "scan.json"), payload)
     return 0
 
 
 def cmd_geometry(args):
     op = args.op
-    os.makedirs(args.out, exist_ok=True)
     if op == "demo":
         family = build_shrinking_spiral_family(size=args.size)
         kernel = kernel_of_shrinking(family)
         verdict = schoenfliess_test(kernel)
         for k, region in enumerate(family):
-            save_region(region, os.path.join(args.out, f"level_{k}.pbm"))
-        save_region(kernel, os.path.join(args.out, "kernel.pbm"))
+            save_region(region, _output(args, f"level_{k}.pbm"))
+        save_region(kernel, _output(args, "kernel.pbm"))
         payload = {
             "op": "demo",
             "size": args.size,
@@ -327,7 +323,7 @@ def cmd_geometry(args):
         except (OSError, ValueError) as e:
             raise ConfigError(f"cannot load region: {e}") from None
         result = (extended_union if op == "union" else reduced_intersection)(*regions)
-        save_region(result, os.path.join(args.out, f"{op}.pbm"))
+        save_region(result, _output(args, f"{op}.pbm"))
         payload = {
             "op": op,
             "inputs": paths,
@@ -337,12 +333,11 @@ def cmd_geometry(args):
         print(f"{op} of {len(paths)} regions: area {result.area()}")
     else:
         raise ConfigError(f"geometry op must be demo, union, or intersection, got {op!r}")
-    write_json(os.path.join(args.out, "geometry.json"), payload)
+    write_json(_output(args, "geometry.json"), payload)
     return 0
 
 
 def cmd_spectrum(args):
-    os.makedirs(args.out, exist_ok=True)
     path = args.map
     fld = build_field(args) if args.field else None
     if path:
@@ -365,7 +360,7 @@ def cmd_spectrum(args):
             "sup_norm": float(np.abs(second.values).max()),
         }
         print(f"second derivative gap vs spectral: {second.spectral_gap:.3e}")
-    write_json(os.path.join(args.out, "spectrum.json"), payload)
+    write_json(_output(args, "spectrum.json"), payload)
     return 0
 
 
@@ -408,7 +403,6 @@ def build_parser():
         p.add_argument("--zeros", type=critical_points, default="", help="comma list of prescribed critical points, e.g. -0.5")
         p.add_argument("--init", type=initial_map, default="auto", help="auto, a radius like 6.5, or csv:PATH (default %(default)s)")
         p.add_argument("--n", type=int, default=d.n, help="finest boundary grid the answer is solved on, power of two (default %(default)s)")
-        p.add_argument("--theta", type=float, default=d.theta, help="damping factor in (0,1] (default %(default)s)")
         p.add_argument("--max-iters", type=int, default=d.max_iters, help="iteration cap (default %(default)s)")
         p.add_argument("--tol", type=float, default=d.tol_update, help="update tolerance, sup of |(U(f) - f)'| (default %(default)s)")
         p.add_argument("--tol-residual", type=float, default=d.tol_residual, help="boundary residual target (default %(default)s)")
@@ -423,7 +417,6 @@ def build_parser():
     p.add_argument("--map", help="coefficient CSV written by solve")
     p.add_argument("--checks", type=_split_list, default=",".join(ALL_CHECKS), help="comma list of certificates (default %(default)s)")
     p.add_argument("--n", type=int, default=SolveOptions.n, help="boundary grid size (default %(default)s)")
-    p.add_argument("--tol", type=float, default=TOL_CERT, help="certificate tolerance (default %(default)s)")
 
     p = command("scan", "scaled-identity scan plus field condition checks")
     field_args(p)

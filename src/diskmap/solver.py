@@ -8,9 +8,8 @@ points of the update
 
 where B carries the prescribed critical points and S is the Schwarz integral.
 The solver iterates on the Taylor coefficients with Anderson mixing of depth
-ANDERSON_DEPTH on top of the step f <- f + theta (U(f) - f), undamped by
-default (Walker & Ni, SIAM J. Numer. Anal. 49, 2011).  It is one loop over
-every grid size.
+ANDERSON_DEPTH on top of the undamped step f <- U(f) (Walker & Ni, SIAM J.
+Numer. Anal. 49, 2011).  It is one loop over every grid size.
 It starts on a coarse grid, and each time the update settles on an f'
 whose spectral tail is unresolved the grid doubles: nested iteration, the
 outer loop of full multigrid (Brandt, Math. Comp. 31, 1977).  Below the
@@ -58,7 +57,6 @@ def scaled_identity(r):
 @dataclass
 class SolveOptions:
     n: int = 512
-    theta: float = 1.0  # step factor in (0, 1]; why undamped: see _solve
     max_iters: int = 2000
     tol_update: float = 1e-10
     tol_residual: float = 1e-8
@@ -70,8 +68,8 @@ class SolveOptions:
             # start above the weight's sup bound, on a supersolution: on a
             # radial weight that grows with |w|, plain steps from there descend
             # onto the maximal solution.  Where the fixed points repel the
-            # plain step, which one a solve reaches depends on theta and the
-            # start (see _solve)
+            # plain step, which one a solve reaches depends on the start
+            # (see _solve)
             return scaled_identity(field.sup_bound + 0.5)
         if isinstance(init, DiskFunction):
             return init
@@ -91,7 +89,6 @@ class SolveReport:
     update_history_l2: list
     univalent: bool
     locally_univalent: bool
-    theta: float
     zeros: tuple
     field_name: str
     tail_ratio: float  # spectral.tail_ratio of derivative(f), which the refinement compared
@@ -102,7 +99,6 @@ class SolveReport:
         return {
             "field": self.field_name,
             "n": self.n,
-            "theta": self.theta,
             "zeros": [[z.real, z.imag] for z in self.zeros],
             "iterations": self.iterations,
             "converged": self.converged,
@@ -244,7 +240,7 @@ def _mixing_weights(dR, r):
 
 
 def check_tolerance(name, tol):
-    """A stopping or certificate tolerance must be finite and non-negative."""
+    """A stopping tolerance must be finite and non-negative."""
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"{name} must be finite and non-negative, got {tol}")
     return tol
@@ -253,22 +249,19 @@ def check_tolerance(name, tol):
 def _solve(fld, zeros, options, depth):
     """One iteration loop over every grid; depth 0 is the plain iteration.
 
-    The grids are those of solve.  With r = U(x) - x the step is theta r,
-    undamped (theta = 1) by default.  It shrinks an error mode with
-    eigenvalue lambda of U' by 1 - theta + theta lambda.  At the solved
-    fixed points the largest |lambda| (real Jacobian, central differences,
-    n = 128) is 0.003 to 0.11 on seeded random fields, 0.04 on
-    ripple_analytic, 0.06 to 0.52 (all negative) on the criterion-8 Gauss
-    fields and 0.71 on z^2 + z.  Where lambda is small, theta = 0.5 shrinks
-    every mode by about 0.5 per step and takes about twice the steps; on
-    the Gauss fields both theta take 5 to 7 steps.  Where the fixed points
-    repel the plain step (cosine_radial(2, 0.9, 4): lambda = -4.9 at
-    3.327z, -7.2 at 1.968z) no theta contracts: mixing converges as a
-    secant solve, and which fixed point it reaches depends on theta and
-    the start (1.968z at theta = 1 and 3.327z at theta = 0.5 from the
-    default start, 2.876z at theta = 0.5 from 3.5z).
+    The grids are those of solve.  With r = U(x) - x the step is r itself,
+    undamped.  It leaves lambda of an error mode with eigenvalue lambda of
+    U', where a step damped by t in (0, 1) leaves 1 - t + t lambda, about
+    1 - t when lambda is small.  At the solved fixed points the largest
+    |lambda| (real Jacobian, central differences, n = 128) is 0.003 to 0.11
+    on seeded random fields, 0.04 on ripple_analytic, 0.06 to 0.52 (all
+    negative) on the criterion-8 Gauss fields and 0.71 on z^2 + z.  Where
+    the fixed points repel the plain step (cosine_radial(2, 0.9, 4): lambda
+    = -4.9 at 3.327z, -7.2 at 1.968z), mixing converges as a secant solve,
+    and which fixed point it reaches depends on the start: the default
+    start reaches 1.968z, not the maximal 3.327z.
 
-    Anderson mixing subtracts sum_i gamma_i (dX_i + theta dR_i), where dX_i
+    Anderson mixing subtracts sum_i gamma_i (dX_i + dR_i), where dX_i
     and dR_i are the last changes of x and r and gamma fits r by the dR_i in
     least squares.  The history holds the last depth steps taken, newest
     first: dX_i is the step itself, and a full history's newest dR_i reuses
@@ -280,11 +273,6 @@ def _solve(fld, zeros, options, depth):
     target = n = check_grid_size(options.n)
     if target > MAX_GRID:
         raise ValueError(f"grid size must be at most {MAX_GRID}, got {target}")
-    theta = float(options.theta)
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(
-            f"damping factor must lie in (0, 1], got {options.theta}"
-        )
     check_tolerance("tol_update", options.tol_update)
     check_tolerance("tol_residual", options.tol_residual)
     b = blaschke_mod.construct(zeros)
@@ -322,7 +310,7 @@ def _solve(fld, zeros, options, depth):
                 history=sup_hist,
             )
         if dsup < options.tol_update:
-            x += theta * r
+            x += r
             fine = resolved(derivative(DiskFunction(x)).coeffs)
             if fine and n >= target:
                 stop_reason = "tolerance"
@@ -335,12 +323,12 @@ def _solve(fld, zeros, options, depth):
             x = _pad_coeffs(x, n)
             plan = dX = dR = r = None  # the next step starts on the new grid
             continue
-        step = theta * r
+        step = r.copy()
         if dR:
             dR[0] += r  # completes r_k - r_(k-1)
             for g, dx, dr in zip(_mixing_weights(dR, r), dX, dR):
                 step -= g * dx
-                step -= (theta * g) * dr
+                step -= g * dr
             del dx, dr
         if depth:
             if len(dR) == depth:  # the oldest differences go; -r reuses a row
@@ -373,7 +361,6 @@ def _solve(fld, zeros, options, depth):
         update_history_l2=l2_hist,
         univalent=univalent,
         locally_univalent=bool(len(zeros) == 0 and interior_critical_points(f, n) == 0),
-        theta=theta,
         zeros=tuple(np.asarray(zeros, dtype=np.complex128)) if len(zeros) else (),
         field_name=fld.name,
         tail_ratio=tail_ratio(derivative(f).coeffs),
@@ -549,7 +536,7 @@ class RateReport:
 def contraction_rate(fld, certificate, options=None):
     """Empirical contraction rate against a valid certificate.
 
-    Runs plain undamped Picard steps (theta = 1, no mixing) from scaled
+    Runs plain undamped Picard steps (no mixing) from scaled
     identities inside the certified ball, zero-padded to options.n so that
     every step runs on options.n: the rate is a property of one operator.
     The certificate bounds every consecutive update ratio by its `ratio`,
@@ -561,7 +548,7 @@ def contraction_rate(fld, certificate, options=None):
     reports = []
     for frac in RATE_FRACTIONS:
         init = scaled_identity(float(frac) * certificate.sup_solution_bound).coeffs
-        opts = replace(base, theta=1.0, initial_map=DiskFunction(_pad_coeffs(init, base.n)))
+        opts = replace(base, initial_map=DiskFunction(_pad_coeffs(init, base.n)))
         reports.append(_solve(fld, (), opts, 0))
 
     rate = 0.0

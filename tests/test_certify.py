@@ -94,7 +94,7 @@ def test_fence_takes_one_log_phi_spectrum():
     assert sub.skipped == sup.skipped == 0
 
 
-def _per_radius_fences(f, fld, n, n_radii, tol=certify.TOL_CERT):
+def _per_radius_fences(f, fld, n, n_radii):
     """The reference sub- and supersolution fences: one circle trace of the
     harmonic extension of log Phi and one of f' per radius, and each
     fence's worst cell kept on a strict < from row to row."""
@@ -117,10 +117,10 @@ def _per_radius_fences(f, fld, n, n_radii, tol=certify.TOL_CERT):
     return [
         certify.Certificate(
             kind=kind,
-            passed=bool(worst[k] >= -tol),
+            passed=bool(worst[k] >= -certify.TOL_CERT),
             worst_margin=worst[k],
             worst_location=where[k],
-            tolerance=tol,
+            tolerance=certify.TOL_CERT,
             lattice={"n": n, "radii": n_radii},
             skipped=skipped,
         )
@@ -214,12 +214,6 @@ def test_fence_memory_at_the_finest_grid(staircase):
     finally:
         tracemalloc.stop()
     assert (peak - start) / 2**20 <= 4.04
-
-
-def test_tolerance_parameter_threads_through(unit_field):
-    loose = certify.check_subsolution(solver.scaled_identity(2.0), unit_field, tol=1.0)
-    assert loose.passed
-    assert loose.tolerance == 1.0
 
 
 def test_supersolution_requires_univalence(unit_field):

@@ -78,14 +78,14 @@ def test_solve_nonconvergence_exits_one(tmp_path, capsys):
     (["--init", "6.5", "--tol-residual", "1e-20"], 1, "residual"),
     # the n = 512 solve settles on an unresolved tail and refines to 8192
     (["--init", "1.0", "--zeros", "0.995"], 0, "tolerance"),
-    # z^2 + z on the damped path; the other cases take the undamped default
-    (["--init", "1.0", "--zeros", "-0.5", "--theta", "0.5"], 0, "tolerance"),
+    # z^2 + z, a branched solution
+    (["--init", "1.0", "--zeros", "-0.5"], 0, "tolerance"),
 ])
 def test_solve_report_records_stop_reason(tmp_path, argv, code, reason):
     assert run(["solve", "--field", "staircase", *argv, "--out", tmp_path, "--emit", "json"]) == code
     report = json.loads((tmp_path / "solve_report.json").read_text())
     assert report["stop_reason"] == reason
-    assert report["theta"] == (0.5 if "--theta" in argv else 1.0)
+    assert "theta" not in report
 
 
 def test_refining_solve_counts_the_steps_of_every_grid(tmp_path):
@@ -114,7 +114,7 @@ def test_solve_defaults_come_from_solve_options(capsys):
     with pytest.raises(SystemExit):
         cli.main(["solve", "--help"])
     text = " ".join(capsys.readouterr().out.split("options:", 1)[1].split())
-    for flag, value in (("--n", defaults.n), ("--theta", defaults.theta), ("--max-iters", defaults.max_iters),
+    for flag, value in (("--n", defaults.n), ("--max-iters", defaults.max_iters),
                         ("--tol", defaults.tol_update), ("--tol-residual", defaults.tol_residual)):
         assert re.search(rf"{flag} \S+ .*?\(default ([^)]*)\)", text).group(1) == str(value), flag
 
@@ -124,18 +124,31 @@ def test_shipped_configs_parse():
         args = cli.parse_args(["solve", "--config", name])
         cfg = cli.read_config(name)
         assert (args.field, args.zeros, args.emit) == ("staircase", zeros, ["json", "csv", "svg"])
-        assert (args.init, args.n, args.theta) == (float(cfg["init"]), int(cfg["n"]), float(cfg["theta"]))
+        assert (args.init, args.n) == (float(cfg["init"]), int(cfg["n"]))
+        assert cli.build_options(args) == solver.SolveOptions(initial_map=args.init)
+
+
+@pytest.mark.parametrize("name,steps", [("staircase_maximal", 2), ("staircase_branched", 23)])
+def test_shipped_configs_solve_as_the_library_default(tmp_path, name, steps):
+    # 6z and z^2 + z, each bit for bit the in-process solve from the same start
+    argv = ["solve", "--config", f"configs/{name}.cfg", "--out", tmp_path, "--emit", "json,csv"]
+    assert run(argv) == 0
+    args = cli.parse_args([str(a) for a in argv])
+    rep = solver.solve(cli.build_field(args), zeros=args.zeros, options=solver.SolveOptions(initial_map=args.init))
+    report = json.loads((tmp_path / "solve_report.json").read_text())
+    assert report["iterations"] == rep.iterations == steps
+    assert cli.load_coefficients_csv(tmp_path / "coefficients.csv").coeffs.tobytes() == rep.f.coeffs.tobytes()
 
 
 def test_flags_override_the_config_file(tmp_path):
     # an int, a float and a string setting: the file replaces the defaults,
     # typed by the flags, and the flags given on the command line win
     cfgfile = tmp_path / "solve.cfg"
-    cfgfile.write_text("field=gauss_radial\nn=1024\ntheta=0.25\n")
+    cfgfile.write_text("field=gauss_radial\nn=1024\ntol=1e-9\n")
     args = cli.parse_args(["solve", "--config", str(cfgfile)])
-    assert (args.field, args.n, args.theta) == ("gauss_radial", 1024, 0.25)
-    args = cli.parse_args(["solve", "--config", str(cfgfile), "--field", "staircase", "--n", "2048", "--theta", "0.75"])
-    assert (args.field, args.n, args.theta) == ("staircase", 2048, 0.75)
+    assert (args.field, args.n, args.tol) == ("gauss_radial", 1024, 1e-9)
+    args = cli.parse_args(["solve", "--config", str(cfgfile), "--field", "staircase", "--n", "2048", "--tol", "1e-11"])
+    assert (args.field, args.n, args.tol) == ("staircase", 2048, 1e-11)
 
 
 def test_config_file_runs_each_converter_once(tmp_path, monkeypatch):
@@ -159,7 +172,7 @@ def test_help_shows_the_library_defaults(capsys, monkeypatch):
     with pytest.raises(SystemExit):
         cli.main(["certify", "--help"])
     text = " ".join(capsys.readouterr().out.split())
-    assert f"--tol TOL certificate tolerance (default {certify.TOL_CERT})" in text
+    assert f"--n N boundary grid size (default {solver.SolveOptions.n})" in text
     assert f"--checks CHECKS comma list of certificates (default {','.join(cli.ALL_CHECKS)})" in text
 
 
@@ -448,8 +461,8 @@ def test_spectrum_solves_when_given_field(tmp_path):
     ["solve", "--field", "bogus_name"],
     ["solve", "--field", "staircase", "--n", "300"],
     ["solve", "--field", "staircase", "--emit", "pdf"],
-    ["solve", "--field", "staircase", "--theta", "0"],
-    ["solve", "--field", "staircase", "--theta", "1.5"],
+    ["spectrum", "--map", "missing.csv"],
+    ["geometry", "--op", "union", "--inputs", "missing_a.pbm,missing_b.pbm"],
     ["solve", "--field", "constant:nope"],
     ["certify", "--field", "staircase"],
     ["certify", "--field", "staircase", "--map", "missing.csv"],
@@ -463,14 +476,18 @@ def test_spectrum_solves_when_given_field(tmp_path):
     ["solve", "--field", "staircase", "--init", "6.5", "--n", "65536"],
 ])
 def test_config_errors_exit_two(tmp_path, argv, capsys):
-    assert run(argv + ["--out", tmp_path]) == 2
+    # every check runs before the first output is written, so no --out
+    # directory is left behind
+    out = tmp_path / "out"
+    assert run(argv + ["--out", out]) == 2
     assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,key,flag", [
     ("solve", "n", "--n"),
-    ("solve", "theta", "--theta"),
-    ("certify", "tol", "--tol"),
+    ("solve", "tol", "--tol"),
+    ("certify", "n", "--n"),
     ("scan", "steps", "--steps"),
     ("geometry", "size", "--size"),
     ("spectrum", "max_iters", "--max-iters"),
@@ -487,17 +504,33 @@ def test_config_value_is_typed_by_its_flag(tmp_path, capsys, command, key, flag)
 @pytest.mark.parametrize("argv,key", [
     (["solve", "--field", "staircase", "--init", "6.5", "--tol", "nan"], "tol_update"),
     (["solve", "--field", "staircase", "--init", "6.5", "--tol-residual", "-1"], "tol_residual"),
-    (["certify", "--field", "staircase", "--map", "six.csv", "--tol", "nan"], "tol"),
 ])
 def test_bad_tolerance_exits_two(tmp_path, capsys, argv, key):
-    # nan used to stop the solve with a singular mixing system and fail every
-    # certificate, and a negative residual target ran to "did not converge"
-    write_map(tmp_path / "six.csv", [0.0, 6.0])
-    argv = [str(tmp_path / a) if a == "six.csv" else a for a in argv]
+    # nan used to stop the solve with a singular mixing system, and a
+    # negative residual target ran to "did not converge"
     assert run(argv + ["--out", tmp_path / "out"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and f"{key} must be finite and non-negative" in err
-    assert list((tmp_path / "out").glob("*")) == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,flag,key", [
+    ("solve", "--theta", "theta"),
+    ("spectrum", "--theta", "theta"),
+    ("certify", "--tol", "tol"),
+])
+def test_retired_settings_are_unknown(tmp_path, capsys, command, flag, key):
+    # every solve takes the undamped step and every certificate passes
+    # against TOL_CERT: neither is a setting any more
+    with pytest.raises(SystemExit) as exit_:
+        run([command, flag, "0.5", "--out", tmp_path])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag} 0.5" in capsys.readouterr().err
+    cfgfile = tmp_path / "retired.cfg"
+    cfgfile.write_text(f"{key} = 0.5\n")
+    assert run([command, "--config", cfgfile, "--out", tmp_path]) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["retired.cfg"]
 
 
 @pytest.mark.parametrize("command", ["certify", "scan", "geometry", "spectrum"])

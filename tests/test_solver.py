@@ -56,12 +56,6 @@ def test_unresolved_tail_at_the_largest_grid_raises(monkeypatch):
         solver.solve(weight.ripple_field(smooth=False), options=SolveOptions(n=64))
 
 
-@pytest.mark.parametrize("theta", [0.0, -0.5, 1.5])
-def test_solve_rejects_bad_damping(staircase, theta):
-    with pytest.raises(ValueError, match="damping factor"):
-        solver.solve(staircase, options=SolveOptions(theta=theta))
-
-
 # ---------------------------------------------------------------------------
 # operator stationarity and residuals
 
@@ -80,6 +74,45 @@ def test_scaled_identities_are_fixed_points(staircase, r):
 def test_residual_of_scaled_identities(staircase, r, want):
     got = solver.residual_sup(scaled_identity(r), staircase, 128)
     assert abs(got - want) < 1e-12
+
+
+def _half_step_residual(f, fld, n):
+    """sup of | |f'| - Phi | at the midpoints xi e^{i pi/n} between the n
+    nodes: the n-point traces of f and f' with c_k turned by e^{i pi k/n}."""
+    fp = spectral.derivative(f)
+    def turned(g):
+        return DiskFunction(g.coeffs * np.exp(1j * np.pi * np.arange(g.coeffs.size) / n)).trace(n)
+    mid = spectral.grid_points(n) * np.exp(1j * np.pi / n)
+    return float(np.abs(np.abs(turned(fp)) - fld.evaluate(mid, turned(f))).max())
+
+
+def _check_between_the_nodes(name, zeros, n):
+    fld = weight.make_builtin(name)
+    rep = solver.solve(fld, zeros=zeros, options=SolveOptions(n=n))
+    assert rep.converged and rep.stop_reason == "tolerance"
+    mid = _half_step_residual(rep.f, fld, rep.n)
+    assert mid <= max(rep.residual * 2.0, SolveOptions.tol_residual), (rep.residual, mid)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: converged is checked only at the grid nodes; these kinked or "
+    "branched solves read 1.3e-4, 9.8e-6 and 1.5e-3 between the nodes against "
+    "1.6e-13, 7.3e-13 and 8.3e-13 at them"
+))
+@pytest.mark.parametrize("name,zeros,n", [
+    ("ripple_kink", [], 128),
+    ("ripple_kink", [], 2048),
+    ("bounded_parabola", [-0.5], 512),
+])
+def test_converged_solve_meets_the_residual_between_the_nodes(name, zeros, n):
+    _check_between_the_nodes(name, zeros, n)
+
+
+@pytest.mark.parametrize("name", ["staircase", "ripple_analytic"])
+def test_smooth_solve_meets_the_residual_between_the_nodes(name):
+    # controls: staircase reads 1.8e-15 at the nodes and 8.9e-16 between
+    # them, ripple_analytic 1.3e-12 at both
+    _check_between_the_nodes(name, [], 512)
 
 
 # ---------------------------------------------------------------------------
@@ -237,40 +270,20 @@ def test_report_tail_ratio_is_the_refinement_measure():
 
 
 def test_anderson_matches_plain_damped_iteration_in_fewer_steps():
+    # the plain iteration takes the same undamped step; it needs as many
+    # steps as mixing on 6z and on seeds 9, 13 and 16, and more elsewhere
+    steps = {"mixed": 0, "plain": 0}
     for name, fld, zeros, opts in _oracle_cases():
-        opts = dataclasses.replace(opts, theta=0.5)  # mixing against the damped step
         mixed = solver._solve(fld, zeros, opts, solver.ANDERSON_DEPTH)
         plain = solver._solve(fld, zeros, opts, 0)
         assert mixed.converged and plain.converged, name
         assert mixed.n == plain.n, name
         gap = np.abs(mixed.f.trace(mixed.n) - plain.f.trace(plain.n)).max()
         assert gap <= 1e-9, name
-        assert mixed.iterations < plain.iterations, name
-
-
-def test_undamped_default_reaches_the_damped_fixed_points_in_fewer_steps():
-    # the default step is undamped: U' is small at these fixed points, so
-    # theta = 0.5 reaches the same verdicts and limits, only more slowly
-    assert SolveOptions().theta == 1.0
-    fields = [
-        weight.constant_field(2.0) if name == "constant" else weight.make_builtin(name)
-        for name in sorted(weight.BUILTIN_FIELDS)
-    ]
-    steps = {0.5: 0, 1.0: 0}
-    for fld in fields:
-        for zeros in ([], [-0.5]):
-            for n in (64, 512):
-                undamped, damped = (
-                    solver.solve(fld, zeros=zeros, options=SolveOptions(n=n, theta=theta))
-                    for theta in (1.0, 0.5)
-                )
-                case = (fld.name, zeros, n)
-                for key in ("n", "converged", "stop_reason", "univalent", "doublings"):
-                    assert getattr(undamped, key) == getattr(damped, key), (case, key)
-                assert np.abs(undamped.f.coeffs - damped.f.coeffs).max() <= 1e-8, case
-                steps[1.0] += undamped.iterations
-                steps[0.5] += damped.iterations
-    assert steps[1.0] < steps[0.5]
+        assert mixed.iterations <= plain.iterations, name
+        steps["mixed"] += mixed.iterations
+        steps["plain"] += plain.iterations
+    assert steps["mixed"] < steps["plain"]
 
 
 def _growing_weight(k, mid):
@@ -284,17 +297,16 @@ def _growing_weight(k, mid):
 @pytest.mark.parametrize("k,mid,r_max", [(4, 2.5, 3.992352), (8, 3.0, 3.998986), (20, 2.5, 4.0)])
 def test_default_start_descends_onto_the_maximal_fixed_point_of_a_growing_weight(k, mid, r_max):
     fld = _growing_weight(k, mid)
-    for theta in (1.0, 0.5):
-        rep = solver.solve(fld, options=SolveOptions(theta=theta))
-        r = rep.f.coeffs[1].real
-        assert rep.converged and abs(r - fld.radial_profile(r)) < 1e-8, theta
-        assert r == pytest.approx(r_max, abs=1e-6), theta
+    rep = solver.solve(fld)
+    r = rep.f.coeffs[1].real
+    assert rep.converged and abs(r - fld.radial_profile(r)) < 1e-8
+    assert r == pytest.approx(r_max, abs=1e-6)
 
 
 @pytest.mark.xfail(strict=True, reason=(
     "every fixed point repels the plain step here (lambda = -4.9 at 3.327z), so mixing "
-    "converges as a secant solve; the undamped default reaches 1.968z, theta = 0.5 "
-    "reaches 3.327z from the default start but 2.876z from 3.5z"
+    "converges as a secant solve, and which fixed point it reaches depends on the start: "
+    "the default start reaches 1.968z"
 ))
 def test_default_solve_reaches_the_maximal_fixed_point_of_a_stiff_cosine_weight():
     rep = solver.solve(weight.cosine_radial_field(2.0, 0.9, 4.0))
@@ -810,7 +822,7 @@ def test_contraction_rate_runs_plain_undamped_iteration(monkeypatch):
     b = blaschke.construct([])
     n = SolveOptions().n
     for rep, frac in zip(reports, (0.2, 0.5, 0.9)):
-        assert rep.n == n and rep.theta == 1.0
+        assert rep.n == n
         f = DiskFunction(solver._pad_coeffs(scaled_identity(frac * cert.sup_solution_bound).coeffs, n))
         want = []
         for _ in range(rep.iterations):
@@ -825,7 +837,7 @@ def test_contraction_rate_runs_plain_undamped_iteration(monkeypatch):
 def test_contraction_rate_keeps_the_callers_other_options(monkeypatch):
     fld = weight.gauss_radial_field(1.0, 0.1)
     cert = weight.contraction_certificate(fld, np.sqrt(0.2) * np.exp(-0.5))
-    base = SolveOptions(n=64, theta=0.3, max_iters=5, tol_update=1e-9, tol_residual=1e-7)
+    base = SolveOptions(n=64, max_iters=5, tol_update=1e-9, tol_residual=1e-7)
     seen = []
     inner = solver._solve
 
@@ -838,7 +850,7 @@ def test_contraction_rate_keeps_the_callers_other_options(monkeypatch):
     assert [depth for _, depth in seen] == [0, 0, 0]
     for (opts, _), frac in zip(seen, (0.2, 0.5, 0.9)):
         assert dataclasses.replace(opts, initial_map=None) == SolveOptions(
-            n=64, theta=1.0, max_iters=5, tol_update=1e-9, tol_residual=1e-7,
+            n=64, max_iters=5, tol_update=1e-9, tol_residual=1e-7,
         )
         # each start is the scaled identity zero-padded to n
         want = solver._pad_coeffs(scaled_identity(frac * cert.sup_solution_bound).coeffs, 64)
