@@ -118,7 +118,7 @@ class _Plan:
     """What the operator needs at one grid size, built once per size."""
 
     n: int
-    nodes: np.ndarray  # grid points xi_j
+    nodes: np.ndarray  # grid points xi_j, the table grid_points shares
     blaschke: object  # B on the grid, None when there are no zeros (B == 1)
     k: np.ndarray  # k = 0 .. n-1, the derivative's multipliers
     inv_k: np.ndarray  # 1/k for k = 1 .. n-1, the primitive's divisors
@@ -345,9 +345,10 @@ def _solve(fld, zeros, options, depth):
         n = target
         x = _pad_coeffs(x, n)
     f = DiskFunction(x)
-    # before f' and its trace are cached on f, so that the polygon test's
-    # temporaries stay below the iteration's memory peak
+    # before f' and its trace are cached on f, so that the polygon test's and
+    # the critical circle's temporaries stay below the iteration's memory peak
     univalent = univalence(f, n)
+    locally_univalent = bool(len(zeros) == 0 and interior_critical_points(f, n) == 0)
     res = residual_sup(f, fld, n)
     if stop_reason == "tolerance" and not res <= options.tol_residual:
         stop_reason = "residual"  # the update settled, the residual did not
@@ -360,7 +361,7 @@ def _solve(fld, zeros, options, depth):
         update_history=sup_hist,
         update_history_l2=l2_hist,
         univalent=univalent,
-        locally_univalent=bool(len(zeros) == 0 and interior_critical_points(f, n) == 0),
+        locally_univalent=locally_univalent,
         zeros=tuple(np.asarray(zeros, dtype=np.complex128)) if len(zeros) else (),
         field_name=fld.name,
         tail_ratio=tail_ratio(derivative(f).coeffs),
@@ -390,30 +391,46 @@ def _pair_blocks(starts, counts, block):
         r0 = r1
 
 
+def _edge_ratios(points):
+    """points[k + 1] / points[k] for each edge k of the closed polygon, formed
+    in place on the rolled copy, nan through a vertex at 0: their angles are
+    the edges' turns about 0."""
+    ratios = np.roll(points, -1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios /= points
+    return ratios
+
+
+def _star_shaped(turn):
+    """Every edge turns about the centre by an angle in (0, pi), and turns
+    adding up to less than 3 pi add up to one full turn, so each ray from the
+    centre meets the polygon once (Lee & Preparata, J. ACM 26, 1979)."""
+    return bool((turn > 0.0).all() and (turn < np.pi).all() and turn.sum() < 3.0 * np.pi)
+
+
 def polygon_is_simple(points):
     """No two non-adjacent edges of the closed polygon properly cross.
 
     Edge k runs from points[k] to points[k + 1], the last one back to
-    points[0].  One O(m) pass accepts a polygon star-shaped about 0: every
-    edge turns about 0 by an angle in (0, pi), and turns adding up to less
-    than 3 pi add up to one full turn, so each ray from 0 meets the polygon
-    once (Lee & Preparata, J. ACM 26, 1979).  Any other polygon goes through
-    an O(m log m) sweep: a proper crossing needs overlapping closed
-    x-extents, so the edges are sorted by their left x and each is tested
-    only against the later edges whose left x lies within its own extent (a
-    vectorized sweep in the sense of Shamos & Hoey).  On solved maps that
-    leaves about two pairs per edge.  Pairs go through in blocks of
-    PAIR_BLOCK and the test stops at the first crossing, so memory stays
-    bounded even on wiggly curves.  Coincident edges, as on a polygon
-    traversed twice, are not a proper crossing.
+    points[0].  One O(m) angle pass accepts a polygon star-shaped about 0
+    (_star_shaped); any other polygon goes through the sweep of
+    _no_crossings.  Coincident edges, as on a polygon traversed twice, are
+    not a proper crossing.
     """
     A = np.asarray(points, dtype=np.complex128)
+    return _star_shaped(np.angle(_edge_ratios(A))) or _no_crossings(A)
+
+
+def _no_crossings(A):
+    """The O(m log m) sweep for a proper crossing.  Crossing edges have
+    overlapping closed x-extents, so the edges are sorted by their left x
+    and each is tested only against the later edges whose left x lies
+    within its own extent (a vectorized sweep in the sense of Shamos &
+    Hoey).  On solved maps that leaves about two pairs per edge.  Pairs go
+    through in blocks of PAIR_BLOCK and the test stops at the first
+    crossing, so memory stays bounded even on wiggly curves.
+    """
     B = np.roll(A, -1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a vertex at 0 gives nan turns
-        turn = np.angle(B / A)
-    if (turn > 0.0).all() and (turn < np.pi).all() and turn.sum() < 3.0 * np.pi:
-        return True
-    del turn
     m = A.size
     left = np.minimum(A.real, B.real)
     order = np.argsort(left, kind="stable")
@@ -441,15 +458,6 @@ def polygon_is_simple(points):
     return True
 
 
-def _turns(vals):
-    """Winding number of the closed polygon vals about 0 as a float: the
-    sum of angle(vals[k + 1] / vals[k]) over 2 pi, nan through a vertex at 0."""
-    ratios = np.roll(vals, -1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios /= vals
-    return np.angle(ratios).sum() / (2.0 * np.pi)
-
-
 def univalence(f, n):
     """Injectivity proxy: the boundary polygon is simple and winds once about
     f(0).
@@ -460,8 +468,10 @@ def univalence(f, n):
     once about f(0) (Darboux's theorem; Duren, Univalent Functions, 1983).
     The polygon can be simple where the curve is not: it is traversed twice
     for z^2 and runs clockwise for a map aliased onto z-bar on the grid.
-    The winding count rejects both; it is O(n), so it runs before the
-    polygon test.  The verdict is cached on f per n, like its traces, so a
+    The winding count rejects both.  One O(n) angle pass reads the turns of
+    the edges about f(0): their sum is the winding count, and a polygon
+    star-shaped about f(0) is simple without the sweep, which decides the
+    rest.  The verdict is cached on f per n, like its traces, so a
     certificate gate on a map the solve already checked costs nothing.
     """
     n = check_grid_size(n)
@@ -470,7 +480,13 @@ def univalence(f, n):
 
 def _univalence(f, n):
     P = f.trace(n)
-    return bool(np.rint(_turns(P - f.coeffs[0])) == 1 and polygon_is_simple(P))
+    turn = np.angle(_edge_ratios(P - f.coeffs[0]))
+    if np.rint(turn.sum() / (2.0 * np.pi)) != 1:  # nan through a vertex at f(0)
+        return False
+    if _star_shaped(turn):
+        return True
+    del turn
+    return _no_crossings(P)
 
 
 def interior_critical_points(f, n):
@@ -478,13 +494,17 @@ def interior_critical_points(f, n):
 
     Critical points between CRITICAL_RADIUS and the boundary are not seen; the
     solver treats local univalence as "no prescribed zeros and none detected
-    here".
+    here".  A trace that vanishes at a node counts at least one, and so does
+    one whose angle sum is not finite (0/0 ratios, or values that overflow).
     """
     vals = derivative(f).circle_trace(CRITICAL_RADIUS, check_grid_size(n))
-    turns = _turns(vals)
-    if np.abs(vals).min() < 1e-13:
-        return max(1, int(np.rint(np.abs(turns))))
-    return int(np.rint(turns))
+    vanishes = np.abs(vals).min() < 1e-13
+    ratios = _edge_ratios(vals)
+    del vals  # the angle pass then holds only the ratios and their angles
+    turns = np.rint(np.angle(ratios).sum() / (2.0 * np.pi))
+    if not np.isfinite(turns):
+        return 1
+    return max(1, int(abs(turns))) if vanishes else int(turns)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ Conventions used throughout the package:
   Re F = (harmonic extension of u) and Im F(0) = 0 (Schwarz integral).
 """
 
+import functools
+
 import numpy as np
 
 MIN_GRID = 8
@@ -43,10 +45,16 @@ def grid_angles(n):
     return np.arange(n) * (2.0 * np.pi / n)
 
 
+@functools.lru_cache(maxsize=None)
 def grid_points(n):
-    """Unimodular nodes exp(i t_j) of the boundary grid."""
+    """Unimodular nodes exp(i t_j) of the boundary grid: one read-only array
+    per n, built on the first call and shared by every caller in the
+    process.  A table holds 16 n bytes, so the tables of every grid up to
+    MAX_GRID hold less than 1 MiB together."""
     t = 1j * grid_angles(n)
-    return np.exp(t, out=t)
+    np.exp(t, out=t)
+    t.flags.writeable = False
+    return t
 
 
 def tail_ratio(coeffs):

@@ -204,8 +204,9 @@ def test_fence_fails_on_a_nan_margin(unit_field):
 
 def test_fence_memory_at_the_finest_grid(staircase):
     # one circle per row block from n = 8192 up: 4.04 MiB is the per-radius
-    # fence's peak
+    # fence's peak, with the grid table built inside the trace
     f = solver.scaled_identity(6.0)
+    spectral.grid_points.cache_clear()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

@@ -88,6 +88,16 @@ def test_solve_report_records_stop_reason(tmp_path, argv, code, reason):
     assert "theta" not in report
 
 
+def test_a_map_whose_derivative_vanishes_on_the_critical_circle_exits_one(tmp_path, capsys):
+    # the zero map from --init 0: f' = 0 on the 0.999 circle, whose angle
+    # sum is nan; it used to exit 2 as a configuration error
+    argv = ["solve", "--field", "staircase", "--init", "0", "--max-iters", "0", "--out", tmp_path, "--emit", "json"]
+    assert run(argv) == 1
+    assert "configuration error" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "solve_report.json").read_text())
+    assert report["stop_reason"] == "max_iters" and report["locally_univalent"] is False
+
+
 def test_refining_solve_counts_the_steps_of_every_grid(tmp_path):
     # 7 + 2 + 2 + 2 + 2 steps over the grids 512 .. 8192; the sha256 pins
     # the refined coefficients

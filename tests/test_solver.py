@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import diskmap
-from diskmap import blaschke, certify, solver, spectral, weight
+from diskmap import blaschke, certify, regularity, solver, spectral, weight
 from diskmap.errors import DivergenceError, ResolutionExceededError
 from diskmap.solver import SolveOptions, scaled_identity
 from diskmap.spectral import DiskFunction
@@ -355,8 +355,9 @@ def test_mixing_weights_reject_a_singular_system():
 def test_fine_grid_solve_stays_within_the_plain_iteration_memory():
     # 7.38 MiB is the tracemalloc peak of the plain damped iteration on a
     # benchmark round that holds this solve; the history and the plan must
-    # fit beneath it
+    # fit beneath it, with the grid tables built inside the trace
     fld = weight.random_smooth_field(np.random.default_rng(0))
+    spectral.grid_points.cache_clear()
     tracemalloc.start()
     try:
         rep = solver.solve(fld, options=SolveOptions(n=32768))
@@ -368,6 +369,9 @@ def test_fine_grid_solve_stays_within_the_plain_iteration_memory():
 
 
 def _solve_peak_mib(fld, zeros, opts):
+    """The solve's tracemalloc peak above what was held before it, in MiB,
+    with the grid tables built inside the trace."""
+    spectral.grid_points.cache_clear()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -392,6 +396,19 @@ def test_the_near_boundary_zero_solve_holds_only_the_history_it_fills(staircase)
     # the boundary turns back about 0, so the polygon sweep runs in pair
     # blocks (2.35 MiB with preallocated rows and 16k-pair blocks)
     assert _solve_peak_mib(staircase, [0.995], SolveOptions(n=8192, initial_map=1.0)) < 2.0
+
+
+def test_a_fine_solve_and_its_checks_build_each_grid_once():
+    # the plans at 512 and 32768 build the two tables; the residual, the
+    # starlike certificate and f'' at 32768 read the one the plan built
+    fld = weight.random_smooth_field(np.random.default_rng(0))
+    spectral.grid_points.cache_clear()
+    rep = solver.solve(fld, options=SolveOptions(n=32768))
+    solver.residual_sup(rep.f, fld, rep.n)
+    certify.check_starlike(rep.f, rep.n)
+    regularity.second_derivative(rep.f, fld, n=rep.n)
+    info = spectral.grid_points.cache_info()
+    assert (info.misses, info.currsize) == (2, 2) and info.hits >= 3
 
 
 def _grids(monkeypatch):
@@ -637,18 +654,18 @@ def _winding_number_reference(points, w):
 
 def test_univalence_looks_once_at_each_map(staircase):
     # the solve checks 6z; the three certificates gated on univalence reuse
-    # that verdict instead of testing the polygon again
-    with mock.patch.object(solver, "polygon_is_simple", wraps=solver.polygon_is_simple) as simple:
+    # that verdict instead of reading the polygon again
+    with mock.patch.object(solver, "_univalence", wraps=solver._univalence) as verdict:
         rep = solver.solve(staircase, options=SolveOptions(initial_map=6.5))
         certify.check_subsolution(rep.f, staircase)
         certify.check_supersolution(rep.f, staircase)
         certify.check_starlike(rep.f)
         certify.free_boundary_check(rep.f, staircase)
-        assert simple.call_count == 1
+        assert verdict.call_count == 1
         # another grid is another verdict
         assert solver.univalence(rep.f, 256) and solver.univalence(rep.f, 1024)
         assert solver.univalence(rep.f, 256)
-        assert simple.call_count == 3
+        assert verdict.call_count == 3
     f = DiskFunction([0.0, 1.0, 0.1])
     assert solver.univalence(f, 64)
     assert [key for key in f._memo if key[0] == "univalence"] == [("univalence", 64)]
@@ -667,6 +684,38 @@ def test_univalence_detects_double_cover():
         assert solver.polygon_is_simple(f.trace(64))
         assert not solver.univalence(f, 64)
     assert solver.univalence(DiskFunction([0.0, 1.0]), 64)
+
+
+def _two_pass_univalence(f, n):
+    """The verdict as two passes over the polygon: the winding about f(0),
+    then polygon_is_simple, whose star test is about 0."""
+    P = f.trace(n)
+    return _winding_number_reference(P, f.coeffs[0]) == 1 and solver.polygon_is_simple(P)
+
+
+def _shifted(f, shift):
+    c = f.coeffs.copy()
+    c[0] += shift
+    return DiskFunction(c)
+
+
+def test_univalence_with_f0_off_the_origin(maximal_report, branched_report):
+    # one angle pass about f(0) gives the winding count and the star test;
+    # with f(0) = 0.3, or f(0) so far off that 0 lies outside the curve,
+    # each verdict is the two-pass one
+    maps = [maximal_report.f, branched_report.f]
+    maps += [solver.solve(weight.random_smooth_field(np.random.default_rng(seed))).f for seed in range(3)]
+    verdicts = set()
+    for f in maps:
+        for shift in (0.3, _clear_of_origin(f.trace(512))):
+            got = solver.univalence(_shifted(f, shift), 512)
+            assert got == _two_pass_univalence(_shifted(f, shift), 512)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+    # 6z moved clear of 0 is star-shaped about f(0): no sweep
+    with mock.patch.object(solver, "_pair_blocks", wraps=solver._pair_blocks) as sweep:
+        assert solver.univalence(_shifted(maximal_report.f, 13.0), 512)
+    assert not sweep.called
 
 
 def _oracle_map(seed, n):
@@ -722,9 +771,14 @@ def test_no_public_function_or_option_takes_a_seed():
     ([0.0, 6.0], 0),
     ([0.0, 1.0, 1.0], 1),
     ([0.0, 0.0, 0.0, 1.0], 2),
+    # f' = 0: every edge ratio of its trace is 0/0 and the angle sum is nan
+    ([1.0], 1),
+    # f' overflows on the circle: its angle sum is nan too
+    ([0.0, 1e308, 1e308], 1),
 ])
 def test_interior_critical_point_count(coeffs, count):
-    assert solver.interior_critical_points(DiskFunction(coeffs), 256) == count
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert solver.interior_critical_points(DiskFunction(coeffs), 256) == count
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,24 @@ def test_grid_points_and_angles():
     assert np.abs(xi - np.exp(1j * t)).max() == 0.0
 
 
+@pytest.mark.parametrize("n", [8, 512, 32768])
+def test_grid_points_is_the_in_place_exponential_bit_for_bit(n):
+    spectral.grid_points.cache_clear()
+    t = 1j * grid_angles(n)
+    np.exp(t, out=t)
+    assert grid_points(n).tobytes() == t.tobytes()
+
+
+def test_grid_points_is_one_read_only_table_per_n():
+    xi = grid_points(64)
+    assert grid_points(64) is xi and grid_points(128) is not xi
+    with pytest.raises(ValueError, match="read-only"):
+        xi[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        xi *= 2.0
+    assert xi[0] == 1.0
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_coefficient_boundary_round_trip(seed):
     rng = np.random.default_rng(seed)
