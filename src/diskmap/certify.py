@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DegenerateBoundaryError, NotUnivalentError
 from .solver import boundary_weight, residual_sup, univalence
 from .spectral import check_grid_size, derivative, grid_angles, grid_points, next_power_of_two, schwarz_integral
+from .weight import LATTICE_BLOCK
 
 TOL_CERT = 1e-8
 DERIVATIVE_FLOOR = 1e-14
@@ -30,11 +31,6 @@ NEWTON_STEPS = 60
 FENCE_RADII = 16  # circles of the fence lattice, from r = 0.1 to 0.999
 FB_SPOTS = 8  # interior points of the free boundary gradient check
 FB_DELTA = 1e-3  # their distance inside the unit circle
-# lattice values per row block of the fence, a row being as long as the
-# larger of n and f''s coefficient count: the default 16 x 512 lattice is one
-# batched transform, and rows of 8192 or more go one circle at a time, so
-# large grids never hold more than one circle's temporaries at once
-LATTICE_BLOCK = 1 << 13
 
 
 @dataclass
@@ -78,6 +74,9 @@ def _lattice(f, fld, n):
     n = check_grid_size(n)
     fp = derivative(f)
     radii = np.linspace(0.1, 0.999, FENCE_RADII)
+    # a row is as long as the larger of n and f''s coefficient count: the
+    # default 16 x 512 lattice is one batched transform, and rows of
+    # LATTICE_BLOCK or more go one circle at a time
     rows = max(1, LATTICE_BLOCK // max(n, fp.coeffs.size))
     harmonic = schwarz_integral(np.log(boundary_weight(f, fld, n)))
     lows, highs, skipped = [], [], 0

@@ -79,11 +79,15 @@ def _component_count(mask, diagonal=False):
 
 
 def _paint(shape, start, stop):
-    """The boolean mask whose set cells are the given runs of `_runs`."""
+    """The C-contiguous boolean mask whose set cells are the given runs of
+    `_runs`."""
     h, w = shape
-    # the layout alternates unset and set stretches between these offsets
-    bounds = np.concatenate([[0], np.stack([start, stop], axis=1).ravel(), [h * (w + 1)]])
-    return np.repeat(np.arange(bounds.size - 1) % 2 == 1, np.diff(bounds)).reshape(h, w + 1)[:, 1:]
+    # a run in row r moves back r + 1 cells, out of the layout with an empty
+    # column in front of every row; the canvas alternates unset and set
+    # stretches between the offsets
+    back = start // (w + 1) + 1
+    bounds = np.concatenate([[0], np.stack([start - back, stop - back], axis=1).ravel(), [h * w]])
+    return np.repeat(np.arange(bounds.size - 1) % 2 == 1, np.diff(bounds)).reshape(h, w)
 
 
 def _cross(mask, op):

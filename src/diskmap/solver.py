@@ -96,7 +96,7 @@ class SolveReport:
     doublings: int  # refinements past the requested n; the coarse grids below it do not count
 
     def as_dict(self):
-        return {
+        out = {
             "field": self.field_name,
             "n": self.n,
             "zeros": [[z.real, z.imag] for z in self.zeros],
@@ -111,6 +111,8 @@ class SolveReport:
             "doublings": self.doublings,
             "derivative_at_origin": float(derivative(self.f).coeffs[0].real),
         }
+        # null for a non-finite float: strict JSON has no NaN or Infinity
+        return {k: None if isinstance(v, float) and not np.isfinite(v) else v for k, v in out.items()}
 
 
 @dataclass

@@ -45,16 +45,25 @@ def grid_angles(n):
     return np.arange(n) * (2.0 * np.pi / n)
 
 
-@functools.lru_cache(maxsize=None)
 def grid_points(n):
     """Unimodular nodes exp(i t_j) of the boundary grid: one read-only array
     per n, built on the first call and shared by every caller in the
     process.  A table holds 16 n bytes, so the tables of every grid up to
     MAX_GRID hold less than 1 MiB together."""
+    return _grid_table(check_grid_size(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_table(n):
     t = 1j * grid_angles(n)
     np.exp(t, out=t)
     t.flags.writeable = False
     return t
+
+
+# keyed by check_grid_size's int, so np.int64(n) and n share one table; the
+# cache's controls stay on grid_points
+grid_points.cache_clear, grid_points.cache_info = _grid_table.cache_clear, _grid_table.cache_info
 
 
 def tail_ratio(coeffs):

@@ -22,6 +22,10 @@ SUPERHARMONIC_N = 128  # superharmonic_check lattice: 2n + 1 points a side
 SUPERHARMONIC_XI = 16  # and this many xi for a xi-dependent field
 CONTRACTION_LATTICE = (1024, 256, 64)  # contraction_certificate: radial steps, angles, xi
 SCALE_LATTICE = (64, 512, 128, 32)  # radial_scale_check: rho, radial steps, angles, xi
+# values per block of each lattice above and of certify's fence: every
+# lattice goes through in blocks, so none holds more than a block's
+# temporaries at once, whatever its size
+LATTICE_BLOCK = 1 << 13
 
 
 class WeightField:
@@ -368,8 +372,10 @@ def contraction_certificate(field, lipschitz):
     (solution a-priori bound), the lattice min m0 of Phi over that ball, and
     reports ratio = L (1 + M0/m0).  The caller supplies the Lipschitz
     constant L of Phi in w; the lattice difference quotients spot-check it.
-    It goes one xi row of CONTRACTION_LATTICE at a time; max and min are
-    exact, so nothing changes.
+    It goes through CONTRACTION_LATTICE in blocks of angle rows, each with
+    the next row as a halo for the angular differences, one xi at a time;
+    max and min are exact and dividing by a positive gap is monotone, so
+    the numbers are those of the whole lattice.
     """
     lipschitz = float(lipschitz)
     if lipschitz < 0.0:
@@ -378,17 +384,19 @@ def contraction_certificate(field, lipschitz):
     radii = np.linspace(0.0, field.sup_bound, n_radial + 1)
     angles = np.exp(2j * np.pi * np.arange(n_angular) / n_angular)
     xi = _xi_lattice(field, n_xi)
-    w = radii[None, :] * angles[:, None]
     by_radius_max = np.full(radii.size, -np.inf)
     by_radius_min = np.full(radii.size, np.inf)
-    radial_step = 0.0
-    angular_step = np.zeros((n_angular - 1, radii.size))
-    for x in xi[:, None, None]:
-        vals = field.evaluate(x, w)
-        np.maximum(by_radius_max, vals.max(axis=0), out=by_radius_max)
-        np.minimum(by_radius_min, vals.min(axis=0), out=by_radius_min)
-        radial_step = np.maximum(radial_step, np.abs(np.diff(vals, axis=1)).max())
-        np.maximum(angular_step, np.abs(np.diff(vals, axis=0)), out=angular_step)
+    radial_step = angular_step = 0.0
+    rows = max(1, LATTICE_BLOCK // radii.size)
+    for a in range(0, n_angular - 1, rows):
+        w = radii[None, :] * angles[a : a + rows + 1, None]
+        gap = np.abs(w[1:, 1:] - w[:-1, 1:])
+        for x in xi[:, None, None]:
+            vals = field.evaluate(x, w)
+            np.maximum(by_radius_max, vals.max(axis=0), out=by_radius_max)
+            np.minimum(by_radius_min, vals.min(axis=0), out=by_radius_min)
+            radial_step = np.maximum(radial_step, np.abs(np.diff(vals, axis=1)).max())
+            angular_step = np.maximum(angular_step, (np.abs(np.diff(vals[:, 1:], axis=0)) / gap).max())
 
     running_max = np.maximum.accumulate(by_radius_max)
     ok = running_max <= radii
@@ -398,8 +406,7 @@ def contraction_certificate(field, lipschitz):
     M0 = float(radii[i0])
     m0 = float(np.minimum.accumulate(by_radius_min)[i0])
 
-    gap = np.abs(w[1:, 1:] - w[:-1, 1:])
-    sampled = float(max(radial_step / (radii[1] - radii[0]), (angular_step[:, 1:] / gap).max()))
+    sampled = float(max(radial_step / (radii[1] - radii[0]), angular_step))
     verified = sampled <= lipschitz * (1.0 + 1e-9) + 1e-9
 
     ratio = lipschitz * (1.0 + M0 / m0)
@@ -431,29 +438,36 @@ def radial_scale_check(field):
     margin = min over the lattice of Phi(xi, rho w)/rho - Phi(xi, w); the
     non-strict verdict allows -1e-10 of lattice noise.  The strict verdict
     looks away from rho = 1 (rho <= 15/16) and wants margin > 1e-6, which is
-    what the starlikeness upgrade needs.  A radial profile is evaluated on
-    the whole (rho, radius) lattice at once, any other field one rho row of
-    (xi, w) at a time; the lattice is SCALE_LATTICE.
+    what the starlikeness upgrade needs.  The lattice is SCALE_LATTICE: rho
+    by the radii for a radial profile, else rho by (xi, angle, radius).  It
+    goes through in blocks of at most LATTICE_BLOCK values, each a stretch
+    of one xi's row of w for as many rho as fit; a rho keeps its first lowest
+    cell, as on the whole lattice.
     """
     n_rho, n_radial, n_angular, n_xi = SCALE_LATTICE
     rho = np.arange(1, n_rho + 1) / (n_rho + 1.0)
     r = np.linspace(0.0, field.sup_bound, n_radial + 1)[1:]
+    xi = _xi_lattice(field, n_xi)[:, None]
     if field.radial_profile is not None:
-        base = field.radial_profile(r)[None, :]
-        scaled = field.radial_profile(rho[:, None] * r[None, :])
-        margins = scaled / rho[:, None] - base
-        cells, lows = margins.argmin(axis=1), margins.min(axis=1)
+        w, phi = r, lambda x, z: field.radial_profile(z)
     else:
-        xi = _xi_lattice(field, n_xi)[:, None]
-        angles = np.exp(2j * np.pi * np.arange(n_angular) / n_angular)
-        w = (r[None, :] * angles[:, None]).ravel()
-        base = field.evaluate(xi, w[None, :]).ravel()
-        cells, lows = np.empty(n_rho, dtype=np.intp), np.empty(n_rho)
-        for i, p in enumerate(rho):
-            row = field.evaluate(xi, p * w[None, :]).ravel() / p - base
-            cells[i] = np.argmin(row)
-            lows[i] = row[cells[i]]
-        r = np.abs(w)
+        w = (r[None, :] * np.exp(2j * np.pi * np.arange(n_angular) / n_angular)[:, None]).ravel()
+        phi = field.evaluate
+    cols = min(w.size, LATTICE_BLOCK)
+    rows = max(1, LATTICE_BLOCK // cols)
+    lows, cells = np.full(n_rho, np.inf), np.zeros(n_rho, dtype=np.intp)
+    for j in range(len(xi)):
+        for c in range(0, w.size, cols):
+            z = w[c : c + cols]
+            base = phi(xi[j], z[None, :])
+            for a in range(0, n_rho, rows):
+                p = rho[a : a + rows, None, None]
+                block = (phi(xi[j], p * z) / p - base).reshape(p.shape[0], -1)
+                i = block.argmin(axis=1)
+                low = block[np.arange(i.size), i]
+                lower = low < lows[a : a + rows]  # blocks go in raster order
+                np.copyto(lows[a : a + rows], low, where=lower)
+                np.copyto(cells[a : a + rows], j * w.size + c + i, where=lower)
 
     irho = int(np.argmin(lows))  # the first lowest row at its first lowest cell
     iw = cells[irho]
@@ -464,7 +478,7 @@ def radial_scale_check(field):
         margin=margin,
         strict_passed=bool(strict_margin > 1e-6),
         strict_margin=strict_margin,
-        worst_radius=float(r[iw % r.size]),
+        worst_radius=float(np.abs(w)[iw % w.size]),
         worst_rho=float(rho[irho]),
     )
 
@@ -481,26 +495,29 @@ def superharmonic_check(field):
     """Five-point discrete Laplacian test of log Phi on the disk |w| <= sup bound.
 
     Passes when the discrete Laplacian never exceeds 10*h (h = M/SUPERHARMONIC_N),
-    the discretization allowance for genuinely superharmonic weights.
+    the discretization allowance for genuinely superharmonic weights.  Each
+    xi takes the lattice in blocks of LATTICE_BLOCK // (2n + 1) rows of
+    Laplacians, read with one halo row on either side; the worst is the
+    first highest in xi order, then raster order, as on the whole lattice.
     """
     M = field.sup_bound
     h = M / SUPERHARMONIC_N
     coords = np.arange(-SUPERHARMONIC_N, SUPERHARMONIC_N + 1) * h
-    W = coords[:, None] + 1j * coords[None, :]
-    xi = _xi_lattice(field, SUPERHARMONIC_XI)
+    iy, inner = 1j * coords, coords[1:-1]
+    rows = max(1, LATTICE_BLOCK // coords.size)
     worst = -np.inf
     worst_point = 0.0 + 0.0j
     tol = 10.0 * h
-    outside = np.hypot(coords[1:-1, None], coords[None, 1:-1]) > M
-    for x in xi:
-        logv = np.log(field.evaluate(x, W))
-        lap = (
-            logv[2:, 1:-1] + logv[:-2, 1:-1] + logv[1:-1, 2:] + logv[1:-1, :-2] - 4.0 * logv[1:-1, 1:-1]
-        ) / (h * h)
-        lap[outside] = -np.inf
-        i, j = np.unravel_index(np.argmax(lap), lap.shape)
-        val = float(lap[i, j])
-        if val > worst:
-            worst = val
-            worst_point = complex(W[i + 1, j + 1])
+    for x in _xi_lattice(field, SUPERHARMONIC_XI):
+        for a in range(0, inner.size, rows):
+            W = coords[a : a + rows + 2, None] + iy
+            logv = np.log(field.evaluate(x, W))
+            lap = (
+                logv[2:, 1:-1] + logv[:-2, 1:-1] + logv[1:-1, 2:] + logv[1:-1, :-2] - 4.0 * logv[1:-1, 1:-1]
+            ) / (h * h)
+            lap[np.hypot(inner[a : a + rows, None], inner[None, :]) > M] = -np.inf
+            i, j = np.unravel_index(np.argmax(lap), lap.shape)
+            if lap[i, j] > worst:
+                worst = float(lap[i, j])
+                worst_point = complex(W[i + 1, j + 1])
     return SuperharmonicResult(passed=bool(worst <= tol), worst=worst, tolerance=tol, worst_point=worst_point)

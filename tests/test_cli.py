@@ -98,6 +98,20 @@ def test_a_map_whose_derivative_vanishes_on_the_critical_circle_exits_one(tmp_pa
     assert report["stop_reason"] == "max_iters" and report["locally_univalent"] is False
 
 
+def test_a_report_with_a_non_finite_residual_is_strict_json(tmp_path):
+    # f' overflows on the circle, so the residual is nan; it used to be
+    # written as NaN, which strict JSON parsers reject
+    write_map(tmp_path / "big.csv", np.array([0.0, 1e308, 1e308]))
+    argv = ["solve", "--field", "staircase", "--init", f"csv:{tmp_path / 'big.csv'}", "--max-iters", "0"]
+    assert run([*argv, "--out", tmp_path, "--emit", "json"]) == 1
+
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    report = json.loads((tmp_path / "solve_report.json").read_text(), parse_constant=reject)
+    assert report["residual"] is None and report["stop_reason"] == "max_iters"
+
+
 def test_refining_solve_counts_the_steps_of_every_grid(tmp_path):
     # 7 + 2 + 2 + 2 + 2 steps over the grids 512 .. 8192; the sha256 pins
     # the refined coefficients

@@ -402,6 +402,18 @@ def assert_matches_ndimage(mask):
     assert np.array_equal(regions.erode(mask), ndimage.binary_erosion(mask, structure=CROSS))
 
 
+def test_a_basepoint_component_is_painted_contiguous_and_kept(monkeypatch):
+    # _paint returned a strided view of an (h, w + 1) canvas, which
+    # RasterRegion then copied
+    mask = regions._disk(SHAPE, BASE, 20.0) | regions._disk(SHAPE, (20, 20), 5.0)
+    painted = []
+    paint = regions._paint
+    monkeypatch.setattr(regions, "_paint", lambda *args: painted.append(paint(*args)) or painted[-1])
+    got = regions._basepoint_component(mask, BASE, RuntimeError("unreachable")).mask
+    assert len(painted) == 1 and got is painted[0] and got.flags.c_contiguous
+    assert np.array_equal(got, regions._disk(SHAPE, BASE, 20.0))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     shape=st.tuples(st.integers(1, 48), st.integers(1, 48)),

@@ -74,6 +74,14 @@ def test_grid_points_is_one_read_only_table_per_n():
     assert xi[0] == 1.0
 
 
+def test_grid_points_keys_the_checked_size():
+    # a numpy integer used to build and hold a second table
+    assert grid_points(np.int64(512)) is grid_points(512)
+    for bad in (500, np.int64(500), 4):
+        with pytest.raises(ValueError, match="grid size"):
+            grid_points(bad)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_coefficient_boundary_round_trip(seed):
     rng = np.random.default_rng(seed)

@@ -378,6 +378,24 @@ def test_contraction_certificate_goes_one_xi_row_at_a_time(fld, monkeypatch):
     assert cert.lattice == (xi.size, n_angular, n_radial + 1)
 
 
+def _peak_mib(fn):
+    """fn()'s tracemalloc peak above the memory held before the call, in MiB."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / 2**20
+
+
+def test_contraction_certificate_goes_in_angle_row_blocks(staircase):
+    # 16.0 MiB with the whole (256, 1025) lattice, its differences and the
+    # angular step held at once
+    assert _peak_mib(lambda: weight.contraction_certificate(staircase, 4.0 / 3.0)) < 1.0
+
+
 def test_contraction_as_dict_round_trips(staircase):
     cert = weight.contraction_certificate(staircase, 4.0 / 3.0)
     d = dataclasses.asdict(cert)
@@ -449,6 +467,33 @@ def test_scale_check_goes_one_rho_row_at_a_time(fld, monkeypatch):
     assert res.strict_margin == margins[rho <= 15.0 / 16.0].min()
 
 
+def test_scale_check_of_a_radial_profile_goes_in_rho_blocks(staircase):
+    # 1.54 MiB with the whole (rho, radius) lattice and its margins at once
+    assert _peak_mib(lambda: weight.radial_scale_check(staircase)) < 0.5
+
+
+def test_scale_check_takes_a_long_row_in_blocks(monkeypatch):
+    # each rho row of (xi, w) is 2 x 16384 values, four blocks; 1.76 MiB when
+    # a whole row and the base row were held at once
+    fld = weight.random_smooth_field(np.random.default_rng(7))
+    n_rho, n_radial, n_angular, n_xi = 4, 128, 128, 2
+    monkeypatch.setattr(weight, "SCALE_LATTICE", (n_rho, n_radial, n_angular, n_xi))
+    assert n_radial * n_angular > weight.LATTICE_BLOCK
+    got = []
+    assert _peak_mib(lambda: got.append(weight.radial_scale_check(fld))) < 1.0
+    rho = np.arange(1, n_rho + 1) / (n_rho + 1.0)
+    r = np.linspace(0.0, fld.sup_bound, n_radial + 1)[1:]
+    xi = weight._xi_lattice(fld, n_xi)
+    w = (r[None, :] * np.exp(2j * np.pi * np.arange(n_angular) / n_angular)[:, None]).ravel()
+    base = fld.evaluate(xi[:, None], w[None, :]).ravel()
+    margins = np.stack([fld.evaluate(xi[:, None], p * w[None, :]).ravel() / p - base for p in rho])
+    irho, iw = np.unravel_index(np.argmin(margins), margins.shape)
+    res = got[0]
+    assert res.margin == margins[irho, iw] and res.worst_rho == rho[irho]
+    assert res.worst_radius == np.abs(w)[iw % w.size]
+    assert res.strict_margin == margins[rho <= 15.0 / 16.0].min()
+
+
 # ---------------------------------------------------------------------------
 # superharmonic check
 
@@ -477,16 +522,27 @@ def test_superharmonic_check_values_are_pinned(field, passed, worst, point):
 
 
 def test_superharmonic_check_holds_no_coordinate_grids():
-    # 4.57 MiB with the two 257 x 257 meshgrid arrays alive through the loop
-    fld = weight.staircase_field()
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        weight.superharmonic_check(fld)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak - start) / 2**20 < 4.0
+    # 4.57 MiB with the two 257 x 257 meshgrid arrays alive through the loop,
+    # 3.50 MiB with the whole lattice of one xi
+    assert _peak_mib(lambda: weight.superharmonic_check(weight.staircase_field())) < 1.0
+
+
+def test_superharmonic_check_of_a_xi_dependent_field_goes_in_row_blocks(monkeypatch):
+    # 3.59 MiB with the whole lattice of one xi; the result is that of the
+    # whole lattice, which is copied here
+    fld = weight.random_smooth_field(np.random.default_rng(7))
+    got = []
+    assert _peak_mib(lambda: got.append(weight.superharmonic_check(fld))) < 1.0
+    n, h = weight.SUPERHARMONIC_N, fld.sup_bound / weight.SUPERHARMONIC_N
+    coords = np.arange(-n, n + 1) * h
+    W = coords[:, None] + 1j * coords[None, :]
+    logv = np.log(fld.evaluate(weight._xi_lattice(fld, weight.SUPERHARMONIC_XI)[:, None, None], W[None]))
+    lap = (
+        logv[:, 2:, 1:-1] + logv[:, :-2, 1:-1] + logv[:, 1:-1, 2:] + logv[:, 1:-1, :-2] - 4.0 * logv[:, 1:-1, 1:-1]
+    ) / (h * h)
+    lap[:, np.hypot(coords[1:-1, None], coords[None, 1:-1]) > fld.sup_bound] = -np.inf
+    k, i, j = np.unravel_index(np.argmax(lap), lap.shape)
+    assert got[0].worst == lap[k, i, j] and got[0].worst_point == W[i + 1, j + 1]
 
 
 def test_superharmonic_bump_fails():
