@@ -18,7 +18,6 @@ from .errors import (
     InvalidSequenceError,
     NonFiniteWeightError,
     NotUnivalentError,
-    ResolutionExceededError,
 )
 from .regions import (
     RasterRegion,

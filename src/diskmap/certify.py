@@ -48,8 +48,7 @@ class Certificate:
         out = {
             "kind": self.kind,
             "pass": self.passed,
-            # null when every lattice cell was skipped: strict JSON has no Infinity
-            "worst_margin": self.worst_margin if np.isfinite(self.worst_margin) else None,
+            "worst_margin": self.worst_margin,
             "worst_location": self.worst_location,
             "tolerance": self.tolerance,
             "lattice": self.lattice,

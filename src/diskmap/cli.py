@@ -116,15 +116,20 @@ def build_options(args):
     )
 
 
-def _plain(obj):
-    if isinstance(obj, (np.bool_, np.integer, np.floating)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+def _jsonable(obj):
+    """obj as plain JSON values; a non-finite float is None, as strict JSON has no NaN."""
     if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
+        obj = dataclasses.asdict(obj)
+    if isinstance(obj, (np.generic, np.ndarray)):
+        obj = obj.tolist()
+    if isinstance(obj, complex):
+        obj = [obj.real, obj.imag]
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if obj is None or isinstance(obj, (str, int, float)):
+        return None if isinstance(obj, float) and not np.isfinite(obj) else obj
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -136,9 +141,10 @@ def _output(args, name):
 
 
 def write_json(path, payload):
+    # the text comes first, so a value it cannot write leaves no file behind
+    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_plain)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_coefficients_csv(path, f):
@@ -222,7 +228,7 @@ def cmd_solve(args):
         write_boundary_csv(_output(args, "boundary.csv"), report.f, fld, report.n)
     if "svg" in args.emit:
         write_curve_svg(_output(args, "curve.svg"), report.f.trace(report.n))
-    status = "converged" if report.converged else "did not converge"
+    status = "converged" if report.converged else f"did not converge ({report.stop_reason})"
     print(
         f"solve {fld.name}: {status} in {report.iterations} iterations, n={report.n}, "
         f"residual={report.residual:.3e}, univalent={report.univalent}"
@@ -253,11 +259,12 @@ def cmd_certify(args):
     payload = {"map": path, "field": fld.name}
     error = None
     try:
-        for kind in args.checks:
-            cert = check[kind]()
-            results.append(cert)
-            print(f"{'PASS' if cert.passed else 'FAIL'} {cert.kind}: worst_margin={cert.worst_margin:.6e}")
-        payload["residual"] = residual_sup(f, fld, n)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing map's nan margins are verdicts
+            for kind in args.checks:
+                cert = check[kind]()
+                results.append(cert)
+                print(f"{'PASS' if cert.passed else 'FAIL'} {cert.kind}: worst_margin={cert.worst_margin:.6e}")
+            payload["residual"] = residual_sup(f, fld, n)
     except DiskmapError as e:
         # the verdicts reached before the error stay on record
         error = e
@@ -274,7 +281,7 @@ def cmd_scan(args):
     payload = {"field": fld.name}
 
     if fld.radial_profile is not None:
-        scan = radial_scan(fld, r_min=args.r_min, r_max=args.r_max, steps=args.steps, tol=args.scan_tol)
+        scan = radial_scan(fld, r_min=args.r_min, r_max=args.r_max, steps=args.steps)
         payload["radial_scan"] = scan
         print(f"radial scan: {len(scan.intervals)} solution interval(s) {scan.intervals}")
     else:
@@ -423,7 +430,6 @@ def build_parser():
     p.add_argument("--r-min", type=float, default=0.0, help="scan lower endpoint (default %(default)s)")
     p.add_argument("--r-max", type=float, help="scan upper endpoint (default 1.5 * sup bound)")
     p.add_argument("--steps", type=int, default=10000, help="scan resolution (default %(default)s)")
-    p.add_argument("--scan-tol", type=float, help="match tolerance (default max(1e-4, spacing/2))")
 
     p = command("geometry", "raster region algebra and the shrinking demo")
     p.add_argument("--op", default="demo", help="demo, union, or intersection (default %(default)s)")

@@ -14,7 +14,7 @@ class ConfigError(DiskmapError):
 
 
 class DivergenceError(DiskmapError):
-    """Fixed-point iteration blew past the divergence guard."""
+    """A non-finite update or mixing system, or an update past the divergence guard."""
 
     def __init__(self, message, history=None):
         super().__init__(message)
@@ -23,10 +23,6 @@ class DivergenceError(DiskmapError):
 
 class NonFiniteWeightError(DiskmapError, ValueError):
     """A weight field met a NaN or infinite value in the middle of a computation."""
-
-
-class ResolutionExceededError(DiskmapError):
-    """Spectral tail still unresolved at the maximum grid size."""
 
 
 class NotUnivalentError(DiskmapError):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import blaschke as blaschke_mod
-from .errors import DivergenceError, ResolutionExceededError
+from .errors import DivergenceError
 from .spectral import (
     MAX_GRID,
     DiskFunction,
@@ -40,7 +40,7 @@ from .spectral import (
     tail_ratio,
 )
 
-PAIR_BLOCK = 1 << 12  # edge pairs tested at once in polygon_is_simple
+PAIR_BLOCK = 1 << 12  # edge pairs tested at once in _no_crossings
 DIVERGENCE_FACTOR = 1e6
 COARSE_GRID = 512  # grid a solve starts on at the least, SolveOptions.n's default
 CRITICAL_RADIUS = 0.999  # circle on which interior_critical_points counts
@@ -92,11 +92,11 @@ class SolveReport:
     zeros: tuple
     field_name: str
     tail_ratio: float  # spectral.tail_ratio of derivative(f), which the refinement compared
-    stop_reason: str  # "tolerance", "residual" (update small, residual not) or "max_iters"
+    stop_reason: str  # "tolerance", "residual" (update small, residual not), "max_iters" or "unresolved"
     doublings: int  # refinements past the requested n; the coarse grids below it do not count
 
     def as_dict(self):
-        out = {
+        return {
             "field": self.field_name,
             "n": self.n,
             "zeros": [[z.real, z.imag] for z in self.zeros],
@@ -111,8 +111,6 @@ class SolveReport:
             "doublings": self.doublings,
             "derivative_at_origin": float(derivative(self.f).coeffs[0].real),
         }
-        # null for a non-finite float: strict JSON has no NaN or Infinity
-        return {k: None if isinstance(v, float) and not np.isfinite(v) else v for k, v in out.items()}
 
 
 @dataclass
@@ -193,16 +191,16 @@ def solve(fld, zeros=(), options=None):
     """Run the Anderson-mixed iteration to a certified fixed point.
 
     The run starts on COARSE_GRID points (or on the initial map's own grid,
-    if that is finer), and the grid doubles (up to 2**15) each time the
-    update settles on an f' whose spectral tail is unresolved.  Below
-    options.n, the finest grid the answer is solved on, a resolved f' is
-    zero-padded straight to n, which then takes at least one step of its
-    own.  A solve with n <= COARSE_GRID runs on n from its first step, and
-    one with n above MAX_GRID raises ValueError before it.  Convergence
-    means both: the sup over the grid of the last update's derivative,
-    |(U(f) - f)'|, below tol_update, and residual below tol_residual.
-    max_iters bounds the steps over all grids.  A budget spent below n
-    still reports on n.
+    if that is finer), and the grid doubles each time the update settles on
+    an f' whose spectral tail is unresolved; at 2**15 that stops the run as
+    "unresolved".  Below options.n, the finest grid the answer is solved
+    on, a resolved f' is zero-padded straight to n, which then takes at
+    least one step of its own.  A solve with n <= COARSE_GRID runs on n
+    from its first step, and one with n above MAX_GRID raises ValueError
+    before it.  Convergence means both: the sup over the grid of the last
+    update's derivative, |(U(f) - f)'|, below tol_update, and residual
+    below tol_residual.  max_iters bounds the steps over all grids.  A
+    budget spent below n still reports on n.
     """
     return _solve(fld, zeros, options, ANDERSON_DEPTH)
 
@@ -214,13 +212,14 @@ def _mixing_weights(dR, r):
     count as their stacked real and imaginary parts, so the weights are real
     and keep f'(0) real.  The normal equations Re<dR_i, dR_j> gamma =
     Re<dR_i, r> go through an LDL^T sweep in the order of dR; a difference
-    whose pivot falls below GRAM_DROP times its squared norm lies in the
-    span of the newer ones and gets weight 0.  A non-finite system, or one
-    without an independent difference, raises DivergenceError.
+    whose pivot falls below GRAM_DROP times the larger of its squared norm
+    and |r|^2 (dependent, or rounding) gets weight 0, and with none left
+    the step is plain.  A non-finite system raises DivergenceError.
     """
     m = len(dR)
     gram = [[float(np.vdot(u, v).real) for v in dR] for u in dR]
     rhs = [float(np.vdot(u, r).real) for u in dR]
+    rr = float(np.vdot(r, r).real)
     if not np.isfinite([rhs, *gram]).all():
         raise DivergenceError("Anderson mixing system is not finite")
     low = [[0.0] * m for _ in range(m)]
@@ -231,10 +230,8 @@ def _mixing_weights(dR, r):
                 low[j][i] = (gram[j][i] - sum(low[j][k] * low[i][k] * pivot[k] for k in range(i))) / pivot[i]
         pivot[j] = gram[j][j] - sum(low[j][k] ** 2 * pivot[k] for k in range(j))
         y[j] = rhs[j] - sum(low[j][k] * y[k] for k in range(j))
-        if not pivot[j] > GRAM_DROP * gram[j][j]:
+        if not pivot[j] > GRAM_DROP * max(gram[j][j], rr):
             pivot[j] = 0.0
-    if not any(pivot):
-        raise DivergenceError("Anderson mixing system is singular: the update stopped changing")
     for j in reversed(range(m)):
         if pivot[j]:
             gamma[j] = y[j] / pivot[j] - sum(low[k][j] * gamma[k] for k in range(j + 1, m))
@@ -318,7 +315,8 @@ def _solve(fld, zeros, options, depth):
                 stop_reason = "tolerance"
                 break
             if n >= MAX_GRID:
-                raise ResolutionExceededError(f"derivative tail unresolved at the maximum grid size {MAX_GRID}")
+                stop_reason = "unresolved"
+                break
             if n >= target:
                 doublings += 1
             n = target if fine else 2 * n
@@ -347,11 +345,12 @@ def _solve(fld, zeros, options, depth):
         n = target
         x = _pad_coeffs(x, n)
     f = DiskFunction(x)
-    # before f' and its trace are cached on f, so that the polygon test's and
-    # the critical circle's temporaries stay below the iteration's memory peak
-    univalent = univalence(f, n)
-    locally_univalent = bool(len(zeros) == 0 and interior_critical_points(f, n) == 0)
-    res = residual_sup(f, fld, n)
+    # before f' and its trace are cached on f, to keep the checks' temporaries
+    # below the iteration's peak; an overflowing map's nan values are verdicts
+    with np.errstate(over="ignore", invalid="ignore"):
+        univalent = univalence(f, n)
+        locally_univalent = bool(len(zeros) == 0 and interior_critical_points(f, n) == 0)
+        res = residual_sup(f, fld, n)
     if stop_reason == "tolerance" and not res <= options.tol_residual:
         stop_reason = "residual"  # the update settled, the residual did not
     return SolveReport(

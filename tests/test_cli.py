@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,33 @@ def test_a_report_with_a_non_finite_residual_is_strict_json(tmp_path):
 
     report = json.loads((tmp_path / "solve_report.json").read_text(), parse_constant=reject)
     assert report["residual"] is None and report["stop_reason"] == "max_iters"
+
+
+def test_a_tail_unresolved_on_the_largest_grid_is_a_failed_solve(tmp_path, capsys, monkeypatch):
+    # the kinked ripple needs 128 points; it used to raise, and no file was written
+    monkeypatch.setattr(solver, "MAX_GRID", 64)
+    assert run(["solve", "--field", "ripple_kink", "--n", "64", "--out", tmp_path, "--emit", "json"]) == 1
+    assert "did not converge (unresolved)" in capsys.readouterr().out
+    report = json.loads((tmp_path / "solve_report.json").read_text())
+    assert (report["stop_reason"], report["converged"], report["n"]) == ("unresolved", False, 64)
+    # spectrum still classifies the unresolved map, as it does one cut off by max_iters
+    assert run(["spectrum", "--field", "ripple_kink", "--n", "64", "--out", tmp_path]) == 0
+    assert json.loads((tmp_path / "spectrum.json").read_text())["spectrum"]["decay"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--init", "csv:{map}", "--max-iters", "0"],
+    ["certify", "--map", "{map}", "--checks", "subsolution"],
+], ids=["solve", "certify"])
+def test_an_overflowing_map_fails_without_numpy_warnings(tmp_path, argv):
+    # its non-finite traces and margins are the verdicts; numpy used to warn
+    # about them five times on solve and four times on certify
+    path = write_map(tmp_path / "big.csv", np.array([0.0, 1e308, 1e308]))
+    argv = [arg.format(map=path) for arg in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([argv[0], "--field", "staircase", *argv[1:], "--out", tmp_path]) == 1
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_refining_solve_counts_the_steps_of_every_grid(tmp_path):
@@ -331,6 +359,18 @@ def test_certify_writes_strict_json_when_every_cell_is_skipped(tmp_path, capsys)
     assert (cert["worst_margin"], cert["skipped"], cert["pass"]) == (None, 8192, False)
 
 
+def test_certify_of_an_overflowing_map_writes_strict_json(tmp_path):
+    # f' overflows, so the residual is nan; it used to be written as NaN
+    path = write_map(tmp_path / "big.csv", np.array([0.0, 1e308, 1e308]))
+    assert run(["certify", "--field", "staircase", "--map", path, "--checks", "subsolution", "--out", tmp_path]) == 1
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    payload = json.loads((tmp_path / "certificates.json").read_text(), parse_constant=reject)
+    assert payload["residual"] is None and payload["certificates"][0]["worst_margin"] is None
+
+
 @pytest.mark.parametrize("checks", [",", ""])
 def test_certify_rejects_an_empty_check_list(tmp_path, capsys, checks):
     path = write_map(tmp_path / "six.csv", [0.0, 6.0])
@@ -542,10 +582,12 @@ def test_bad_tolerance_exits_two(tmp_path, capsys, argv, key):
     ("solve", "--theta", "theta"),
     ("spectrum", "--theta", "theta"),
     ("certify", "--tol", "tol"),
+    ("scan", "--scan-tol", "scan_tol"),
 ])
 def test_retired_settings_are_unknown(tmp_path, capsys, command, flag, key):
-    # every solve takes the undamped step and every certificate passes
-    # against TOL_CERT: neither is a setting any more
+    # every solve takes the undamped step, every certificate passes against
+    # TOL_CERT and a scan matches within max(1e-4, spacing/2): none of them
+    # is a setting any more
     with pytest.raises(SystemExit) as exit_:
         run([command, flag, "0.5", "--out", tmp_path])
     assert exit_.value.code == 2
@@ -739,6 +781,29 @@ def test_write_json_bytes_match_retired_as_dict(tmp_path, case):
     cli.write_json(tmp_path / "new.json", {"payload": obj, "list": [obj]})
     cli.write_json(tmp_path / "old.json", {"payload": old_as_dict(obj), "list": [old_as_dict(obj)]})
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+
+def test_write_json_writes_non_finite_floats_as_null(tmp_path):
+    payload = {
+        "float": float("nan"),
+        "numpy": np.float64("-inf"),
+        "complex": complex(1.0, float("inf")),
+        "array": np.array([1.0, np.nan]),
+        "nested": [{"x": (float("inf"), 2)}],
+    }
+    cli.write_json(tmp_path / "out.json", payload)
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    got = json.loads((tmp_path / "out.json").read_text(), parse_constant=reject)
+    assert got == {"float": None, "numpy": None, "complex": [1.0, None], "array": [1.0, None], "nested": [{"x": [None, 2]}]}
+
+
+def test_write_json_leaves_no_file_for_a_value_it_cannot_write(tmp_path):
+    with pytest.raises(TypeError, match="object"):
+        cli.write_json(tmp_path / "out.json", {"ok": 1.0, "bad": object()})
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_rate_report_asdict_matches_retired_as_dict_but_for_the_limit(tmp_path):
