@@ -152,7 +152,7 @@ def check_starlike(f, n=512):
     scale = np.abs(fvals).max()
     if np.abs(fvals).min() < 1e-12 * max(scale, 1.0):
         raise DegenerateBoundaryError("boundary trace passes through 0; starlike quotient undefined")
-    quotient = (xi * derivative(f).trace(n) / fvals).real
+    quotient = (xi * f.derivative_trace(n) / fvals).real
     i = int(np.argmin(quotient))
     worst = float(quotient[i])
     return Certificate(
@@ -197,8 +197,7 @@ def free_boundary_check(f, fld, n=512):
     """
     _require_univalent(f, n, "free boundary")
     n = check_grid_size(n)
-    fp = derivative(f)
-    fpvals = fp.trace(n)
+    fpvals = f.derivative_trace(n)
     phi = boundary_weight(f, fld, n)
     m1 = float(np.abs(fpvals).min())
     m2 = float(phi.min())
@@ -214,6 +213,7 @@ def free_boundary_check(f, fld, n=512):
     h = FD_STEP
     z0 = (1.0 - FB_DELTA) * np.exp(1j * (2.0 * np.pi * np.arange(FB_SPOTS) / FB_SPOTS))
     w = f(z0)[:, None] + np.array([h, -h, 1j * h, -1j * h])
+    fp = derivative(f)
     probes = np.log(np.abs(_newton_inverse(f, fp, w.ravel(), np.repeat(z0, 4)))).reshape(FB_SPOTS, 4)
     gx = (probes[:, 0] - probes[:, 1]) / (2.0 * h)
     gy = (probes[:, 2] - probes[:, 3]) / (2.0 * h)

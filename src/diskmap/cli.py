@@ -33,7 +33,7 @@ from .regions import (
 )
 from .regularity import second_derivative, spectrum_report
 from .solver import SolveOptions, boundary_weight, radial_scan, residual_sup, solve
-from .spectral import DiskFunction, derivative, grid_angles
+from .spectral import DiskFunction, grid_angles
 from .weight import make_builtin, radial_scale_check, superharmonic_check, tabulated_field
 
 ALL_CHECKS = ("subsolution", "supersolution", "starlike", "free_boundary")
@@ -174,7 +174,7 @@ def load_coefficients_csv(path):
 def write_boundary_csv(path, f, fld, n):
     t = grid_angles(n)
     fv = f.trace(n)
-    fpv = derivative(f).trace(n)
+    fpv = f.derivative_trace(n)
     phi = boundary_weight(f, fld, n)
     with open(path, "w") as fh:
         fh.write("t,re_f,im_f,abs_fprime,phi\n")

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import blaschke as blaschke_mod
 from .solver import boundary_weight
-from .spectral import DiskFunction, check_grid_size, derivative, grid_points, resolved, schwarz_integral
+from .spectral import check_grid_size, derivative, grid_points, resolved, schwarz_integral
 
 NOISE_FLOOR_RATIO = 1e-13
 MIN_FIT_POINTS = 8
@@ -109,25 +109,34 @@ def second_derivative(f, fld, zeros=(), n=512):
     """
     n = check_grid_size(n)
     xi = grid_points(n)
-    fpvals = derivative(f).trace(n)
+    fpvals = f.derivative_trace(n)
     g = np.log(boundary_weight(f, fld, n))
     ghat = np.fft.fft(g)
     spectral_ok = resolved(ghat[: n // 2 + 1])  # g is real: one side suffices
     if spectral_ok:
+        del g
         kk = np.fft.fftfreq(n, d=1.0 / n)
         kk[n // 2] = 0.0
-        dgdt = np.fft.ifft(1j * kk * ghat).real
+        np.multiply(1j * kk, ghat, out=ghat)
+        del kk
+        dgdt = np.fft.ifft(ghat).real
     else:
         step = 2.0 * np.pi / n
         dgdt = (np.roll(g, -1) - np.roll(g, 1)) / (2.0 * step)
+        del g
+    del ghat
 
-    b = blaschke_mod.construct(zeros)
-    log_deriv = blaschke_mod.log_derivative(b, xi)
-    svals = schwarz_integral(dgdt).trace(n)
-    f2 = log_deriv * fpvals + fpvals * svals / (1j * xi)
+    # f2 = log_deriv * fpvals + fpvals * svals / (1j * xi), formed in place
+    # in that order of operations
+    svals = fpvals * schwarz_integral(dgdt).trace(n)
+    del dgdt
+    svals /= 1j * xi
+    f2 = blaschke_mod.log_derivative(blaschke_mod.construct(zeros), xi)
+    f2 *= fpvals
+    f2 += svals
+    del svals
 
-    # the derivative of a fresh wrapper of f' is not cached on f' for good
-    spectral_f2 = derivative(DiskFunction(derivative(f).coeffs)).trace(n)
+    spectral_f2 = derivative(f).derivative_trace(n)
     gap = float(np.abs(f2 - spectral_f2).max())
     return SecondDerivativeResult(
         values=f2,

@@ -30,13 +30,13 @@ from . import blaschke as blaschke_mod
 from .errors import DivergenceError
 from .spectral import (
     MAX_GRID,
+    RESOLVED_RATIO,
     DiskFunction,
     check_grid_size,
     conjugate_periodic,
     derivative,
     grid_points,
     next_power_of_two,
-    resolved,
     tail_ratio,
 )
 
@@ -109,7 +109,7 @@ class SolveReport:
             "final_update": self.update_history[-1] if self.update_history else None,
             "tail_ratio": self.tail_ratio,
             "doublings": self.doublings,
-            "derivative_at_origin": float(derivative(self.f).coeffs[0].real),
+            "derivative_at_origin": float(self.f.coeffs[1].real),
         }
 
 
@@ -177,7 +177,7 @@ def boundary_weight(f, fld, n):
 
 def residual_sup(f, fld, n):
     """sup over the grid of | |f'| - Phi(xi, f) |."""
-    fp = np.abs(derivative(f).trace(n))
+    fp = np.abs(f.derivative_trace(n))
     return float(np.abs(fp - boundary_weight(f, fld, n)).max())
 
 
@@ -236,6 +236,14 @@ def _mixing_weights(dR, r):
         if pivot[j]:
             gamma[j] = y[j] / pivot[j] - sum(low[k][j] * gamma[k] for k in range(j + 1, m))
     return gamma
+
+
+def _settled_tail(x):
+    """The settled-grid verdict on coefficients x: (resolved, tail_ratio) of
+    f', the one rule of spectral.resolved, so that a run which stops here
+    reports the tail it compared."""
+    tail = tail_ratio(derivative(DiskFunction(x)).coeffs)
+    return tail < RESOLVED_RATIO, tail
 
 
 def check_tolerance(name, tol):
@@ -310,7 +318,7 @@ def _solve(fld, zeros, options, depth):
             )
         if dsup < options.tol_update:
             x += r
-            fine = resolved(derivative(DiskFunction(x)).coeffs)
+            fine, tail = _settled_tail(x)
             if fine and n >= target:
                 stop_reason = "tolerance"
                 break
@@ -345,12 +353,14 @@ def _solve(fld, zeros, options, depth):
         n = target
         x = _pad_coeffs(x, n)
     f = DiskFunction(x)
-    # before f' and its trace are cached on f, to keep the checks' temporaries
+    # before the trace of f' is cached on f, to keep the checks' temporaries
     # below the iteration's peak; an overflowing map's nan values are verdicts
     with np.errstate(over="ignore", invalid="ignore"):
         univalent = univalence(f, n)
         locally_univalent = bool(len(zeros) == 0 and interior_critical_points(f, n) == 0)
         res = residual_sup(f, fld, n)
+        if stop_reason == "max_iters":  # a settled grid's verdict already holds its tail
+            tail = tail_ratio(derivative(f).coeffs)
     if stop_reason == "tolerance" and not res <= options.tol_residual:
         stop_reason = "residual"  # the update settled, the residual did not
     return SolveReport(
@@ -365,7 +375,7 @@ def _solve(fld, zeros, options, depth):
         locally_univalent=locally_univalent,
         zeros=tuple(np.asarray(zeros, dtype=np.complex128)) if len(zeros) else (),
         field_name=fld.name,
-        tail_ratio=tail_ratio(derivative(f).coeffs),
+        tail_ratio=tail,
         stop_reason=stop_reason,
         doublings=doublings,
     )
@@ -498,7 +508,7 @@ def interior_critical_points(f, n):
     here".  A trace that vanishes at a node counts at least one, and so does
     one whose angle sum is not finite (0/0 ratios, or values that overflow).
     """
-    vals = derivative(f).circle_trace(CRITICAL_RADIUS, check_grid_size(n))
+    vals = f.circle_trace(CRITICAL_RADIUS, n, 1)
     vanishes = np.abs(vals).min() < 1e-13
     ratios = _edge_ratios(vals)
     del vals  # the angle pass then holds only the ratios and their angles

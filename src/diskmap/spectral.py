@@ -92,8 +92,9 @@ class DiskFunction:
     """Analytic function on the unit disk held as Taylor coefficients.
 
     What is derived from the map once is cached on it through memo(key,
-    build): the boundary traces, the derivative, the univalence verdicts,
-    the weight along f and the fence lattice extremes.  The contract is
+    build): the boundary traces of f and f', the univalence verdicts, the
+    weight along f and the fence lattice extremes.  f' is cached only as
+    its traces, never as a second copy of the coefficients.  The contract is
     stated here once: coefficients, and fields used in a key, are not
     mutated after use, and cached arrays are read-only because every caller
     shares them.
@@ -122,21 +123,34 @@ class DiskFunction:
         n = check_grid_size(n)
         return self.memo(("trace", n), lambda: self._circle_values(1.0, n))
 
-    def circle_trace(self, r, n):
-        """Values on the circle of radius r at n equispaced angles.  For an
-        array of radii, one batched transform gives shape r.shape + (n,)."""
+    def derivative_trace(self, n):
+        """Boundary values of f' at the n-point grid, cached per n (read-only):
+        the bits of derivative(f).trace(n), with no f' kept."""
         n = check_grid_size(n)
-        return self._circle_values(np.asarray(r, dtype=np.float64), n)
+        return self.memo(("derivative trace", n), lambda: self._circle_values(1.0, n, 1))
 
-    def _circle_values(self, r, n):
-        """One zero-padded inverse FFT of the coefficients, scaled in place
-        by r**k unless r is the scalar 1."""
+    def circle_trace(self, r, n, order=0):
+        """Values of f (order 0) or f' (order 1) on the circle of radius r at
+        n equispaced angles.  For an array of radii, one batched transform
+        gives shape r.shape + (n,)."""
+        n = check_grid_size(n)
+        if order not in (0, 1):
+            raise ValueError(f"order must be 0 or 1, got {order}")
+        return self._circle_values(np.asarray(r, dtype=np.float64), n, order)
+
+    def _circle_values(self, r, n, order=0):
+        """One zero-padded inverse FFT of the coefficients of f, or with
+        order 1 of f' (k c_k, formed straight into the padded buffer),
+        scaled in place by r**k unless r is the scalar 1."""
         r = np.asarray(r)
         c = self.coeffs
-        m = c.size
+        m = max(c.size - order, 1)
         size = max(n, next_power_of_two(m))
         padded = np.zeros(r.shape + (size,), dtype=np.complex128)
-        padded[..., :m] = c
+        if order:
+            np.multiply(np.arange(1, c.size), c[1:], out=padded[..., : c.size - 1])
+        else:
+            padded[..., :m] = c
         if r.ndim or r != 1.0:
             padded[..., :m] *= np.power(r[..., None], np.arange(m))
         got = np.fft.ifft(padded, axis=-1, norm="forward")
@@ -179,13 +193,12 @@ class DiskFunction:
 
 
 def derivative(f):
-    """f'(z) as a DiskFunction: c_k -> (k+1) c_{k+1}.  Built once per f and
-    cached on it, so callers share it and its traces: its coefficients are
-    read-only."""
+    """f'(z) as a new DiskFunction: c_k -> (k+1) c_{k+1}, built on each call.
+    Only a caller that needs f''s coefficients or its Horner evaluation
+    builds it; traces of f' come from f.derivative_trace and
+    f.circle_trace(r, n, 1)."""
     c = f.coeffs
-    fp = f.memo("derivative", lambda: DiskFunction(np.arange(1, c.size) * c[1:] if c.size > 1 else [0.0]))
-    fp.coeffs.flags.writeable = False
-    return fp
+    return DiskFunction(np.arange(1, c.size) * c[1:] if c.size > 1 else [0.0])
 
 
 def conjugate_periodic(u):

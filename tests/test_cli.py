@@ -250,18 +250,18 @@ def test_solve_then_certify_round_trip(tmp_path, capsys):
 
 def test_solve_and_certify_take_each_boundary_trace_once(tmp_path, monkeypatch):
     # one unit-circle FFT for f and one for f' per command: the residual,
-    # boundary.csv, the certificates and the certify payload share one
-    # cached derivative and its trace.  Phi along f is evaluated once per
+    # boundary.csv, the certificates and the certify payload share the
+    # trace of f' cached on f.  Phi along f is evaluated once per
     # command on top of the solve's steps: the residual, boundary.csv, both
     # fences, the free boundary identity and f'' share one cached weight
     traced, weighed = [], []
     circle_values = DiskFunction._circle_values
     evaluate = weight.WeightField.evaluate
 
-    def counting(self, r, n):
+    def counting(self, r, n, order=0):
         if np.ndim(r) == 0 and r == 1.0:
             traced.append(n)
-        return circle_values(self, r, n)
+        return circle_values(self, r, n, order)
 
     def counting_evaluate(self, xi, w):
         if np.ndim(xi) == 1:
@@ -456,6 +456,15 @@ def test_geometry_demo_bytes_pinned(tmp_path, capsys):
     assert run(["geometry", "--op", "demo", "--size", "256", "--out", tmp_path]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert got == DEMO_256_SHA256
+
+
+def test_near_boundary_spectrum_bytes_pinned(tmp_path):
+    # spectral_gap and sup_norm read f'' to the last bit, so the sha256
+    # guards the order of operations in second_derivative
+    argv = ["spectrum", "--field", "staircase", "--zeros", "0.995", "--init", "1.0", "--n", "8192"]
+    assert run([*argv, "--out", tmp_path]) == 0
+    got = hashlib.sha256((tmp_path / "spectrum.json").read_bytes()).hexdigest()
+    assert got == "c6b3dfe79b72d6b40d32cf3aa9ce195dd646c0f8dfbe3509fd4522ada473c85f"
 
 
 def test_geometry_union_and_intersection(tmp_path):

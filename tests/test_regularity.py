@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diskmap import regularity, solver, weight
+from diskmap import blaschke, regularity, solver, spectral, weight
 from diskmap.spectral import DiskFunction
 
 
@@ -163,22 +163,70 @@ def test_near_boundary_zero_settles_on_the_derivative(n):
     assert res.spectral_gap < 1e-8
 
 
-def test_second_derivative_caches_nothing_on_the_map():
-    # f'' and its n-point trace stayed cached on f' for the map's lifetime:
-    # 0.251 MiB held after the call at n = 8192
+@pytest.fixture(scope="module")
+def near_boundary():
+    """The staircase field and its map with a critical point at 0.995,
+    solved at 8192."""
     fld = weight.staircase_field()
     rep = solver.solve(fld, zeros=[0.995], options=solver.SolveOptions(n=8192, initial_map=1.0))
+    assert rep.n == 8192
+    return fld, rep.f
+
+
+def _traced_second_derivative(fld, f):
+    """The gap, and the MiB above what was held before the call: held after
+    it, with its result dropped, and at its peak."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        res = regularity.second_derivative(rep.f, fld, zeros=[0.995], n=rep.n)
+        res = regularity.second_derivative(f, fld, zeros=[0.995], n=8192)
         gap = res.spectral_gap
         del res
-        held = tracemalloc.get_traced_memory()[0] - start
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rep.n == 8192 and held / 2**20 < 0.05
+    return gap, (held - start) / 2**20, (peak - start) / 2**20
+
+
+def test_second_derivative_caches_nothing_on_the_map(near_boundary):
+    # f'' and its n-point trace stayed cached on f' for the map's lifetime:
+    # 0.251 MiB held after the call at n = 8192
+    gap, held, _ = _traced_second_derivative(*near_boundary)
+    assert held < 0.05
     assert gap < 1e-8
+
+
+def test_second_derivative_drops_its_temporaries_once_spent(near_boundary):
+    # 1.13 MiB at the peak while the log weight, its transform and its
+    # angular derivative were all still held
+    gap, _, peak = _traced_second_derivative(*near_boundary)
+    assert peak < 0.75
+    assert gap < 1e-8
+
+
+@pytest.mark.parametrize("smooth", [True, False], ids=["spectral", "differences"])
+def test_second_derivative_keeps_the_order_of_operations(smooth):
+    # the in-place f'' against the expression it replaced, bit for bit, on
+    # a map where all three terms are nonzero: the sup norm and the gap that
+    # spectrum.json pins are too coarse to see a reordering
+    fld = weight.ripple_field(smooth=smooth)
+    f = solver.solve(fld, zeros=[-0.5], options=solver.SolveOptions(initial_map=1.0)).f
+    n = 512
+    xi = spectral.grid_points(n)
+    fpvals = spectral.derivative(f).trace(n)
+    g = np.log(solver.boundary_weight(f, fld, n))
+    if smooth:
+        kk = np.fft.fftfreq(n, d=1.0 / n)
+        kk[n // 2] = 0.0
+        dgdt = np.fft.ifft(1j * kk * np.fft.fft(g)).real
+    else:
+        dgdt = (np.roll(g, -1) - np.roll(g, 1)) / (2.0 * (2.0 * np.pi / n))
+    log_deriv = blaschke.log_derivative(blaschke.construct([-0.5]), xi)
+    svals = spectral.schwarz_integral(dgdt).trace(n)
+    want = log_deriv * fpvals + fpvals * svals / (1j * xi)
+    res = regularity.second_derivative(f, fld, zeros=[-0.5], n=n)
+    assert res.used_spectral_angle_derivative == smooth
+    assert np.array_equal(res.values, want)
 
 
 def test_second_derivative_as_function(staircase, branched_report):

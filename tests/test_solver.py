@@ -409,9 +409,27 @@ def _solve_peak_mib(fld, zeros, opts):
 def test_a_solve_settled_on_its_first_fine_step_holds_no_mixing_history():
     # the n = 32768 step settles at once: no history row is allocated, and
     # the starlike boundary skips the polygon sweep (5.13 MiB when both were
-    # held)
+    # held, 3.63 MiB with a cached copy of f''s coefficients)
     fld = weight.random_smooth_field(np.random.default_rng(0))
-    assert _solve_peak_mib(fld, (), SolveOptions(n=32768)) < 4.0
+    assert _solve_peak_mib(fld, (), SolveOptions(n=32768)) < 3.4
+
+
+def _held_mib(value):
+    """MiB of the arrays a cached value holds, through nested maps' memos."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes / 2**20
+    if isinstance(value, spectral.DiskFunction):
+        return _held_mib(value.coeffs) + sum(map(_held_mib, value._memo.values()))
+    return 0.0
+
+
+def test_a_solved_map_holds_its_traces_and_no_second_copy_of_its_coefficients():
+    # coefficients, the traces of f and f', Phi along f: 1.75 MiB at 32768;
+    # a cached f' held its coefficients as well, 2.25 MiB
+    fld = weight.random_smooth_field(np.random.default_rng(0))
+    rep = solver.solve(fld, options=SolveOptions(n=32768))
+    assert rep.n == 32768 and ("derivative trace", 32768) in rep.f._memo
+    assert _held_mib(rep.f) < 1.8
 
 
 def test_the_near_boundary_zero_solve_holds_only_the_history_it_fills(staircase):

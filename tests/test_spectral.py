@@ -238,13 +238,30 @@ def test_tail_ratio_reads_the_last_eighth(m):
 
 
 def test_derivative_is_built_once_and_shares_its_traces():
+    # f' is cached on f only as its trace per n, never as coefficients;
+    # derivative(f) builds a new map on each call
     f = DiskFunction([0.0, 1.0, 0.5, 0.25j])
-    fp = derivative(f)
-    assert fp.coeffs.tolist() == [1.0, 1.0, 0.75j]
-    assert derivative(f) is fp
-    assert derivative(f).trace(16) is fp.trace(16)
-    assert not fp.coeffs.flags.writeable
+    assert derivative(f).coeffs.tolist() == [1.0, 1.0, 0.75j]
+    assert derivative(f) is not derivative(f)
+    trace = f.derivative_trace(16)
+    assert f.derivative_trace(16) is trace and not trace.flags.writeable
+    assert f.derivative_trace(32) is not trace
+    assert "derivative" not in f._memo
     assert derivative(DiskFunction([2.0])).coeffs.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("m", [1, 5, 16, 17, 64], ids=["constant", "shorter", "equal", "one_longer", "strided"])
+def test_derivative_trace_is_the_trace_of_the_derivative(m):
+    # bit for bit, on the unit circle and on the batched circles inside it
+    rng = np.random.default_rng(m)
+    c = rng.normal(size=m) + 1j * rng.normal(size=m)
+    f = DiskFunction(c)
+    fp = DiskFunction(np.arange(1, m) * c[1:] if m > 1 else [0.0])
+    assert np.array_equal(f.derivative_trace(16), fp.trace(16))
+    assert np.array_equal(f.circle_trace(0.999, 16, 1), fp.circle_trace(0.999, 16))
+    assert np.array_equal(f.circle_trace([0.5, 0.999], 16, 1), fp.circle_trace([0.5, 0.999], 16))
+    with pytest.raises(ValueError, match="order"):
+        f.circle_trace(0.5, 16, 2)
 
 
 def test_conjugate_of_cosine_is_sine():
