@@ -39,7 +39,6 @@ class Certificate:
     passed: bool
     worst_margin: float
     worst_location: dict
-    tolerance: float
     lattice: dict
     skipped: int = 0
     details: dict = None
@@ -50,7 +49,7 @@ class Certificate:
             "pass": self.passed,
             "worst_margin": self.worst_margin,
             "worst_location": self.worst_location,
-            "tolerance": self.tolerance,
+            "tolerance": TOL_CERT,
             "lattice": self.lattice,
             "skipped": self.skipped,
         }
@@ -67,22 +66,21 @@ def _lattice(f, fld, n):
     are left out and counted, so a lowest of inf means all were skipped.
     u is the real part of one schwarz_integral of log Phi along f (radii at
     most 0.999).  Rows go through in blocks, each one batched circle trace
-    of it and one of f'.  _fence caches the scalars on f per (fld, n), so
-    both fences read one pass.
+    of it and one of f' read from f's own coefficients.  _fence caches the
+    scalars on f per (fld, n), so both fences read one pass.
     """
     n = check_grid_size(n)
-    fp = derivative(f)
     radii = np.linspace(0.1, 0.999, FENCE_RADII)
     # a row is as long as the larger of n and f''s coefficient count: the
     # default 16 x 512 lattice is one batched transform, and rows of
     # LATTICE_BLOCK or more go one circle at a time
-    rows = max(1, LATTICE_BLOCK // max(n, fp.coeffs.size))
+    rows = max(1, LATTICE_BLOCK // max(n, f.coeffs.size - 1))
     harmonic = schwarz_integral(np.log(boundary_weight(f, fld, n)))
     lows, highs, skipped = [], [], 0
     for start in range(0, FENCE_RADII, rows):
         block = radii[start : start + rows]
         u = harmonic.circle_trace(block, n).real
-        margin = np.abs(fp.circle_trace(block, n))
+        margin = np.abs(f.circle_trace(block, n, 1))
         skip = margin < DERIVATIVE_FLOOR
         skipped += int(skip.sum())
         with np.errstate(divide="ignore"):
@@ -123,7 +121,6 @@ def _fence(kind, sign, f, fld, n):
         passed=bool(worst >= -TOL_CERT) and skipped < n * FENCE_RADII,
         worst_margin=worst,
         worst_location={} if worst == np.inf else {"r": r, "t": t},
-        tolerance=TOL_CERT,
         lattice={"n": n, "radii": FENCE_RADII},
         skipped=skipped,
     )
@@ -152,7 +149,7 @@ def check_starlike(f, n=512):
     scale = np.abs(fvals).max()
     if np.abs(fvals).min() < 1e-12 * max(scale, 1.0):
         raise DegenerateBoundaryError("boundary trace passes through 0; starlike quotient undefined")
-    quotient = (xi * f.derivative_trace(n) / fvals).real
+    quotient = (xi * f.trace(n, 1) / fvals).real
     i = int(np.argmin(quotient))
     worst = float(quotient[i])
     return Certificate(
@@ -160,7 +157,6 @@ def check_starlike(f, n=512):
         passed=bool(worst >= -TOL_CERT),
         worst_margin=worst,
         worst_location={"t": float(grid_angles(n)[i])},
-        tolerance=TOL_CERT,
         lattice={"n": n},
     )
 
@@ -197,7 +193,7 @@ def free_boundary_check(f, fld, n=512):
     """
     _require_univalent(f, n, "free boundary")
     n = check_grid_size(n)
-    fpvals = f.derivative_trace(n)
+    fpvals = f.trace(n, 1)
     phi = boundary_weight(f, fld, n)
     m1 = float(np.abs(fpvals).min())
     m2 = float(phi.min())
@@ -229,7 +225,6 @@ def free_boundary_check(f, fld, n=512):
         passed=passed,
         worst_margin=margin,
         worst_location={"t": float(grid_angles(n)[i])},
-        tolerance=TOL_CERT,
         lattice={"n": n, "spots": FB_SPOTS, "delta": FB_DELTA},
         details={
             "boundary_gap": boundary_worst,

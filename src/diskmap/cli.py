@@ -21,7 +21,7 @@ import numpy as np
 
 from . import weight
 from .certify import check_starlike, check_subsolution, check_supersolution, free_boundary_check
-from .errors import ConfigError, DiskmapError
+from .errors import ConfigError, DegenerateBoundaryError, DiskmapError
 from .regions import (
     build_shrinking_spiral_family,
     extended_union,
@@ -174,7 +174,7 @@ def load_coefficients_csv(path):
 def write_boundary_csv(path, f, fld, n):
     t = grid_angles(n)
     fv = f.trace(n)
-    fpv = f.derivative_trace(n)
+    fpv = f.trace(n, 1)
     phi = boundary_weight(f, fld, n)
     with open(path, "w") as fh:
         fh.write("t,re_f,im_f,abs_fprime,phi\n")
@@ -186,9 +186,12 @@ def write_boundary_csv(path, f, fld, n):
 
 
 def write_curve_svg(path, points):
-    """Closed image curve as a standalone SVG with a marked origin."""
+    """Closed image curve as a standalone SVG with a marked origin; a trace
+    that is not finite has no curve to draw, and no file is written."""
     size = SVG_SIZE
     pts = np.asarray(points, dtype=complex)
+    if not np.isfinite(pts).all():
+        raise DegenerateBoundaryError("boundary trace is not finite; curve.svg not written")
     lo = min(pts.real.min(), pts.imag.min(), 0.0)
     hi = max(pts.real.max(), pts.imag.max(), 0.0)
     span = max(hi - lo, 1e-12)

@@ -109,7 +109,7 @@ def second_derivative(f, fld, zeros=(), n=512):
     """
     n = check_grid_size(n)
     xi = grid_points(n)
-    fpvals = f.derivative_trace(n)
+    fpvals = f.trace(n, 1)
     g = np.log(boundary_weight(f, fld, n))
     ghat = np.fft.fft(g)
     spectral_ok = resolved(ghat[: n // 2 + 1])  # g is real: one side suffices
@@ -136,7 +136,7 @@ def second_derivative(f, fld, zeros=(), n=512):
     f2 += svals
     del svals
 
-    spectral_f2 = derivative(f).derivative_trace(n)
+    spectral_f2 = derivative(f).trace(n, 1)
     gap = float(np.abs(f2 - spectral_f2).max())
     return SecondDerivativeResult(
         values=f2,

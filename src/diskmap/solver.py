@@ -40,7 +40,7 @@ from .spectral import (
     tail_ratio,
 )
 
-PAIR_BLOCK = 1 << 12  # edge pairs tested at once in _no_crossings
+PAIR_BLOCK = 1 << 12  # edge pairs tested at once in polygon_is_simple
 DIVERGENCE_FACTOR = 1e6
 COARSE_GRID = 512  # grid a solve starts on at the least, SolveOptions.n's default
 CRITICAL_RADIUS = 0.999  # circle on which interior_critical_points counts
@@ -177,7 +177,7 @@ def boundary_weight(f, fld, n):
 
 def residual_sup(f, fld, n):
     """sup over the grid of | |f'| - Phi(xi, f) |."""
-    fp = np.abs(f.derivative_trace(n))
+    fp = np.abs(f.trace(n, 1))
     return float(np.abs(fp - boundary_weight(f, fld, n)).max())
 
 
@@ -423,24 +423,16 @@ def polygon_is_simple(points):
     """No two non-adjacent edges of the closed polygon properly cross.
 
     Edge k runs from points[k] to points[k + 1], the last one back to
-    points[0].  One O(m) angle pass accepts a polygon star-shaped about 0
-    (_star_shaped); any other polygon goes through the sweep of
-    _no_crossings.  Coincident edges, as on a polygon traversed twice, are
-    not a proper crossing.
+    points[0]; coincident edges, as on a polygon traversed twice, are not a
+    proper crossing.  An O(m log m) sweep: crossing edges have overlapping
+    closed x-extents, so the edges are sorted by their left x and each is
+    tested only against the later edges whose left x lies within its own
+    extent (a vectorized sweep in the sense of Shamos & Hoey).  On solved
+    maps that leaves about two pairs per edge.  Pairs go through in blocks
+    of PAIR_BLOCK and the test stops at the first crossing, so memory stays
+    bounded even on wiggly curves.
     """
     A = np.asarray(points, dtype=np.complex128)
-    return _star_shaped(np.angle(_edge_ratios(A))) or _no_crossings(A)
-
-
-def _no_crossings(A):
-    """The O(m log m) sweep for a proper crossing.  Crossing edges have
-    overlapping closed x-extents, so the edges are sorted by their left x
-    and each is tested only against the later edges whose left x lies
-    within its own extent (a vectorized sweep in the sense of Shamos &
-    Hoey).  On solved maps that leaves about two pairs per edge.  Pairs go
-    through in blocks of PAIR_BLOCK and the test stops at the first
-    crossing, so memory stays bounded even on wiggly curves.
-    """
     B = np.roll(A, -1)
     m = A.size
     left = np.minimum(A.real, B.real)
@@ -481,9 +473,10 @@ def univalence(f, n):
     for z^2 and runs clockwise for a map aliased onto z-bar on the grid.
     The winding count rejects both.  One O(n) angle pass reads the turns of
     the edges about f(0): their sum is the winding count, and a polygon
-    star-shaped about f(0) is simple without the sweep, which decides the
-    rest.  The verdict is cached on f per n, like its traces, so a
-    certificate gate on a map the solve already checked costs nothing.
+    star-shaped about f(0) is simple without the sweep of polygon_is_simple,
+    which decides the rest.  The verdict is cached on f per n, like its
+    traces, so a certificate gate on a map the solve already checked costs
+    nothing.
     """
     n = check_grid_size(n)
     return f.memo(("univalence", n), lambda: _univalence(f, n))
@@ -497,7 +490,7 @@ def _univalence(f, n):
     if _star_shaped(turn):
         return True
     del turn
-    return _no_crossings(P)
+    return polygon_is_simple(P)
 
 
 def interior_critical_points(f, n):
@@ -530,13 +523,13 @@ class ScanResult:
     steps: int
 
 
-def radial_scan(fld, r_min=None, r_max=None, steps=10000, tol=None):
+def radial_scan(fld, r_min=None, r_max=None, steps=10000):
     """Locate radii with r = Phi_radial(r): where scaled identities solve.
 
     Works only for rotation-invariant fields (radial profile available).
-    Returns maximal runs of grid points where |r - phi(r)| <= tol; the
-    default tol = max(1e-4, spacing/2) guarantees single-point crossings are
-    not missed between nodes.
+    Returns maximal runs of grid points where |r - phi(r)| <= tol, with
+    tol = max(1e-4, spacing/2) so that single-point crossings are not missed
+    between nodes.
     """
     if fld.radial_profile is None:
         raise ValueError("radial_scan needs a rotation-invariant field")
@@ -547,7 +540,7 @@ def radial_scan(fld, r_min=None, r_max=None, steps=10000, tol=None):
         raise ValueError("need r_max > r_min and at least two steps")
     r = np.linspace(r_min, r_max, int(steps))
     spacing = r[1] - r[0]
-    tol = max(1e-4, 0.5 * spacing) if tol is None else float(tol)
+    tol = max(1e-4, 0.5 * spacing)
     g = np.abs(r - fld.radial_profile(r))
     # run edges: each run of hits starts at an even edge and ends before the next
     edges = np.flatnonzero(np.diff(g <= tol, prepend=False, append=False))

@@ -92,12 +92,12 @@ class DiskFunction:
     """Analytic function on the unit disk held as Taylor coefficients.
 
     What is derived from the map once is cached on it through memo(key,
-    build): the boundary traces of f and f', the univalence verdicts, the
-    weight along f and the fence lattice extremes.  f' is cached only as
-    its traces, never as a second copy of the coefficients.  The contract is
-    stated here once: coefficients, and fields used in a key, are not
-    mutated after use, and cached arrays are read-only because every caller
-    shares them.
+    build): the boundary traces of f and f' (trace(n, order), one per
+    (n, order)), the univalence verdicts, the weight along f and the fence
+    lattice extremes.  f' is cached only as its traces, never as a second
+    copy of the coefficients.  The contract is stated here once:
+    coefficients, and fields used in a key, are not mutated after use, and
+    cached arrays are read-only because every caller shares them.
     """
 
     __slots__ = ("coeffs", "_memo")
@@ -118,30 +118,25 @@ class DiskFunction:
                 got.flags.writeable = False
         return self._memo[key]
 
-    def trace(self, n):
-        """Boundary values at the n-point grid, cached per n (read-only)."""
+    def trace(self, n, order=0):
+        """Boundary values of f (order 0) or f' (order 1) at the n-point grid,
+        cached per (n, order) (read-only); order 1 has the bits of
+        derivative(f).trace(n), with no f' kept."""
         n = check_grid_size(n)
-        return self.memo(("trace", n), lambda: self._circle_values(1.0, n))
-
-    def derivative_trace(self, n):
-        """Boundary values of f' at the n-point grid, cached per n (read-only):
-        the bits of derivative(f).trace(n), with no f' kept."""
-        n = check_grid_size(n)
-        return self.memo(("derivative trace", n), lambda: self._circle_values(1.0, n, 1))
+        return self.memo(("trace", n, order), lambda: self._circle_values(1.0, n, order))
 
     def circle_trace(self, r, n, order=0):
         """Values of f (order 0) or f' (order 1) on the circle of radius r at
         n equispaced angles.  For an array of radii, one batched transform
         gives shape r.shape + (n,)."""
-        n = check_grid_size(n)
-        if order not in (0, 1):
-            raise ValueError(f"order must be 0 or 1, got {order}")
-        return self._circle_values(np.asarray(r, dtype=np.float64), n, order)
+        return self._circle_values(np.asarray(r, dtype=np.float64), check_grid_size(n), order)
 
-    def _circle_values(self, r, n, order=0):
+    def _circle_values(self, r, n, order):
         """One zero-padded inverse FFT of the coefficients of f, or with
         order 1 of f' (k c_k, formed straight into the padded buffer),
         scaled in place by r**k unless r is the scalar 1."""
+        if order not in (0, 1):
+            raise ValueError(f"order must be 0 or 1, got {order}")
         r = np.asarray(r)
         c = self.coeffs
         m = max(c.size - order, 1)
@@ -195,7 +190,7 @@ class DiskFunction:
 def derivative(f):
     """f'(z) as a new DiskFunction: c_k -> (k+1) c_{k+1}, built on each call.
     Only a caller that needs f''s coefficients or its Horner evaluation
-    builds it; traces of f' come from f.derivative_trace and
+    builds it; traces of f' come from f.trace(n, 1) and
     f.circle_trace(r, n, 1)."""
     c = f.coeffs
     return DiskFunction(np.arange(1, c.size) * c[1:] if c.size > 1 else [0.0])

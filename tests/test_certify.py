@@ -94,6 +94,15 @@ def test_fence_takes_one_log_phi_spectrum():
     assert sub.skipped == sup.skipped == 0
 
 
+def test_fence_reads_f_prime_from_the_map_itself():
+    # circle traces of f' come from f's coefficients, with no copy of f' built
+    fld = weight.random_smooth_field(np.random.default_rng(2))
+    f = DiskFunction([0.0, 1.0, 0.3, 0.05j])
+    with mock.patch.object(certify, "derivative", wraps=certify.derivative) as build:
+        certify.check_subsolution(f, fld)
+    assert not build.called
+
+
 def _per_radius_fences(f, fld, n, n_radii):
     """The reference sub- and supersolution fences: one circle trace of the
     harmonic extension of log Phi and one of f' per radius, and each
@@ -120,7 +129,6 @@ def _per_radius_fences(f, fld, n, n_radii):
             passed=bool(worst[k] >= -certify.TOL_CERT),
             worst_margin=worst[k],
             worst_location=where[k],
-            tolerance=certify.TOL_CERT,
             lattice={"n": n, "radii": n_radii},
             skipped=skipped,
         )

@@ -128,16 +128,23 @@ def test_a_tail_unresolved_on_the_largest_grid_is_a_failed_solve(tmp_path, capsy
 @pytest.mark.parametrize("argv", [
     ["solve", "--init", "csv:{map}", "--max-iters", "0"],
     ["certify", "--map", "{map}", "--checks", "subsolution"],
-], ids=["solve", "certify"])
-def test_an_overflowing_map_fails_without_numpy_warnings(tmp_path, argv):
+    ["solve", "--init", "csv:{map}", "--max-iters", "0", "--emit", "json,csv,svg"],
+], ids=["solve", "certify", "solve_svg"])
+def test_an_overflowing_map_fails_without_numpy_warnings(tmp_path, capsys, argv):
     # its non-finite traces and margins are the verdicts; numpy used to warn
-    # about them five times on solve and four times on certify
+    # about them five times on solve and four times on certify, and four
+    # more times drawing a curve.svg of nan coordinates
     path = write_map(tmp_path / "big.csv", np.array([0.0, 1e308, 1e308]))
     argv = [arg.format(map=path) for arg in argv]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run([argv[0], "--field", "staircase", *argv[1:], "--out", tmp_path]) == 1
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not (tmp_path / "curve.svg").exists()
+    if "svg" in argv[-1]:
+        assert "error: boundary trace is not finite" in capsys.readouterr().err
+        for name in ("solve_report.json", "coefficients.csv", "boundary.csv"):
+            assert (tmp_path / name).exists(), name
 
 
 def test_refining_solve_counts_the_steps_of_every_grid(tmp_path):

@@ -428,7 +428,7 @@ def test_a_solved_map_holds_its_traces_and_no_second_copy_of_its_coefficients():
     # a cached f' held its coefficients as well, 2.25 MiB
     fld = weight.random_smooth_field(np.random.default_rng(0))
     rep = solver.solve(fld, options=SolveOptions(n=32768))
-    assert rep.n == 32768 and ("derivative trace", 32768) in rep.f._memo
+    assert rep.n == 32768 and ("trace", 32768, 1) in rep.f._memo
     assert _held_mib(rep.f) < 1.8
 
 
@@ -593,7 +593,7 @@ def test_polygon_is_simple_matches_all_pairs_reference(m, seed, block):
     swapped[[k, (k + 1) % m]] = swapped[[(k + 1) % m, k]]
     spiked = Q.copy()
     spiked[k] *= -10.0
-    # the stars again with 0 outside them, where the sweep decides
+    # the stars again with 0 outside them
     stars = (Q, swapped, spiked)
     shifted = [poly + _clear_of_origin(poly) for poly in stars]
     with mock.patch.object(solver, "PAIR_BLOCK", block or solver.PAIR_BLOCK):
@@ -630,21 +630,26 @@ def test_polygon_is_simple_across_pair_blocks(seed):
     assert not _polygon_is_simple_reference(spiked) and not _polygon_is_simple_reference(spiked + shift)
 
 
+def _star_about_0(points):
+    return solver._star_shaped(np.angle(solver._edge_ratios(points)))
+
+
 def test_turn_test_refuses_what_is_not_star_shaped_about_0():
     rng = np.random.default_rng(0)
     Q = _star_polygon(rng, 64, 0.5)
-    with mock.patch.object(solver, "_pair_blocks", wraps=solver._pair_blocks) as sweep:
-        assert solver.polygon_is_simple(Q)
-    assert not sweep.called  # the star is decided in one pass
+    assert _star_about_0(Q)  # the star is decided in one pass
     # clockwise: every turn is negative, and the polygon is still simple
-    assert _sweep_decides(Q[::-1])
+    assert not _star_about_0(Q[::-1]) and _sweep_decides(Q[::-1])
     # xi^2 on 64 nodes turns by less than pi at every edge but winds twice
-    assert not _sweep_decides(spectral.grid_points(64) ** 2)
+    double = spectral.grid_points(64) ** 2
+    assert not _star_about_0(double) and not _sweep_decides(double)
     # through 0, at a vertex (no turn there) or inside an edge (a turn of pi)
     notched = Q.copy()
     notched[10] = 0.0
+    assert not _star_about_0(notched)
     assert _sweep_decides(notched) == _polygon_is_simple_reference(notched)
-    assert _sweep_decides(np.array([-1.0, 1.0, 1.0 + 1.0j, -1.0 + 1.0j]))
+    edge = np.array([-1.0, 1.0, 1.0 + 1.0j, -1.0 + 1.0j])
+    assert not _star_about_0(edge) and _sweep_decides(edge)
 
 
 @pytest.mark.parametrize("n", [512, 4096])
@@ -659,7 +664,7 @@ def test_turn_test_agrees_with_the_sweep_on_solved_maps(n):
     for fld, zeros in cases:
         rep = solver.solve(fld, zeros=zeros, options=SolveOptions(n=n))
         P = rep.f.trace(rep.n)
-        got = solver.polygon_is_simple(P)
+        got = _star_about_0(P) or solver.polygon_is_simple(P)
         assert got == _sweep_decides(P + _clear_of_origin(P))
         verdicts.add(got)
     assert verdicts == {True, False}
@@ -712,6 +717,19 @@ def test_univalence_looks_once_at_each_map(staircase):
     assert [key for key in f._memo if key[0] == "univalence"] == [("univalence", 64)]
 
 
+def test_univalence_sweeps_through_polygon_is_simple(staircase, maximal_report):
+    # a critical point at 0.95 loops the boundary once about f(0), so the
+    # star test refuses it and polygon_is_simple finds the crossing; 6z is
+    # star-shaped about f(0) and needs no sweep
+    looped = solver.solve(staircase, zeros=[0.95], options=SolveOptions(initial_map=1.0))
+    assert looped.n == 512
+    for f, verdict, calls in ((looped.f, False, 1), (maximal_report.f, True, 0)):
+        fresh = DiskFunction(f.coeffs)  # the solve's verdict is cached on f
+        with mock.patch.object(solver, "polygon_is_simple", wraps=solver.polygon_is_simple) as sweep:
+            assert solver.univalence(fresh, 512) is verdict
+        assert sweep.call_count == calls
+
+
 def test_univalence_detects_double_cover():
     # z^2 runs round its polygon twice and z + 2z^63 aliases onto the
     # clockwise ellipse z + 2 z-bar on 64 nodes: both polygons are simple
@@ -729,7 +747,7 @@ def test_univalence_detects_double_cover():
 
 def _two_pass_univalence(f, n):
     """The verdict as two passes over the polygon: the winding about f(0),
-    then polygon_is_simple, whose star test is about 0."""
+    then the sweep of polygon_is_simple."""
     P = f.trace(n)
     return _winding_number_reference(P, f.coeffs[0]) == 1 and solver.polygon_is_simple(P)
 
@@ -884,7 +902,7 @@ def test_scan_runs_match_the_loop(mask):
     # the profile sits on r exactly where the mask holds and 1 away elsewhere
     hits = np.array(mask)
     fld = weight.WeightField(None, sup_bound=1.0, radial_profile=lambda r: r - np.where(hits, 0.0, 1.0))
-    res = solver.radial_scan(fld, r_min=0.0, r_max=1.0, steps=hits.size, tol=0.5)
+    res = solver.radial_scan(fld, r_min=0.0, r_max=1.0, steps=hits.size)
     assert res.intervals == loop_runs(np.linspace(0.0, 1.0, hits.size), hits)
 
 

@@ -243,9 +243,10 @@ def test_derivative_is_built_once_and_shares_its_traces():
     f = DiskFunction([0.0, 1.0, 0.5, 0.25j])
     assert derivative(f).coeffs.tolist() == [1.0, 1.0, 0.75j]
     assert derivative(f) is not derivative(f)
-    trace = f.derivative_trace(16)
-    assert f.derivative_trace(16) is trace and not trace.flags.writeable
-    assert f.derivative_trace(32) is not trace
+    trace = f.trace(16, 1)
+    assert f.trace(16, 1) is trace and not trace.flags.writeable
+    assert f.trace(32, 1) is not trace and f.trace(16) is not trace
+    assert ("trace", 16, 1) in f._memo
     assert "derivative" not in f._memo
     assert derivative(DiskFunction([2.0])).coeffs.tolist() == [0.0]
 
@@ -257,11 +258,13 @@ def test_derivative_trace_is_the_trace_of_the_derivative(m):
     c = rng.normal(size=m) + 1j * rng.normal(size=m)
     f = DiskFunction(c)
     fp = DiskFunction(np.arange(1, m) * c[1:] if m > 1 else [0.0])
-    assert np.array_equal(f.derivative_trace(16), fp.trace(16))
+    assert np.array_equal(f.trace(16, 1), fp.trace(16))
     assert np.array_equal(f.circle_trace(0.999, 16, 1), fp.circle_trace(0.999, 16))
     assert np.array_equal(f.circle_trace([0.5, 0.999], 16, 1), fp.circle_trace([0.5, 0.999], 16))
     with pytest.raises(ValueError, match="order"):
         f.circle_trace(0.5, 16, 2)
+    with pytest.raises(ValueError, match="order"):
+        f.trace(16, 2)
 
 
 def test_conjugate_of_cosine_is_sine():
