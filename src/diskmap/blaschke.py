@@ -53,12 +53,15 @@ def log_derivative(b, z):
     """B'(z)/B(z) = sum_j [1/(z - z_j) + conj(z_j)/(1 - conj(z_j) z)].
 
     Valid away from the zeros themselves; on the unit circle the zeros are
-    strictly inside, so boundary traces are safe.
+    strictly inside, so boundary traces are safe.  The terms are summed one
+    zero at a time into the output, in two reused z-sized buffers.
     """
     z = np.asarray(z, dtype=np.complex128)
-    if b.zeros.size == 0:
-        return np.zeros(z.shape, dtype=np.complex128)
-    zz = z[..., None]
-    first = 1.0 / (zz - b.zeros)
-    second = np.conj(b.zeros) / (1.0 - np.conj(b.zeros) * zz)
-    return (first + second).sum(axis=-1)
+    out = np.zeros(z.shape, dtype=np.complex128)
+    first, second = np.empty_like(out), np.empty_like(out)
+    for cj, zj in zip(np.conj(b.zeros), b.zeros):
+        np.divide(1.0, np.subtract(z, zj, out=first), out=first)
+        np.divide(cj, np.subtract(1.0, np.multiply(cj, z, out=second), out=second), out=second)
+        first += second
+        out += first
+    return out

@@ -15,8 +15,13 @@ set operations used when comparing image domains of solved maps:
 Components are found on the rows' runs of set cells with a vectorised
 union-find, the one-cell morphology is four contiguous shifts of the flat
 canvas, and disks are painted one span per row, so the module needs numpy alone.
+Each operation holds one canvas of temporaries (schoenfliess_test, past its
+component count, two) plus a row block of at most _BLOCK_CELLS cells: run
+edges are found, runs painted onto a canvas the operation owns, and PBM text
+written and read a row block or chunk at a time.
 """
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -27,8 +32,19 @@ import numpy as np
 from .errors import EmptyIntersectionError, InvalidSequenceError
 
 
-def _runs(mask, diagonal=False):
-    """Row runs of mask and the component each run belongs to.
+_BLOCK_CELLS = 1 << 16  # cells in one row block of a canvas-wide pass
+
+
+def _row_blocks(h, width):
+    """The rows in a block of at most _BLOCK_CELLS cells, width to a row (one
+    row when a row alone is longer), and the [r0, r1) blocks of h rows."""
+    rows = max(1, _BLOCK_CELLS // max(width, 1))
+    return min(rows, h), [(r0, min(r0 + rows, h)) for r0 in range(0, h, rows)]
+
+
+def _runs(mask, diagonal=False, complement=False):
+    """Row runs of mask (of ~mask with complement) and the component each run
+    belongs to.
 
     A run is a maximal stretch of set cells in one row, given as flat
     [start, stop) offsets into the mask laid out with one empty column in
@@ -37,13 +53,24 @@ def _runs(mask, diagonal=False):
     columns overlap, and with diagonal (8-connectivity) also when they only
     touch at a corner.  Returns (start, stop, root): root[i] is the index of
     the first run, in raster order, of run i's component, so the components
-    are the distinct roots and `root == arange` marks one run of each.
+    are the distinct roots and `root == arange` marks one run of each.  The
+    run edges are found a row block at a time in one reused buffer.
     """
     h, w = mask.shape
     width = w + 1
-    flat = np.zeros(h * width + 1, dtype=bool)
-    flat[: h * width].reshape(h, width)[:, 1:] = mask
-    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    # a block of rows in that layout, closed by the next row's empty column
+    rows, blocks = _row_blocks(h, width)
+    buf = np.zeros(rows * width + 1, dtype=bool)
+    edges = [np.zeros(0, dtype=np.intp)]
+    for r0, r1 in blocks:
+        flat = buf[: (r1 - r0) * width + 1]
+        cells = flat[:-1].reshape(r1 - r0, width)[:, 1:]
+        if complement:
+            np.logical_not(mask[r0:r1], out=cells)
+        else:
+            cells[...] = mask[r0:r1]
+        edges.append(np.flatnonzero(flat[1:] != flat[:-1]) + (r0 * width + 1))
+    edges = np.concatenate(edges)
     start, stop = edges[0::2], edges[1::2]
     # the runs of the row above that overlap run i (widened by one cell for
     # corner contact) are the consecutive runs lo[i] .. hi[i] - 1
@@ -72,9 +99,10 @@ def _runs(mask, diagonal=False):
     return start, stop, root
 
 
-def _component_count(mask, diagonal=False):
-    """Number of 4-connected (8-connected with diagonal) components of mask."""
-    _, _, root = _runs(mask, diagonal)
+def _component_count(mask, diagonal=False, complement=False):
+    """Number of 4-connected (8-connected with diagonal) components of mask
+    (of ~mask with complement)."""
+    _, _, root = _runs(mask, diagonal, complement)
     return int(np.count_nonzero(root == np.arange(root.size)))
 
 
@@ -86,8 +114,25 @@ def _paint(shape, start, stop):
     # column in front of every row; the canvas alternates unset and set
     # stretches between the offsets
     back = start // (w + 1) + 1
-    bounds = np.concatenate([[0], np.stack([start - back, stop - back], axis=1).ravel(), [h * w]])
-    return np.repeat(np.arange(bounds.size - 1) % 2 == 1, np.diff(bounds)).reshape(h, w)
+    bounds = np.empty(2 * start.size + 2, dtype=np.intp)
+    bounds[0], bounds[-1] = 0, h * w
+    np.subtract(start, back, out=bounds[1:-1:2])
+    np.subtract(stop, back, out=bounds[2:-1:2])
+    fill = np.zeros(bounds.size - 1, dtype=bool)
+    fill[1::2] = True
+    return np.repeat(fill, bounds[1:] - bounds[:-1]).reshape(h, w)
+
+
+def _paint_onto(canvas, start, stop):
+    """Set the cells of the given runs of `_runs` on canvas, in place, one
+    `_paint` of a row block at a time."""
+    h, w = canvas.shape
+    width = w + 1
+    for r0, r1 in _row_blocks(h, width)[1]:
+        lo, hi = np.searchsorted(start, (r0 * width, r1 * width))
+        if lo < hi:
+            shift = r0 * width
+            canvas[r0:r1] |= _paint((r1 - r0, w), start[lo:hi] - shift, stop[lo:hi] - shift)
 
 
 def _cross(mask, op):
@@ -154,7 +199,7 @@ class RasterRegion:
 
     def is_simply_connected(self):
         """No bounded complement component (complement taken 8-connected)."""
-        return not _bounded_complement(self.mask).any()
+        return not _bounded_complement(self.mask)[0].size
 
     def area(self):
         return int(np.count_nonzero(self.mask))
@@ -164,21 +209,24 @@ class RasterRegion:
 
 
 def _bounded_complement(mask):
-    """Cells of the 8-connected complement that the canvas border does not reach."""
+    """The runs (start, stop) of `_runs` of the 8-connected complement that
+    the canvas border does not reach."""
     h, w = mask.shape
-    start, stop, root = _runs(~mask, diagonal=True)
+    start, stop, root = _runs(mask, diagonal=True, complement=True)
     # a run on the first or last row, or one starting in the first column or
     # ending in the last, touches the border
     border = (start < w + 1) | (start >= (h - 1) * (w + 1)) | (start % (w + 1) == 1) | (stop % (w + 1) == 0)
     bounded = np.ones(root.size, dtype=bool)
     bounded[root[border]] = False
     keep = bounded[root]
-    return _paint(mask.shape, start[keep], stop[keep])
+    return start[keep], stop[keep]
 
 
 def fill_holes(mask):
     """Fill bounded complement components (8-connected complement)."""
-    return mask | _bounded_complement(mask)
+    out = mask.copy()
+    _paint_onto(out, *_bounded_complement(mask))
+    return out
 
 
 def _one_frame(regions):
@@ -201,15 +249,20 @@ def _at(mask, basepoint):
 
 
 def _basepoint_component(mask, basepoint, missing):
-    """The 4-connected component of mask at basepoint; raises `missing` when
-    the basepoint is not in the mask."""
+    """The 4-connected component of mask at basepoint, painted back onto mask
+    itself (a C-contiguous canvas the caller gives up); raises `missing`
+    when the basepoint is not in the mask."""
     if not _at(mask, basepoint):
         raise missing
     r, c = basepoint
     start, stop, root = _runs(mask)
     here = root[np.searchsorted(start, r * (mask.shape[1] + 1) + c + 1, side="right") - 1]
     keep = root == here
-    return RasterRegion(_paint(mask.shape, start[keep], stop[keep]), basepoint)
+    # a mask of one component is already its basepoint component
+    if not keep.all():
+        mask[...] = False
+        _paint_onto(mask, start[keep], stop[keep])
+    return RasterRegion(mask, basepoint)
 
 
 def _fold(op, regions):
@@ -223,7 +276,9 @@ def _fold(op, regions):
 def extended_union(*regions):
     """Union of the regions with all holes filled."""
     regions = _one_frame(regions)
-    return RasterRegion(fill_holes(_fold(np.logical_or, regions)), regions[0].basepoint)
+    out = _fold(np.logical_or, regions)
+    _paint_onto(out, *_bounded_complement(out))
+    return RasterRegion(out, regions[0].basepoint)
 
 
 def reduced_intersection(*regions):
@@ -250,15 +305,24 @@ def schoenfliess_test(region):
     first clause; a region with a deep sealed slot fails the second.
     """
     mask = region.mask
-    closure = dilate(mask)
-    omega = ~closure
-    if _component_count(omega, diagonal=True) != 1:
+    # the closure, counted as its complement and then turned into Omega in place
+    omega = dilate(mask)
+    if _component_count(omega, diagonal=True, complement=True) != 1:
         return False
+    np.logical_not(omega, out=omega)
     # three cross-dilations: the closure retreats Omega one cell from every
     # wall and one more from a slit tip, so even the tip corners of an open
     # slit sit at 4-distance three from Omega
-    near = dilate(dilate(dilate(omega)))
-    return bool((near | ~boundary_cells(mask)).all())
+    near = dilate(omega)
+    del omega
+    near = dilate(near)
+    near = dilate(near)
+    # a boundary cell of the region outside near: mask > (erode(mask) | near)
+    out = erode(mask)
+    out |= near
+    del near
+    np.greater(mask, out, out=out)
+    return not out.any()
 
 
 def kernel_of_shrinking(regions):
@@ -282,9 +346,12 @@ def kernel_of_shrinking(regions):
     bp = regions[0].basepoint
     if not _at(inter, bp):
         raise EmptyIntersectionError("intersection misses the basepoint")
-    interior = erode(erode(dilate(inter)))
+    # each step frees the canvas it read
+    inter = dilate(inter)
+    inter = erode(inter)
+    inter = erode(inter)
     return _basepoint_component(
-        interior, bp, EmptyIntersectionError("kernel interior misses the basepoint")
+        inter, bp, EmptyIntersectionError("kernel interior misses the basepoint")
     )
 
 
@@ -395,15 +462,19 @@ def build_shrinking_spiral_family(size=512):
 
 def save_region(region, path):
     """Write mask as ASCII PBM (P1) and basepoint metadata alongside; the
-    raster is filled in place and written as it is, one raster of temporaries."""
+    raster of a row block of the mask (two bytes a cell) is filled in place
+    and written, a block at a time."""
     path = Path(path)
     mask = region.mask
-    raster = np.full((mask.shape[0], 2 * mask.shape[1]), ord(" "), dtype=np.uint8)
-    np.add(mask.view(np.uint8), ord("0"), out=raster[:, ::2])
+    h, w = mask.shape
+    rows, blocks = _row_blocks(h, w)
+    raster = np.full((rows, 2 * w), ord(" "), dtype=np.uint8)
     raster[:, -1] = ord("\n")
     with path.open("wb") as f:
-        f.write(f"P1\n{mask.shape[1]} {mask.shape[0]}\n".encode())
-        f.write(raster)
+        f.write(f"P1\n{w} {h}\n".encode())
+        for r0, r1 in blocks:
+            np.add(mask[r0:r1].view(np.uint8), ord("0"), out=raster[: r1 - r0, ::2])
+            f.write(raster[: r1 - r0])
     sidecar = path.with_suffix(path.suffix + ".json")
     sidecar.write_text(
         json.dumps(
@@ -418,34 +489,63 @@ def save_region(region, path):
     return path
 
 
+_HEADER = re.compile(rb"\s*P1\s+(\d+)\s+(\d+)(?!\S)")
+# what a header cut short by a chunk's end may look like so far
+_HEADER_START = re.compile(rb"\s*(?:P(?:1(?:\s+(?:\d+(?:\s+\d*)?)?)?)?)?")
+_LINE_END = re.compile(rb"[\r\n]")
+
+
+def _uncommented(f):
+    """The file's bytes a chunk at a time, each `#` comment cut out up to
+    its line end; a comment that a chunk's end cuts runs on into the next."""
+    in_comment = False
+    while chunk := f.read(_BLOCK_CELLS):
+        if in_comment:
+            end = _LINE_END.search(chunk)
+            if end is None:
+                continue
+            chunk = chunk[end.start() :]
+        last = chunk.rfind(b"#")
+        in_comment = last >= 0 and _LINE_END.search(chunk, last) is None
+        if last >= 0:
+            chunk = re.sub(rb"#[^\r\n]*", b"", chunk)
+        yield chunk
+
+
 def load_region(path):
     """Read a plain PBM (P1) and its sidecar: `#` comments, optional whitespace
     between bits, exactly width x height bits, each `0` or `1`, and a JSON
     sidecar whose basepoint lies on the raster and whose shape, when given,
     is the raster's.  Every rejection is a ValueError naming the file.  The
-    bits are a view of the text packed without whitespace, so loading holds
-    about one raster of temporaries beyond the file's text."""
+    file is read a chunk at a time into the mask, so loading holds a few
+    chunks of temporaries beyond the mask."""
     path = Path(path)
-    text = path.read_bytes()
-    if b"#" in text:
-        text = re.sub(rb"#[^\r\n]*", b"", text)
-    header = re.match(rb"\s*P1\s+(\d+)\s+(\d+)(?!\S)", text)
-    if header is None:
-        raise ValueError(f"{path} is not an ASCII PBM file")
-    width, height = header.groups()
-    # drop the whitespace a slice at a time, so the text and its packed form
-    # are all that is held; the packed text starts with the header's tokens
-    packed = bytearray()
-    for i in range(0, len(text), 1 << 16):
-        packed += text[i : i + (1 << 16)].translate(None, b" \t\n\v\f\r")
-    del header, text
-    bits = np.frombuffer(packed, dtype=np.uint8, offset=2 + len(width) + len(height))
-    width, height = int(width), int(height)
-    mask = bits == ord("1")
-    if np.count_nonzero(mask) + np.count_nonzero(bits == ord("0")) != bits.size:
-        raise ValueError(f"{path} has a raster bit other than 0 or 1")
-    if bits.size != width * height:
-        raise ValueError(f"{path} holds {bits.size} raster bits, not {width} x {height}")
+    with path.open("rb") as f:
+        chunks = _uncommented(f)
+        head = b""
+        for chunk in chunks:
+            head += chunk
+            header = _HEADER.match(head)
+            if header and header.end() < len(head) or not _HEADER_START.fullmatch(head):
+                break
+        header = _HEADER.match(head)
+        if header is None:
+            raise ValueError(f"{path} is not an ASCII PBM file")
+        width, height = int(header[1]), int(header[2])
+        # a file holds at most one bit per byte, so a raster larger than the
+        # file is refused for its count below without being allocated
+        mask = np.empty(width * height if width * height <= path.stat().st_size else 0, dtype=bool)
+        count = 0
+        for chunk in itertools.chain([head[header.end() :]], chunks):
+            bits = np.frombuffer(chunk.translate(None, b" \t\n\v\f\r"), dtype=np.uint8)
+            ones = bits == ord("1")
+            if np.count_nonzero(ones) + np.count_nonzero(bits == ord("0")) != bits.size:
+                raise ValueError(f"{path} has a raster bit other than 0 or 1")
+            room = max(min(bits.size, mask.size - count), 0)
+            mask[count : count + room] = ones[:room]
+            count += bits.size
+    if count != width * height:
+        raise ValueError(f"{path} holds {count} raster bits, not {width} x {height}")
     sidecar = path.with_suffix(path.suffix + ".json")
     try:
         meta = json.loads(sidecar.read_bytes())

@@ -63,6 +63,33 @@ def test_log_derivative_matches_finite_differences():
     assert np.abs(got - fd).max() < 1e-8
 
 
+def stacked_log_derivative(b, z):
+    """The (n, zeros) broadcast form that log_derivative replaced, kept as
+    its oracle."""
+    zz = np.asarray(z, dtype=np.complex128)[..., None]
+    first = 1.0 / (zz - b.zeros)
+    second = np.conj(b.zeros) / (1.0 - np.conj(b.zeros) * zz)
+    return (first + second).sum(axis=-1)
+
+
+@pytest.mark.parametrize("zeros", [[0.995], [-0.5], [0.3 + 0.4j], [0.3 + 0.4j, -0.5], [0.995, -0.25j]])
+@pytest.mark.parametrize("points", [grid_points(8192), 0.9 * grid_points(64)], ids=["circle", "inside"])
+def test_log_derivative_per_zero_is_the_stacked_sum_bit_for_bit(zeros, points):
+    b = blaschke.construct(zeros)
+    assert blaschke.log_derivative(b, points).tobytes() == stacked_log_derivative(b, points).tobytes()
+
+
+@pytest.mark.parametrize("count", [3, 5, 7])
+def test_log_derivative_per_zero_agrees_with_the_stacked_sum(count):
+    # with three or more zeros the stacked sum may add its terms in another
+    # order, so only agreement to rounding is asserted
+    rng = np.random.default_rng(count)
+    b = blaschke.construct(0.95 * rng.random(count) * np.exp(2j * np.pi * rng.random(count)) + 0.01)
+    points = grid_points(4096)
+    want = stacked_log_derivative(b, points)
+    assert np.abs(blaschke.log_derivative(b, points) - want).max() <= 1e-15 * np.abs(want).max()
+
+
 def test_derivative_trace_consistent():
     b = blaschke.construct([0.4, 0.2 - 0.3j])
     n = 64

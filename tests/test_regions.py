@@ -1,6 +1,8 @@
 """Raster region algebra: unions, intersections, kernels, accessibility."""
 
+import functools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -250,6 +252,23 @@ def test_schoenfliess_annulus_fails():
     assert not regions.schoenfliess_test(RasterRegion(annulus, (64, 94)))
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_schoenfliess_matches_ndimage(seed):
+    # Omega = ~closure as one 8-connected component, and every boundary cell
+    # within three cross-dilations of it; regions with carved slits and
+    # pockets reach both clauses
+    rng = np.random.default_rng(seed)
+    mask = random_region(rng).mask
+    for _ in range(int(rng.integers(0, 6))):
+        r, c = rng.integers(20, 108, size=2)
+        mask[r : r + int(rng.integers(1, 4)), c : c + int(rng.integers(1, 30))] = False
+    omega = ~ndimage.binary_dilation(mask, structure=CROSS)
+    near = ndimage.binary_dilation(omega, structure=CROSS, iterations=3)
+    boundary = mask & ~ndimage.binary_erosion(mask, structure=CROSS)
+    want = ndimage.label(omega, structure=BOX)[1] == 1 and not (boundary & ~near).any()
+    assert regions.schoenfliess_test(RasterRegion(mask, BASE)) == want
+
+
 # ---------------------------------------------------------------------------
 # demo family
 
@@ -295,10 +314,64 @@ def traced(fn):
 def test_demo_family_is_built_one_level_at_a_time():
     # at size 1024 a canvas is 1 MiB: 14.02 MiB with every level's corridor,
     # body and the full-canvas cavity and throat held until the end, 6.05
-    # with the three outputs and one level's temporaries
+    # with the three outputs and one level's temporaries, 5.01 with each
+    # level's basepoint component painted back onto its carved canvas
     fam, peak = traced(lambda: regions.build_shrinking_spiral_family(size=1024))
-    assert peak < 7.0
+    assert peak < 6.0
     assert [f.area() for f in fam] == [555160, 544529, 533789]
+
+
+@pytest.fixture(scope="module")
+def demo_family():
+    """The benchmark's 1024 x 1024 demo family: three 1 MiB masks."""
+    return regions.build_shrinking_spiral_family(size=1024)
+
+
+# each operation holds its outputs, one canvas of temporaries and row blocks
+# of at most regions._BLOCK_CELLS cells (64 KiB)
+
+
+def test_a_union_reduce_holds_one_canvas_of_temporaries(demo_family):
+    # 5.04 MiB with the fold canvas, the complement, its run canvas and
+    # the painted holes each a full canvas; 2.31 with the holes painted in
+    # row blocks onto the fold canvas (the first union is held by the second)
+    union, peak = traced(lambda: functools.reduce(regions.extended_union, demo_family))
+    assert peak < 2.75
+    assert np.array_equal(union.mask, demo_family[0].mask)
+
+
+def test_an_intersection_reduce_holds_one_canvas_of_temporaries(demo_family):
+    # 4.03 MiB with the run canvas, its edge test and the painted component
+    # each a full canvas; 2.27 with the component painted back onto the
+    # fold canvas
+    inter, peak = traced(lambda: functools.reduce(regions.reduced_intersection, demo_family))
+    assert peak < 2.75
+    assert np.array_equal(inter.mask, demo_family[-1].mask)
+
+
+def test_a_kernel_holds_one_canvas_of_temporaries(demo_family):
+    # 4.03 MiB with the intersection held through closing and eroding; 2.01
+    # with each step freeing the canvas it read
+    kernel, peak = traced(lambda: regions.kernel_of_shrinking(demo_family))
+    assert peak < 3.5
+    assert not kernel.is_simply_connected()
+
+
+def test_the_schoenfliess_test_holds_one_canvas_of_temporaries(kernel_pbm):
+    # 4.05 MiB with the closure, its complement, the run canvas and its edge
+    # test; 1.37 counting the complement's components in row blocks
+    kernel, _ = kernel_pbm
+    verdict, peak = traced(lambda: regions.schoenfliess_test(kernel))
+    assert peak < 2.0
+    assert verdict is False
+
+
+def test_an_accessible_region_is_tested_on_two_canvases(demo_family):
+    # the accepting path goes on past the count: 5.0 MiB with Omega, the
+    # closure and every dilation held; 2.01 dropping each after its use
+    verdict, peak = traced(lambda: regions.schoenfliess_test(demo_family[0]))
+    assert peak < 2.25
+    assert verdict is True
 
 
 @pytest.mark.parametrize("size", [256, 512, 1000, 1024])
@@ -392,7 +465,7 @@ def assert_matches_ndimage(mask):
     labels, _ = ndimage.label(mask, structure=CROSS)
     cells = np.argwhere(mask)
     for bp in map(tuple, cells[[0, len(cells) // 2, -1]] if len(cells) else []):
-        got = regions._basepoint_component(mask, bp, RuntimeError("unreachable")).mask
+        got = regions._basepoint_component(mask.copy(), bp, RuntimeError("unreachable")).mask
         assert np.array_equal(got, labels == labels[bp])
     # holes: complement components that do not reach the canvas border
     labels, _ = ndimage.label(~mask, structure=BOX)
@@ -402,15 +475,12 @@ def assert_matches_ndimage(mask):
     assert np.array_equal(regions.erode(mask), ndimage.binary_erosion(mask, structure=CROSS))
 
 
-def test_a_basepoint_component_is_painted_contiguous_and_kept(monkeypatch):
-    # _paint returned a strided view of an (h, w + 1) canvas, which
-    # RasterRegion then copied
+def test_a_basepoint_component_is_painted_contiguous_and_kept():
+    # the component is painted back onto the canvas handed in, which
+    # RasterRegion keeps without a copy
     mask = regions._disk(SHAPE, BASE, 20.0) | regions._disk(SHAPE, (20, 20), 5.0)
-    painted = []
-    paint = regions._paint
-    monkeypatch.setattr(regions, "_paint", lambda *args: painted.append(paint(*args)) or painted[-1])
     got = regions._basepoint_component(mask, BASE, RuntimeError("unreachable")).mask
-    assert len(painted) == 1 and got is painted[0] and got.flags.c_contiguous
+    assert got is mask and got.flags.c_contiguous
     assert np.array_equal(got, regions._disk(SHAPE, BASE, 20.0))
 
 
@@ -508,27 +578,30 @@ def test_pbm_round_trip(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def kernel_pbm(tmp_path_factory):
+def kernel_pbm(tmp_path_factory, demo_family):
     """The 1024 x 1024 demo kernel, saved: 2 MiB of text, a 1 MiB mask."""
-    kernel = regions.kernel_of_shrinking(regions.build_shrinking_spiral_family(size=1024))
+    kernel = regions.kernel_of_shrinking(demo_family)
     path = tmp_path_factory.mktemp("kernel") / "kernel.pbm"
     regions.save_region(kernel, path)
     return kernel, path
 
 
 def test_save_region_holds_one_raster_of_temporaries(kernel_pbm, tmp_path):
-    # 6.0 MiB with the text built in memory and then joined to its header
+    # 6.0 MiB with the text built in memory and then joined to its header,
+    # 2.01 with the whole raster filled in place, 0.14 a row block at a time
     kernel, path = kernel_pbm
     _, peak = traced(lambda: regions.save_region(kernel, tmp_path / "kernel.pbm"))
-    assert peak < 2.5
+    assert peak < 0.5
     assert (tmp_path / "kernel.pbm").read_bytes() == path.read_bytes()
 
 
 def test_load_region_holds_about_one_raster_of_temporaries(kernel_pbm):
-    # 6.0 MiB with the raster split off the text and cast twice
+    # 6.0 MiB with the raster split off the text and cast twice, 3.18 with
+    # the whole text and its packed form held, 1.32 with the mask and one
+    # chunk
     kernel, path = kernel_pbm
     back, peak = traced(lambda: regions.load_region(path))
-    assert peak < 3.5
+    assert peak < 1.5
     assert np.array_equal(back.mask, kernel.mask) and back.basepoint == kernel.basepoint
 
 
@@ -621,3 +694,156 @@ def test_load_rejects_sidecar_shape_other_than_the_raster(tmp_path, shape):
         regions.load_region(path)
     (tmp_path / "plain.pbm.json").write_text(json.dumps({"basepoint": [0, 1], "shape": [2, 3]}))
     assert regions.load_region(path).mask.shape == (2, 3)
+
+
+# ---------------------------------------------------------------------------
+# the chunked reader against the whole-file reader it replaced
+
+def whole_file_mask(path):
+    """The reader that load_region replaced, kept as its oracle: the whole
+    file's text, its comments cut out, its whitespace dropped."""
+    text = path.read_bytes()
+    if b"#" in text:
+        text = re.sub(rb"#[^\r\n]*", b"", text)
+    header = re.match(rb"\s*P1\s+(\d+)\s+(\d+)(?!\S)", text)
+    if header is None:
+        raise ValueError(f"{path} is not an ASCII PBM file")
+    width, height = header.groups()
+    packed = text.translate(None, b" \t\n\v\f\r")
+    bits = np.frombuffer(packed, dtype=np.uint8, offset=2 + len(width) + len(height))
+    width, height = int(width), int(height)
+    mask = bits == ord("1")
+    if np.count_nonzero(mask) + np.count_nonzero(bits == ord("0")) != bits.size:
+        raise ValueError(f"{path} has a raster bit other than 0 or 1")
+    if bits.size != width * height:
+        raise ValueError(f"{path} holds {bits.size} raster bits, not {width} x {height}")
+    return mask.reshape(height, width)
+
+
+def read_as_whole_file(path):
+    """load_region's mask, asserted to be the whole-file reader's mask, or
+    its ValueError message, asserted to be the whole-file reader's."""
+
+    def outcome(read):
+        try:
+            return read(path)
+        except ValueError as e:
+            return str(e)
+
+    got, want = outcome(lambda p: regions.load_region(p).mask), outcome(whole_file_mask)
+    if isinstance(want, np.ndarray) and not want.size:
+        # write_pbm's sidecar basepoint (0, 0) is off an empty raster
+        want = f"{path} has its sidecar basepoint [0, 0] off the {want.shape[1]} x {want.shape[0]} raster"
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+    return got
+
+
+CHUNK = regions._BLOCK_CELLS
+ROWS = b"0110\n1001\n"
+TWO_ROWS = [[False, True, True, False], [True, False, False, True]]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a comment whose `#` is the chunk's last byte, whose text holds bits
+        # and a non-bit, and whose line end is in the next chunk
+        b"P1\n4 2\n" + b" " * (CHUNK - 8) + b"# 1010 x\n" + ROWS,
+        # the same comment cut a few bytes in, and cut at its line end
+        b"P1\n4 2\n" + b" " * (CHUNK - 12) + b"# 1010 x\n" + ROWS,
+        b"P1\n4 2\n" + b" " * (CHUNK - 16) + b"# 1010 x\n" + ROWS,
+        # a comment that runs on through a whole chunk
+        b"P1\n4 2\n011" + b"#" + b"1x" * CHUNK + b"\r0\n1001\n",
+        # a comment that runs to the end of the file past a chunk's end
+        b"P1\n4 2\n" + ROWS + b" " * (CHUNK - 20) + b"# 1 x" * 10,
+    ],
+    ids=["hash-last", "cut-inside", "cut-at-line-end", "whole-chunk", "to-eof"],
+)
+def test_a_comment_across_a_chunk_boundary_reads_as_the_whole_file(tmp_path, text):
+    assert np.array_equal(read_as_whole_file(write_pbm(tmp_path, text)), TWO_ROWS)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"P1\n" + b"# one of many comment lines 0101\n" * (3 * CHUNK // 32) + b"4 2\n" + ROWS,
+        b"P1 #" + b"x" * (2 * CHUNK + 5) + b"\n4 #" + b"y" * CHUNK + b"\n2\n" + ROWS,
+        # whitespace past a chunk, then a width cut by the chunk's end
+        b"P1\n" + b" " * (CHUNK - 4) + b"4 2\n" + ROWS,
+        b"P1\n" + b"\r\n" * (CHUNK // 2) + b"0004\r\n2" + b"\r\n" + ROWS,
+    ],
+    ids=["comment-lines", "long-comments", "width-cut", "crlf-padding"],
+)
+def test_a_header_longer_than_a_chunk_reads_as_the_whole_file(tmp_path, text):
+    assert np.array_equal(read_as_whole_file(write_pbm(tmp_path, text)), TWO_ROWS)
+
+
+def test_a_crlf_kernel_reads_as_the_whole_file(kernel_pbm, tmp_path):
+    kernel, path = kernel_pbm
+    crlf = tmp_path / "plain.pbm"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    (tmp_path / "plain.pbm.json").write_bytes(path.with_suffix(".pbm.json").read_bytes())
+    assert np.array_equal(read_as_whole_file(crlf), kernel.mask)
+    # a CR as the last byte of one chunk and its LF as the first of the next
+    small = b"P1\r\n4 2\r\n" + b" " * (CHUNK - 10) + b"#\r\n" + ROWS.replace(b"\n", b"\r\n")
+    assert np.array_equal(read_as_whole_file(write_pbm(tmp_path, small)), TWO_ROWS)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text[:-2] + b"2\n", r"has a raster bit other than 0 or 1"),
+        (lambda text: text[:-2] + b"\n", r"holds 1048575 raster bits, not 1024 x 1024"),
+        (lambda text: text + b"1\n", r"holds 1048577 raster bits, not 1024 x 1024"),
+        (
+            lambda text: text.replace(b"1024 1024", b"99999999 99999999", 1),
+            r"holds 1048576 raster bits, not 99999999 x 99999999",
+        ),
+    ],
+    ids=["bad-bit-last-chunk", "too-few", "too-many", "larger-than-the-file"],
+)
+def test_a_kernel_with_a_bad_tail_fails_as_the_whole_file(kernel_pbm, tmp_path, edit, message):
+    # the whole kernel is read before its count is known; a header larger
+    # than the file is refused without allocating its raster
+    _, path = kernel_pbm
+    text = edit(path.read_bytes())
+    assert len(text) > 16 * CHUNK
+    path = write_pbm(tmp_path, text)
+    assert re.search(message, read_as_whole_file(path))
+
+
+PIECES = [b" ", b"\n", b"\r", b"\r\n", b"\t", b"#", b"# 1 x\n", b"#0\r", b"0", b"1", b"10", b"2", b"P1"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lead=st.lists(st.sampled_from(PIECES[:7]), max_size=3),
+    size=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    seps=st.lists(st.lists(st.sampled_from(PIECES[:8]), min_size=1, max_size=3), min_size=3, max_size=3),
+    raster=st.lists(st.sampled_from(PIECES), max_size=24),
+    block=st.integers(1, 9),
+)
+def test_the_chunked_reader_reads_as_the_whole_file_in_any_chunks(tmp_path_factory, lead, size, seps, raster, block):
+    text = b"".join(lead) + b"P1" + b"".join(seps[0]) + b"%d" % size[1]
+    text += b"".join(seps[1]) + b"%d" % size[0] + b"".join(seps[2]) + b"".join(raster)
+    path = write_pbm(tmp_path_factory.mktemp("chunks"), text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regions, "_BLOCK_CELLS", block)
+        read_as_whole_file(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 24), st.integers(1, 24)),
+    density=st.floats(0.3, 0.7),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.integers(1, 60),
+)
+def test_runs_and_painting_match_ndimage_in_row_blocks_of_any_size(shape, density, seed, block):
+    # blocks of one row, of a row and a part, and of several rows
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regions, "_BLOCK_CELLS", block)
+        assert_matches_ndimage(np.random.default_rng(seed).random(shape) < density)

@@ -198,9 +198,10 @@ def test_second_derivative_caches_nothing_on_the_map(near_boundary):
 
 def test_second_derivative_drops_its_temporaries_once_spent(near_boundary):
     # 1.13 MiB at the peak while the log weight, its transform and its
-    # angular derivative were all still held
+    # angular derivative were all still held; 0.63 while the Blaschke log
+    # derivative held four (n, zeros) temporaries, 0.56 summing it per zero
     gap, _, peak = _traced_second_derivative(*near_boundary)
-    assert peak < 0.75
+    assert peak < 0.615
     assert gap < 1e-8
 
 
