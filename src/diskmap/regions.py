@@ -1,6 +1,6 @@
 """Raster region algebra for image-domain bookkeeping.
 
-Regions are boolean rasters with a marked basepoint, 4-connected material,
+Regions are rasters with a marked basepoint, 4-connected material,
 8-connected complement, and an empty margin ring.  The algebra mirrors the
 set operations used when comparing image domains of solved maps:
 
@@ -12,19 +12,37 @@ set operations used when comparing image domains of solved maps:
 * schoenfliess_test: does the complement of the closure form a single
   region, with every boundary cell reachable from it?
 
-Components are found on the rows' runs of set cells with a vectorised
-union-find, the one-cell morphology is four contiguous shifts of the flat
-canvas, and disks are painted one span per row, so the module needs numpy alone.
-Each operation holds one canvas of temporaries (schoenfliess_test, past its
-component count, two) plus a row block of at most _BLOCK_CELLS cells: run
-edges are found, runs painted onto a canvas the operation owns, and PBM text
-written and read a row block or chunk at a time.
+A region keeps its cells as packed rows, `np.packbits(mask, axis=1)`: one
+bit a cell, a row's first cell in its first byte's most significant bit,
+each row padded with unset bits to a whole byte (128 KiB at 1024 x 1024).
+Every kernel works on that storage and keeps the padding bits unset; the
+`mask` property unpacks a read-only boolean canvas for callers that want
+one, and the public mask functions (dilate, erode, fill_holes,
+boundary_cells) pack their argument and unpack their result.
+
+* Folds combine the rows bytewise (OR for unions, AND for intersections).
+* The one-cell morphology combines each row with the rows above and below
+  and with itself shifted one cell either way, each byte taking the bit
+  that its neighbour byte shifts out.
+* Components are found on the rows' runs of set cells with a vectorised
+  union-find.  Run edges are the set bits of each row XOR its one-cell
+  shift, found a row block at a time in one reused buffer.
+* Runs are painted a row block at a time: the bytes a run covers whole
+  are filled with np.repeat, and its first and last bytes take masks.
+  Disks, the demo's corridors, filled holes and basepoint components are
+  all painted so.
+
+An operation holds its output, at most four packed canvases of temporaries
+(a dilation or erosion holds its input, its output and two shifted
+copies; the demo build also holds its levels and the running corridor)
+and a row block of at most _BLOCK_CELLS elements: bytes in a pass over
+packed rows, cells where the PBM text is written or read, a row block or
+chunk at a time.  No operation unpacks a whole canvas.
 """
 
 import itertools
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,44 +50,97 @@ import numpy as np
 from .errors import EmptyIntersectionError, InvalidSequenceError
 
 
-_BLOCK_CELLS = 1 << 16  # cells in one row block of a canvas-wide pass
+_BLOCK_CELLS = 1 << 16  # elements in one row block of a canvas-wide pass
+
+# The tables are built in Python: numpy kernels run at import would map
+# pages of numpy's code into every process that imports the package.
+# a column's bit in its byte, the first column most significant
+_BIT = np.array([0x80 >> k for k in range(8)], dtype=np.uint8)
+# the bits of a byte from column k on
+_FROM = np.array([0xFF >> k for k in range(8)], dtype=np.uint8)
+# the PBM text of each byte value's eight cells: a digit and a space each
+_TEXT = np.frombuffer(b"".join(" ".join(f"{b:08b}").encode() + b" " for b in range(256)), dtype=np.uint8).reshape(256, 16)
 
 
 def _row_blocks(h, width):
-    """The rows in a block of at most _BLOCK_CELLS cells, width to a row (one
-    row when a row alone is longer), and the [r0, r1) blocks of h rows."""
+    """The rows in a block of at most _BLOCK_CELLS elements, width to a row
+    (one row when a row alone is longer), and the [r0, r1) blocks of h rows."""
     rows = max(1, _BLOCK_CELLS // max(width, 1))
     return min(rows, h), [(r0, min(r0 + rows, h)) for r0 in range(0, h, rows)]
 
 
-def _runs(mask, diagonal=False, complement=False):
-    """Row runs of mask (of ~mask with complement) and the component each run
-    belongs to.
+def _canvas(h, w):
+    """Packed rows of an empty h x w canvas."""
+    return np.zeros((h, (w + 7) // 8), dtype=np.uint8)
+
+
+def _pack(mask):
+    """Packed rows of a boolean canvas."""
+    return np.packbits(np.asarray(mask, dtype=bool), axis=1)
+
+
+def _unpack(bits, w):
+    """The boolean canvas of packed rows of w cells."""
+    return np.unpackbits(bits, axis=1, count=w).view(bool)
+
+
+def _shift(bits, right):
+    """Packed rows shifted one cell right (each cell taking its left
+    neighbour) or left, each byte taking the bit that its neighbour byte
+    shifts out, and unset bits shifted in at the row ends."""
+    if right:
+        out = bits >> 1
+        out[:, 1:] |= bits[:, :-1] << 7
+    else:
+        out = bits << 1
+        out[:, :-1] |= bits[:, 1:] >> 7
+    return out
+
+
+def _clear_padding(bits, w):
+    """Unset the padding bits of packed rows of w cells, in place."""
+    if w % 8:
+        bits[:, -1] &= ~_FROM[w % 8]
+
+
+def _runs(bits, w, diagonal=False, complement=False):
+    """Row runs of packed rows of w cells (of their complement with
+    complement) and the component each run belongs to.
 
     A run is a maximal stretch of set cells in one row, given as flat
-    [start, stop) offsets into the mask laid out with one empty column in
+    [start, stop) offsets into the canvas laid out with one empty column in
     front of every row (row r, column c sits at r * (w + 1) + c + 1), so no
     run reaches into the next row.  Runs in consecutive rows join when their
     columns overlap, and with diagonal (8-connectivity) also when they only
     touch at a corner.  Returns (start, stop, root): root[i] is the index of
     the first run, in raster order, of run i's component, so the components
     are the distinct roots and `root == arange` marks one run of each.  The
-    run edges are found a row block at a time in one reused buffer.
+    run edges are found a row block at a time in one reused buffer, where
+    every row is followed by an empty byte: an edge is a set bit of the
+    rows XOR their shift by one cell.
     """
-    h, w = mask.shape
-    width = w + 1
-    # a block of rows in that layout, closed by the next row's empty column
-    rows, blocks = _row_blocks(h, width)
-    buf = np.zeros(rows * width + 1, dtype=bool)
+    h, nb = bits.shape
+    width, stride = w + 1, nb + 1
+    rows, blocks = _row_blocks(h, stride)
+    buf = np.zeros((rows, stride), dtype=np.uint8)
     edges = [np.zeros(0, dtype=np.intp)]
     for r0, r1 in blocks:
-        flat = buf[: (r1 - r0) * width + 1]
-        cells = flat[:-1].reshape(r1 - r0, width)[:, 1:]
+        cells = buf[: r1 - r0, :nb]
         if complement:
-            np.logical_not(mask[r0:r1], out=cells)
+            np.invert(bits[r0:r1], out=cells)
+            _clear_padding(cells, w)
         else:
-            cells[...] = mask[r0:r1]
-        edges.append(np.flatnonzero(flat[1:] != flat[:-1]) + (r0 * width + 1))
+            cells[...] = bits[r0:r1]
+        # each cell against the one before it
+        step = _shift(buf[: r1 - r0], right=True)
+        step ^= buf[: r1 - r0]
+        step = step.reshape(-1)
+        # (flatnonzero is several times faster on booleans than on bytes)
+        at = np.flatnonzero(step != 0)
+        i = np.flatnonzero(np.unpackbits(step[at]).view(bool))
+        pos = at[i >> 3] * 8 + (i & 7)
+        row = pos // (8 * stride)
+        edges.append((r0 + row) * width + pos - row * (8 * stride) + 1)
     edges = np.concatenate(edges)
     start, stop = edges[0::2], edges[1::2]
     # the runs of the row above that overlap run i (widened by one cell for
@@ -99,120 +170,151 @@ def _runs(mask, diagonal=False, complement=False):
     return start, stop, root
 
 
-def _component_count(mask, diagonal=False, complement=False):
-    """Number of 4-connected (8-connected with diagonal) components of mask
-    (of ~mask with complement)."""
-    _, _, root = _runs(mask, diagonal, complement)
+def _component_count(bits, w, diagonal=False, complement=False):
+    """Number of 4-connected (8-connected with diagonal) components of packed
+    rows of w cells (of their complement with complement)."""
+    _, _, root = _runs(bits, w, diagonal, complement)
     return int(np.count_nonzero(root == np.arange(root.size)))
 
 
-def _paint(shape, start, stop):
-    """The C-contiguous boolean mask whose set cells are the given runs of
-    `_runs`."""
-    h, w = shape
-    # a run in row r moves back r + 1 cells, out of the layout with an empty
-    # column in front of every row; the canvas alternates unset and set
-    # stretches between the offsets
-    back = start // (w + 1) + 1
-    bounds = np.empty(2 * start.size + 2, dtype=np.intp)
-    bounds[0], bounds[-1] = 0, h * w
-    np.subtract(start, back, out=bounds[1:-1:2])
-    np.subtract(stop, back, out=bounds[2:-1:2])
-    fill = np.zeros(bounds.size - 1, dtype=bool)
-    fill[1::2] = True
-    return np.repeat(fill, bounds[1:] - bounds[:-1]).reshape(h, w)
-
-
-def _paint_onto(canvas, start, stop):
-    """Set the cells of the given runs of `_runs` on canvas, in place, one
-    `_paint` of a row block at a time."""
-    h, w = canvas.shape
+def _paint_onto(bits, w, start, stop):
+    """Set the cells of the given runs of `_runs` (disjoint, in raster order)
+    on packed rows of w cells, in place, a row block at a time: the bytes
+    after a run's first byte up to its stop byte are set whole, then the
+    first byte and the stop byte each flip the bits from the run's start
+    and from its stop on."""
+    h, nb = bits.shape
     width = w + 1
-    for r0, r1 in _row_blocks(h, width)[1]:
+    for r0, r1 in _row_blocks(h, nb)[1]:
         lo, hi = np.searchsorted(start, (r0 * width, r1 * width))
-        if lo < hi:
-            shift = r0 * width
-            canvas[r0:r1] |= _paint((r1 - r0, w), start[lo:hi] - shift, stop[lo:hi] - shift)
+        if lo == hi:
+            continue
+        # offsets to bits of the block's rows; a stop at the end of the
+        # block's last row falls in the byte past them
+        row = start[lo:hi] // width
+        back = row * width + 1 - (row - r0) * (8 * nb)
+        first, end = start[lo:hi] - back, stop[lo:hi] - back
+        bounds = np.empty(2 * (hi - lo) + 2, dtype=np.intp)
+        bounds[0], bounds[-1] = 0, (r1 - r0) * nb + 1
+        np.add(first >> 3, 1, out=bounds[1:-1:2])
+        np.add(end >> 3, 1, out=bounds[2:-1:2])
+        fill = np.zeros(bounds.size - 1, dtype=np.uint8)
+        fill[1::2] = 0xFF
+        cells = np.repeat(fill, bounds[1:] - bounds[:-1])
+        np.bitwise_xor.at(cells, first >> 3, _FROM[first & 7])
+        np.bitwise_xor.at(cells, end >> 3, _FROM[end & 7])
+        bits[r0:r1] |= cells[:-1].reshape(r1 - r0, nb)
 
 
-def _cross(mask, op):
-    """mask combined by op with its 4-neighbours, each a contiguous shift of
-    the flat canvas; a horizontal shift wraps a row's last cell onto the next
-    row's first, so the caller mends the two edge columns."""
-    w = mask.shape[1]
-    src = np.ascontiguousarray(mask).reshape(-1)
-    out = src.copy()
-    for k in (w, 1):
-        op(out[k:], src[:-k], out=out[k:])
-        op(out[:-k], src[k:], out=out[:-k])
-    return out.reshape(mask.shape)
+def _cross(bits, op):
+    """Packed rows combined by op with each cell's 4-neighbours: the rows
+    above and below, and the rows shifted one cell either way."""
+    out = bits.copy()
+    op(out[1:], bits[:-1], out=out[1:])
+    op(out[:-1], bits[1:], out=out[:-1])
+    for right in (True, False):
+        op(out, _shift(bits, right), out=out)
+    return out
+
+
+def _dilate(bits, w):
+    """One-cell dilation of packed rows of w cells by the cross stencil."""
+    out = _cross(bits, np.bitwise_or)
+    # a row's last cell spills into its padding
+    _clear_padding(out, w)
+    return out
+
+
+def _erode(bits):
+    """One-cell erosion of packed rows by the cross stencil; cells off the
+    canvas count as unset (the shifts bring unset bits in at the sides)."""
+    out = _cross(bits, np.bitwise_and)
+    out[[0, -1]] = 0
+    return out
 
 
 def dilate(mask):
     """One-cell dilation of a boolean mask by its 4-neighbours (the cross stencil)."""
-    out = _cross(mask, np.logical_or)
-    # redo each edge column as its own (one column wide, purely vertical)
-    # dilation plus its inner neighbour
-    if mask.shape[1] > 1:
-        for c, beside in ((0, 1), (-1, -2)):
-            out[:, c] = dilate(mask[:, [c]])[:, 0] | mask[:, beside]
-    return out
-
-
-def _dilation_leaves(inner, outer):
-    """Whether the one-cell dilation of inner reaches a cell outside outer;
-    one canvas of temporaries."""
-    out = dilate(inner)
-    np.greater(out, outer, out=out)
-    return bool(out.any())
+    w = np.shape(mask)[1]
+    return _unpack(_dilate(_pack(mask), w), w)
 
 
 def erode(mask):
     """One-cell erosion of a boolean mask by its 4-neighbours (the cross
-    stencil); cells off the canvas count as unset, so the border always erodes
-    (which also clears what the flat shifts wrapped into the edge columns)."""
-    out = _cross(mask, np.logical_and)
-    out[[0, -1], :] = False
-    out[:, [0, -1]] = False
-    return out
+    stencil); cells off the canvas count as unset, so the border always erodes."""
+    return _unpack(_erode(_pack(mask)), np.shape(mask)[1])
 
 
-@dataclass
+def _dilation_leaves(inner, outer, w):
+    """Whether the one-cell dilation of packed rows inner reaches a cell
+    outside outer."""
+    out = _dilate(inner, w)
+    # the dilation leaves outer iff it adds a cell to it
+    out |= outer
+    out ^= outer
+    return bool(out.any())
+
+
 class RasterRegion:
-    mask: np.ndarray
-    basepoint: tuple
+    """A raster region: its cells as packed rows (`bits`, read-only; see the
+    module docstring), its canvas `shape` (rows, columns) and its
+    `basepoint` (row, column).  Built from a boolean mask, which is packed,
+    so the region owns its cells."""
 
-    def __post_init__(self):
-        self.mask = np.ascontiguousarray(self.mask, dtype=bool)
-        self.basepoint = (int(self.basepoint[0]), int(self.basepoint[1]))
+    def __init__(self, mask, basepoint):
+        mask = np.asarray(mask, dtype=bool)
+        self._own(_pack(mask), mask.shape[1], basepoint)
+
+    @classmethod
+    def _from_bits(cls, bits, w, basepoint):
+        """The region of packed rows of w cells, taken over without a copy."""
+        region = cls.__new__(cls)
+        region._own(bits, w, basepoint)
+        return region
+
+    def _own(self, bits, w, basepoint):
+        bits.flags.writeable = False
+        self.bits = bits
+        self.shape = (bits.shape[0], w)
+        self.basepoint = (int(basepoint[0]), int(basepoint[1]))
+
+    @property
+    def mask(self):
+        """The cells as a read-only boolean canvas, unpacked on each call."""
+        mask = _unpack(self.bits, self.shape[1])
+        mask.flags.writeable = False
+        return mask
 
     def validate(self):
         """Basepoint inside, one 4-connected component, empty margin ring."""
-        if not _at(self.mask, self.basepoint):
+        w = self.shape[1]
+        if not _at(self.bits, w, self.basepoint):
             raise ValueError("basepoint not inside the region")
-        if self.mask[0, :].any() or self.mask[-1, :].any() or self.mask[:, 0].any() or self.mask[:, -1].any():
+        sides = self.bits[:, [0, (w - 1) >> 3]] & _BIT[[0, (w - 1) & 7]]
+        if self.bits[[0, -1]].any() or sides.any():
             raise ValueError("region touches the canvas margin")
-        count = _component_count(self.mask)
+        count = _component_count(self.bits, w)
         if count != 1:
             raise ValueError(f"region has {count} 4-connected components")
         return self
 
     def is_simply_connected(self):
         """No bounded complement component (complement taken 8-connected)."""
-        return not _bounded_complement(self.mask)[0].size
+        return not _bounded_complement(self.bits, self.shape[1])[0].size
 
     def area(self):
-        return int(np.count_nonzero(self.mask))
+        blocks = _row_blocks(self.shape[0], 8 * self.bits.shape[1])[1]
+        return sum(int(np.count_nonzero(np.unpackbits(self.bits[r0:r1]).view(bool))) for r0, r1 in blocks)
 
     def same_frame(self, other):
-        return self.mask.shape == other.mask.shape and self.basepoint == other.basepoint
+        return self.shape == other.shape and self.basepoint == other.basepoint
 
 
-def _bounded_complement(mask):
-    """The runs (start, stop) of `_runs` of the 8-connected complement that
-    the canvas border does not reach."""
-    h, w = mask.shape
-    start, stop, root = _runs(mask, diagonal=True, complement=True)
+def _bounded_complement(bits, w):
+    """The runs (start, stop) of `_runs` of the 8-connected complement of
+    packed rows of w cells that the canvas border does not reach."""
+    h = bits.shape[0]
+    start, stop, root = _runs(bits, w, diagonal=True, complement=True)
     # a run on the first or last row, or one starting in the first column or
     # ending in the last, touches the border
     border = (start < w + 1) | (start >= (h - 1) * (w + 1)) | (start % (w + 1) == 1) | (stop % (w + 1) == 0)
@@ -224,9 +326,10 @@ def _bounded_complement(mask):
 
 def fill_holes(mask):
     """Fill bounded complement components (8-connected complement)."""
-    out = mask.copy()
-    _paint_onto(out, *_bounded_complement(mask))
-    return out
+    w = np.shape(mask)[1]
+    bits = _pack(mask)
+    _paint_onto(bits, w, *_bounded_complement(bits, w))
+    return _unpack(bits, w)
 
 
 def _one_frame(regions):
@@ -239,54 +342,58 @@ def _one_frame(regions):
     return regions
 
 
-def _at(mask, basepoint):
-    """The mask's cell at basepoint; ValueError when the basepoint is off
-    the canvas, where a negative index would wrap to the far side."""
+def _at(bits, w, basepoint):
+    """The cell at basepoint of packed rows of w cells; ValueError when the
+    basepoint is off the canvas, where a negative index would wrap to the
+    far side."""
     r, c = basepoint
-    if not (0 <= r < mask.shape[0] and 0 <= c < mask.shape[1]):
-        raise ValueError(f"basepoint {basepoint} outside the canvas of shape {mask.shape}")
-    return bool(mask[r, c])
+    shape = (bits.shape[0], w)
+    if not (0 <= r < shape[0] and 0 <= c < w):
+        raise ValueError(f"basepoint {basepoint} outside the canvas of shape {shape}")
+    return bool(bits[r, c >> 3] & _BIT[c & 7])
 
 
-def _basepoint_component(mask, basepoint, missing):
-    """The 4-connected component of mask at basepoint, painted back onto mask
-    itself (a C-contiguous canvas the caller gives up); raises `missing`
-    when the basepoint is not in the mask."""
-    if not _at(mask, basepoint):
+def _basepoint_component(bits, w, basepoint, missing):
+    """The region of the 4-connected component at basepoint of packed rows
+    of w cells, painted back onto bits itself (a canvas the caller gives
+    up); raises `missing` when the basepoint is not set."""
+    if not _at(bits, w, basepoint):
         raise missing
     r, c = basepoint
-    start, stop, root = _runs(mask)
-    here = root[np.searchsorted(start, r * (mask.shape[1] + 1) + c + 1, side="right") - 1]
+    start, stop, root = _runs(bits, w)
+    here = root[np.searchsorted(start, r * (w + 1) + c + 1, side="right") - 1]
     keep = root == here
-    # a mask of one component is already its basepoint component
+    # a canvas of one component is already its basepoint component
     if not keep.all():
-        mask[...] = False
-        _paint_onto(mask, start[keep], stop[keep])
-    return RasterRegion(mask, basepoint)
+        bits[...] = 0
+        _paint_onto(bits, w, start[keep], stop[keep])
+    return RasterRegion._from_bits(bits, w, basepoint)
 
 
 def _fold(op, regions):
-    """The regions' masks combined by op, in place on one fresh canvas."""
-    out = regions[0].mask.copy()
+    """The regions' packed rows combined bytewise by op, in place on one
+    fresh canvas."""
+    out = regions[0].bits.copy()
     for r in regions[1:]:
-        op(out, r.mask, out=out)
+        op(out, r.bits, out=out)
     return out
 
 
 def extended_union(*regions):
     """Union of the regions with all holes filled."""
     regions = _one_frame(regions)
-    out = _fold(np.logical_or, regions)
-    _paint_onto(out, *_bounded_complement(out))
-    return RasterRegion(out, regions[0].basepoint)
+    w = regions[0].shape[1]
+    out = _fold(np.bitwise_or, regions)
+    _paint_onto(out, w, *_bounded_complement(out, w))
+    return RasterRegion._from_bits(out, w, regions[0].basepoint)
 
 
 def reduced_intersection(*regions):
     """Basepoint component of the intersection of the regions."""
     regions = _one_frame(regions)
-    inter = _fold(np.logical_and, regions)
+    inter = _fold(np.bitwise_and, regions)
     return _basepoint_component(
-        inter, regions[0].basepoint, EmptyIntersectionError("intersection misses the basepoint")
+        inter, regions[0].shape[1], regions[0].basepoint, EmptyIntersectionError("intersection misses the basepoint")
     )
 
 
@@ -304,24 +411,26 @@ def schoenfliess_test(region):
     closure walls off an inner cavity (annulus with a sealed slit) fails the
     first clause; a region with a deep sealed slot fails the second.
     """
-    mask = region.mask
+    bits, w = region.bits, region.shape[1]
     # the closure, counted as its complement and then turned into Omega in place
-    omega = dilate(mask)
-    if _component_count(omega, diagonal=True, complement=True) != 1:
+    omega = _dilate(bits, w)
+    if _component_count(omega, w, diagonal=True, complement=True) != 1:
         return False
-    np.logical_not(omega, out=omega)
+    np.invert(omega, out=omega)
+    _clear_padding(omega, w)
     # three cross-dilations: the closure retreats Omega one cell from every
     # wall and one more from a slit tip, so even the tip corners of an open
     # slit sit at 4-distance three from Omega
-    near = dilate(omega)
+    near = _dilate(omega, w)
     del omega
-    near = dilate(near)
-    near = dilate(near)
-    # a boundary cell of the region outside near: mask > (erode(mask) | near)
-    out = erode(mask)
+    near = _dilate(near, w)
+    near = _dilate(near, w)
+    # a boundary cell of the region outside near: bits & ~(erode(bits) | near)
+    out = _erode(bits)
     out |= near
     del near
-    np.greater(mask, out, out=out)
+    np.invert(out, out=out)
+    out &= bits
     return not out.any()
 
 
@@ -337,21 +446,22 @@ def kernel_of_shrinking(regions):
     kernel is plain erode(intersection) at the basepoint.
     """
     regions = _one_frame(regions)
+    w = regions[0].shape[1]
     for i in range(len(regions) - 1):
-        if _dilation_leaves(regions[i + 1].mask, regions[i].mask):
+        if _dilation_leaves(regions[i + 1].bits, regions[i].bits, w):
             raise InvalidSequenceError(
                 f"family is not strictly shrinking at step {i} -> {i + 1}", index=i
             )
-    inter = _fold(np.logical_and, regions)
+    inter = _fold(np.bitwise_and, regions)
     bp = regions[0].basepoint
-    if not _at(inter, bp):
+    if not _at(inter, w, bp):
         raise EmptyIntersectionError("intersection misses the basepoint")
     # each step frees the canvas it read
-    inter = dilate(inter)
-    inter = erode(inter)
-    inter = erode(inter)
+    inter = _dilate(inter, w)
+    inter = _erode(inter)
+    inter = _erode(inter)
     return _basepoint_component(
-        inter, bp, EmptyIntersectionError("kernel interior misses the basepoint")
+        inter, w, bp, EmptyIntersectionError("kernel interior misses the basepoint")
     )
 
 
@@ -359,34 +469,52 @@ def kernel_of_shrinking(regions):
 # demo family: spiral corridor into a pendant cavity
 
 def _paint_curve(shape, points, half_width):
-    """Cells within Euclidean distance half_width of the sampled curve: every
-    offset with sqrt(dy^2 + dx^2) <= half_width around each rounded cell."""
+    """Packed rows of the cells within Euclidean distance half_width of the
+    sampled curve: every offset with sqrt(dy^2 + dx^2) <= half_width around
+    each rounded cell.  Each row of that stencil is one span around a cell;
+    the spans, clipped to the canvas, are sorted, merged into runs and
+    painted."""
+    h, w = shape
     ij = np.rint(points).astype(int)
-    keep = (ij[:, 0] >= 0) & (ij[:, 0] < shape[0]) & (ij[:, 1] >= 0) & (ij[:, 1] < shape[1])
+    ij = ij[(ij[:, 0] >= 0) & (ij[:, 0] < h) & (ij[:, 1] >= 0) & (ij[:, 1] < w)]
     reach = max(int(half_width), 0)
     dy, dx = np.mgrid[-reach : reach + 1, -reach : reach + 1]
-    disk = np.sqrt(dy * dy + dx * dx) <= half_width
-    padded = np.zeros((shape[0] + 2 * reach, shape[1] + 2 * reach), dtype=bool)
-    flat, width = padded.reshape(-1), padded.shape[1]
-    flat[(ij[keep, 0] + reach) * width + ij[keep, 1] + reach] = True
-    cells = np.flatnonzero(flat)
-    for offset in dy[disk] * width + dx[disk]:
-        flat[cells + offset] = True
-    return padded[reach : reach + shape[0], reach : reach + shape[1]]
+    # each stencil row's half-chord; the cell itself is always painted
+    half = np.count_nonzero(np.sqrt(dy * dy + dx * dx) <= half_width, axis=1)[:, None] // 2
+    row = ij[:, 0] + dy[:, :1]
+    inside = (row >= 0) & (row < h)
+    offset = row * (w + 1) + 1
+    start = (offset + np.maximum(ij[:, 1] - half, 0))[inside]
+    stop = (offset + np.minimum(ij[:, 1] + half + 1, w))[inside]
+    out = _canvas(h, w)
+    if start.size:
+        order = np.argsort(start)
+        start, stop = start[order], stop[order]
+        # a span opens a run unless it starts within the runs before it
+        end = np.maximum.accumulate(stop)
+        first = np.flatnonzero(np.concatenate(([True], start[1:] > end[:-1])))
+        _paint_onto(out, w, start[first], end[np.append(first[1:], start.size) - 1])
+    return out
 
 
 def _disk(shape, center, radius):
-    """Cells with dx^2 <= radius^2 - dy^2, painted as one span per row."""
-    rows = np.arange(shape[0])
+    """Packed rows of the cells with dx^2 <= radius^2 - dy^2, painted as one
+    span per row."""
+    h, w = shape
+    rows = np.arange(h)
     room = radius * radius - (rows - center[0]) ** 2
     # the half-chord is the largest m with m^2 <= room, the comparison each
     # cell would make; a correctly rounded sqrt may overshoot it by one, never undershoot
     m = np.floor(np.sqrt(np.maximum(room, 0))).astype(np.int64)
     m -= m * m > room
-    # clipped to the canvas, a row the disk misses keeps an empty span
-    lo = np.clip(center[1] - m, 0, shape[1])
-    offset = rows * (shape[1] + 1) + 1
-    return _paint(shape, offset + lo, offset + np.clip(center[1] + m + 1, lo, shape[1]))
+    # clipped to the canvas; a row the disk misses paints nothing
+    lo = np.clip(center[1] - m, 0, w)
+    hi = np.clip(center[1] + m + 1, lo, w)
+    keep = lo < hi
+    offset = rows[keep] * (w + 1) + 1
+    out = _canvas(h, w)
+    _paint_onto(out, w, offset + lo[keep], offset + hi[keep])
+    return out
 
 
 def _spiral_points(center, a_from, a_to, r_at, step_deg=0.2):
@@ -429,29 +557,30 @@ def build_shrinking_spiral_family(size=512):
         int(round(center[1] + 160.0 * s * np.cos(bp_angle))),
     )
     regions = []
-    corridor = np.zeros(shape, dtype=bool)
+    corridor = _canvas(size, size)
     for k in range(levels):
         a_from = -30.0 if k == 0 else tips[k - 1] - 6.0
-        corridor = dilate(corridor)
+        corridor = _dilate(corridor, size)
         corridor |= _paint_curve(shape, _spiral_points(center, a_from, tips[k], r_at), half_widths[k])
         mask = _disk(shape, center, body_r0 - k)
-        np.greater(mask, corridor, out=mask)
+        mask &= ~corridor
         if k == levels - 1:
             # pendant cavity past the spiral end, reached only through a
             # two-column throat; the gap between corridor tip and cavity rim
             # leaves enough sealed length to survive closing, eroding, and the
-            # test's dilation; both are carved on their bounding boxes
+            # test's dilation; both are painted as runs and cut out together
             tip_r = r_at(tips[-1])
             radius = round(14.0 * s)
             top = center[0] - round(tip_r - 12.0 * s)
-            box = mask[top : top + 2 * radius + 1, center[1] - radius : center[1] + radius + 1]
-            np.greater(box, _disk(box.shape, (radius, radius), radius), out=box)
-            mask[center[0] - int(round(tip_r)) : top + 2, center[1] : center[1] + 2] = False
+            cut = _disk(shape, (top + radius, center[1]), radius)
+            throat = np.arange(center[0] - int(round(tip_r)), top + 2) * (size + 1) + center[1] + 1
+            _paint_onto(cut, size, throat, throat + 2)
+            mask &= ~cut
         # one component holding the basepoint by construction, and the body
         # disk keeps a margin of about 44 * size / 512 cells; every carving
         # opens onto the corridor, which breaches the rim, so no level has a hole
-        region = _basepoint_component(mask, bp, RuntimeError("demo basepoint fell outside the carved body"))
-        if k and _dilation_leaves(region.mask, regions[-1].mask):
+        region = _basepoint_component(mask, size, bp, RuntimeError("demo basepoint fell outside the carved body"))
+        if k and _dilation_leaves(region.bits, regions[-1].bits, size):
             raise RuntimeError(f"demo family not strictly shrinking at level {k - 1}")
         regions.append(region)
     return regions
@@ -461,31 +590,24 @@ def build_shrinking_spiral_family(size=512):
 # raster IO: portable bitmap plus a JSON sidecar for the basepoint
 
 def save_region(region, path):
-    """Write mask as ASCII PBM (P1) and basepoint metadata alongside; the
-    raster of a row block of the mask (two bytes a cell) is filled in place
+    """Write mask as ASCII PBM (P1) and basepoint metadata alongside.  The
+    text of a row block (two bytes a cell, at most _BLOCK_CELLS bytes) is
+    looked up a packed byte at a time, its rows cut to the raster's width
     and written, a block at a time."""
     path = Path(path)
-    mask = region.mask
-    h, w = mask.shape
-    rows, blocks = _row_blocks(h, w)
-    raster = np.full((rows, 2 * w), ord(" "), dtype=np.uint8)
+    h, w = region.shape
+    meta = {"basepoint": list(region.basepoint), "shape": [h, w], "area": region.area()}
+    rows, blocks = _row_blocks(h, 2 * w)
+    text = np.empty((rows, region.bits.shape[1], 16), dtype=np.uint8)
+    raster = np.empty((rows, 2 * w), dtype=np.uint8)
     raster[:, -1] = ord("\n")
     with path.open("wb") as f:
         f.write(f"P1\n{w} {h}\n".encode())
         for r0, r1 in blocks:
-            np.add(mask[r0:r1].view(np.uint8), ord("0"), out=raster[: r1 - r0, ::2])
+            np.take(_TEXT, region.bits[r0:r1], axis=0, out=text[: r1 - r0], mode="clip")
+            raster[: r1 - r0, :-1] = text[: r1 - r0].reshape(r1 - r0, -1)[:, : 2 * w - 1]
             f.write(raster[: r1 - r0])
-    sidecar = path.with_suffix(path.suffix + ".json")
-    sidecar.write_text(
-        json.dumps(
-            {
-                "basepoint": list(region.basepoint),
-                "shape": list(mask.shape),
-                "area": region.area(),
-            },
-            indent=2,
-        )
-    )
+    path.with_suffix(path.suffix + ".json").write_text(json.dumps(meta, indent=2))
     return path
 
 
@@ -516,9 +638,10 @@ def load_region(path):
     """Read a plain PBM (P1) and its sidecar: `#` comments, optional whitespace
     between bits, exactly width x height bits, each `0` or `1`, and a JSON
     sidecar whose basepoint lies on the raster and whose shape, when given,
-    is the raster's.  Every rejection is a ValueError naming the file.  The
-    file is read a chunk at a time into the mask, so loading holds a few
-    chunks of temporaries beyond the mask."""
+    is the raster's.  Every rejection is a ValueError naming the file; a
+    missing sidecar is found past the header, before the raster is read.
+    The file is read a chunk at a time; its bits fill a row block of cells,
+    which is packed into the region's rows each time it is full."""
     path = Path(path)
     with path.open("rb") as f:
         chunks = _uncommented(f)
@@ -532,23 +655,36 @@ def load_region(path):
         if header is None:
             raise ValueError(f"{path} is not an ASCII PBM file")
         width, height = int(header[1]), int(header[2])
+        sidecar = path.with_suffix(path.suffix + ".json")
+        try:
+            meta = sidecar.read_bytes()
+        except FileNotFoundError:
+            raise ValueError(f"{path} has no sidecar {sidecar.name}") from None
         # a file holds at most one bit per byte, so a raster larger than the
         # file is refused for its count below without being allocated
-        mask = np.empty(width * height if width * height <= path.stat().st_size else 0, dtype=bool)
-        count = 0
+        bits = _canvas(height if width * height <= path.stat().st_size else 0, width)
+        room = bits.shape[0] * width
+        stage = np.empty(_row_blocks(bits.shape[0], width)[0] * width, dtype=bool)
+        count = filled = done = 0
         for chunk in itertools.chain([head[header.end() :]], chunks):
-            bits = np.frombuffer(chunk.translate(None, b" \t\n\v\f\r"), dtype=np.uint8)
-            ones = bits == ord("1")
-            if np.count_nonzero(ones) + np.count_nonzero(bits == ord("0")) != bits.size:
+            text = np.frombuffer(chunk.translate(None, b" \t\n\v\f\r"), dtype=np.uint8)
+            ones = text == ord("1")
+            if np.count_nonzero(ones) + np.count_nonzero(text == ord("0")) != text.size:
                 raise ValueError(f"{path} has a raster bit other than 0 or 1")
-            room = max(min(bits.size, mask.size - count), 0)
-            mask[count : count + room] = ones[:room]
-            count += bits.size
+            ones = ones[: max(min(text.size, room - count), 0)]
+            count += text.size
+            while ones.size:
+                n = min(ones.size, stage.size - filled)
+                stage[filled : filled + n] = ones[:n]
+                ones, filled = ones[n:], filled + n
+                if filled == stage.size or done * width + filled == room:
+                    rows = filled // width
+                    bits[done : done + rows] = np.packbits(stage[:filled].reshape(rows, width), axis=1)
+                    done, filled = done + rows, 0
     if count != width * height:
         raise ValueError(f"{path} holds {count} raster bits, not {width} x {height}")
-    sidecar = path.with_suffix(path.suffix + ".json")
     try:
-        meta = json.loads(sidecar.read_bytes())
+        meta = json.loads(meta)
     except ValueError:
         raise ValueError(f"{path} has a sidecar that is not JSON") from None
     try:
@@ -559,4 +695,4 @@ def load_region(path):
         raise ValueError(f"{path} has its sidecar shape {meta['shape']}, not the raster's [{height}, {width}]")
     if not (0 <= row < height and 0 <= col < width):
         raise ValueError(f"{path} has its sidecar basepoint {meta['basepoint']} off the {width} x {height} raster")
-    return RasterRegion(mask.reshape(height, width), (row, col))
+    return RasterRegion._from_bits(bits, width, (row, col))

@@ -248,7 +248,8 @@ def _random_simply_connected(rng, shape=(128, 128), base=(64, 64)):
         dr, dc = rng.integers(-28, 29, size=2)
         radius = int(rng.integers(8, 26))
         mask = mask | regions._disk(shape, (base[0] + int(dr), base[1] + int(dc)), radius)
-    labels, _ = ndimage.label(mask, structure=CROSS)
+    # the disks are packed rows, ORed bytewise
+    labels, _ = ndimage.label(regions._unpack(mask, shape[1]), structure=CROSS)
     return regions.RasterRegion(regions.fill_holes(labels == labels[base]), base)
 
 

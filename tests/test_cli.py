@@ -476,8 +476,8 @@ def test_near_boundary_spectrum_bytes_pinned(tmp_path):
 
 def test_geometry_union_and_intersection(tmp_path):
     shape = (128, 128)
-    a = regions.RasterRegion(regions._disk(shape, (64, 54), 20), (64, 64))
-    b = regions.RasterRegion(regions._disk(shape, (64, 74), 20), (64, 64))
+    a = regions.RasterRegion(regions._unpack(regions._disk(shape, (64, 54), 20), 128), (64, 64))
+    b = regions.RasterRegion(regions._unpack(regions._disk(shape, (64, 74), 20), 128), (64, 64))
     regions.save_region(a, tmp_path / "a.pbm")
     regions.save_region(b, tmp_path / "b.pbm")
     inputs = f"{tmp_path}/a.pbm,{tmp_path}/b.pbm"
@@ -494,7 +494,7 @@ def test_geometry_union_and_intersection(tmp_path):
 def test_geometry_rejects_sidecar_basepoint_off_the_raster(tmp_path, capsys, op, basepoint):
     # [99, 99] crashed the intersection with an IndexError and was written back
     # out by the union; [-16, -16] wrapped to (16, 16)
-    region = regions.RasterRegion(regions._disk((32, 32), (16, 16), 10), (16, 16))
+    region = regions.RasterRegion(regions._unpack(regions._disk((32, 32), (16, 16), 10), 32), (16, 16))
     for name in ("a.pbm", "b.pbm"):
         regions.save_region(region, tmp_path / name)
         sidecar = tmp_path / f"{name}.json"
@@ -504,6 +504,18 @@ def test_geometry_rejects_sidecar_basepoint_off_the_raster(tmp_path, capsys, op,
     err = capsys.readouterr().err
     assert "configuration error" in err and f"a.pbm has its sidecar basepoint {basepoint}" in err
     assert not (tmp_path / "out" / f"{op}.pbm").exists()
+
+
+def test_geometry_rejects_a_region_without_its_sidecar(tmp_path, capsys):
+    region = regions.RasterRegion(regions._unpack(regions._disk((32, 32), (16, 16), 10), 32), (16, 16))
+    for name in ("a.pbm", "b.pbm"):
+        regions.save_region(region, tmp_path / name)
+    (tmp_path / "b.pbm.json").unlink()
+    inputs = f"{tmp_path}/a.pbm,{tmp_path}/b.pbm"
+    assert run(["geometry", "--op", "union", "--inputs", inputs, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "b.pbm has no sidecar b.pbm.json" in err
+    assert not (tmp_path / "out" / "union.pbm").exists()
 
 
 # ---------------------------------------------------------------------------
