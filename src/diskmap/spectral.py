@@ -128,8 +128,10 @@ class DiskFunction:
     def circle_trace(self, r, n, order=0):
         """Values of f (order 0) or f' (order 1) on the circle of radius r at
         n equispaced angles.  For an array of radii, one batched transform
-        gives shape r.shape + (n,)."""
-        return self._circle_values(np.asarray(r, dtype=np.float64), check_grid_size(n), order)
+        gives shape r.shape + (n,).  A unimodular complex r reads the grid
+        turned by its angle: r = e^{i pi/n} gives the half-step midpoints."""
+        r = np.asarray(r, dtype=np.complex128 if np.iscomplexobj(r) else np.float64)
+        return self._circle_values(r, check_grid_size(n), order)
 
     def _circle_values(self, r, n, order):
         """One zero-padded inverse FFT of the coefficients of f, or with

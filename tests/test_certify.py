@@ -98,7 +98,8 @@ def test_fence_reads_f_prime_from_the_map_itself():
     # circle traces of f' come from f's coefficients, with no copy of f' built
     fld = weight.random_smooth_field(np.random.default_rng(2))
     f = DiskFunction([0.0, 1.0, 0.3, 0.05j])
-    with mock.patch.object(certify, "derivative", wraps=certify.derivative) as build:
+    assert not hasattr(certify, "derivative")
+    with mock.patch.object(spectral, "derivative", wraps=spectral.derivative) as build:
         certify.check_subsolution(f, fld)
     assert not build.called
 
@@ -266,10 +267,12 @@ def test_starlike_rejects_boundary_through_origin():
 # free boundary identity
 
 def test_free_boundary_on_maximal_solution(staircase, maximal_report):
+    # 6z against the weight 6 along |w| = 6: rounding at the nodes and at
+    # the midpoints alike
     cert = certify.free_boundary_check(maximal_report.f, staircase)
     assert cert.passed
-    assert cert.details["boundary_gap"] <= cert.details["boundary_threshold"]
-    assert cert.details["gradient_relative_error"] <= cert.details["gradient_tolerance"]
+    assert cert.details["node_residual"] <= 1e-14 and cert.details["midpoint_residual"] <= 1e-14
+    assert cert.worst_margin == certify.TOL_CERT - max(cert.details.values())
 
 
 def test_free_boundary_on_constant_solution(unit_field):
@@ -284,35 +287,83 @@ def test_free_boundary_requires_univalence(staircase, branched_report):
 
 
 def test_free_boundary_threshold_tracks_residual(staircase):
-    # the boundary clause is conditional on the solve residual: a univalent
-    # non-solution reports its full gap against a correspondingly loose
-    # threshold rather than failing outright
+    # the certificate is the residual itself: |f'| = 2 against the weight 3
+    # along |w| = 2 at every point of the circle, so 2z fails by the gap 1
     cert = certify.free_boundary_check(solver.scaled_identity(2.0), staircase)
-    assert cert.details["residual"] == 1.0
-    assert abs(cert.details["boundary_gap"] - 1.0 / 6.0) < 1e-12
-    assert abs(cert.details["boundary_threshold"] - (1.0 / 6.0 + certify.TOL_CERT)) < 1e-12
+    assert not cert.passed
+    assert cert.details == {"node_residual": 1.0, "midpoint_residual": 1.0}
+    assert cert.worst_margin == certify.TOL_CERT - 1.0
 
 
-@pytest.mark.parametrize("which,grad_error,margin", [
-    # values of the scalar, probe-by-probe Newton inversion
-    ("maximal", 1.4497662620475515e-10, 1.000000000308395e-08),
-    ("double_identity", 8.247118787885198e-11, 9.999999994736442e-09),
+# the ids name the gradient errors and margins of the Newton-probe check
+# this certificate replaced, so that each row keeps its test id
+@pytest.mark.parametrize("which,node,midpoint,margin,t", [
+    pytest.param(
+        "maximal", 1.7763568394002505e-15, 8.881784197001252e-16, 9.99999822364316e-09, 1.533980787885641,
+        id="maximal-1.4497662620475515e-10-1.000000000308395e-08",
+    ),
+    pytest.param(
+        "double_identity", 1.0, 1.0, -0.99999999, 0.0,
+        id="double_identity-8.247118787885198e-11-9.999999994736442e-09",
+    ),
 ])
-def test_free_boundary_details_pinned(staircase, maximal_report, which, grad_error, margin):
+def test_free_boundary_details_pinned(staircase, maximal_report, which, node, midpoint, margin, t):
     f = maximal_report.f if which == "maximal" else solver.scaled_identity(2.0)
     cert = certify.free_boundary_check(f, staircase)
-    assert cert.passed
-    assert abs(cert.details["gradient_relative_error"] - grad_error) < 1e-9
-    assert abs(cert.worst_margin - margin) < 1e-9
+    assert cert.passed == (which == "maximal")
+    assert abs(cert.details["node_residual"] - node) <= 1e-15
+    assert abs(cert.details["midpoint_residual"] - midpoint) <= 1e-15
+    assert abs(cert.worst_margin - margin) <= 1e-15
+    assert cert.worst_location == {"t": t}
+    assert cert.lattice == {"n": 512}
 
 
-def test_newton_inverse_reports_critical_point_and_stall():
-    f = DiskFunction([0.0, 0.0, 1.0])  # z^2: f' vanishes at the start 0
-    with pytest.raises(DegenerateBoundaryError, match="critical point"):
-        certify._newton_inverse(f, derivative(f), np.array([0.25, 1.0]), np.array([0.5, 0.0]))
-    g = DiskFunction([1.0, 0.0, 1.0])  # 1 + z^2 = 0 has no real root
-    with pytest.raises(DegenerateBoundaryError, match="converge"):
-        certify._newton_inverse(g, derivative(g), np.array([0.0]), np.array([0.5]))
+def _largest_root(profile, top):
+    """The largest root of r = profile(r) on (0, top]: the last sign change
+    of r - profile(r) on a dense grid, then bisection of its bracket."""
+    r = np.linspace(1e-3, top, 400_001)
+    sign = np.sign(r - profile(r))
+    i = np.flatnonzero(sign[:-1] != sign[1:])[-1]
+    lo, hi = r[i], r[i + 1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if np.sign(mid - profile(mid)) == sign[i]:
+            lo = mid
+        else:
+            hi = mid
+    return float(lo)
+
+
+def test_free_boundary_reads_the_condition_at_the_nodes_and_between_them(staircase):
+    # 2z + (0.4 + 0.3i) z^2, with xi turned by 0.8 + 0.6i and s the cosine
+    # of its angle: |f'| = sqrt(5 + 4s) and |f| = sqrt(4.25 + 2s) in
+    # [1.5, 2.5], where the staircase is 3 for |f| >= 2 and sqrt(2|f|^2 + 1)
+    # below.  The largest gap, sqrt(5.5) - 1 = 1.3452, sits at s = -1,
+    # which the interleaved nodes and midpoints pass within pi/1024.
+    cert = certify.free_boundary_check(DiskFunction([0.0, 2.0, 0.4 + 0.3j]), staircase)
+    sup = np.sqrt(5.5) - 1.0
+    assert not cert.passed
+    assert sup - 1e-6 <= cert.details["midpoint_residual"] <= sup
+    assert cert.worst_margin == certify.TOL_CERT - cert.details["midpoint_residual"]
+    # a z on cosine_radial(2, 0.9, 4): the gap is |a - Phi(a)| everywhere,
+    # 2.010 at a = 2.5 and 3.724 at a = 4.0, and 0 at the largest root
+    # r* = 3.327 of r = Phi(r), whose map r* z is the maximal solution
+    fld = weight.cosine_radial_field(2.0, 0.9, 4.0)
+    for a, gap in ((2.5, 2.010), (4.0, 3.724)):
+        cert = certify.free_boundary_check(solver.scaled_identity(a), fld)
+        assert not cert.passed and abs(cert.worst_margin + gap) < 1e-3
+        assert abs(cert.worst_margin - (certify.TOL_CERT - abs(a - fld.radial_profile(a)))) <= 1e-12
+    root = _largest_root(fld.radial_profile, fld.sup_bound)
+    assert abs(root - 3.327) < 1e-3
+    cert = certify.free_boundary_check(solver.scaled_identity(root), fld)
+    assert cert.passed and max(cert.details.values()) <= 1e-13
+    # ripple_kink solved at 128 meets the condition at its nodes only: the
+    # kink leaves a gap of 1.3e-4 between them
+    fld = weight.make_builtin("ripple_kink")
+    rep = solver.solve(fld, options=solver.SolveOptions(n=128))
+    cert = certify.free_boundary_check(rep.f, fld, n=128)
+    assert rep.converged and not cert.passed
+    assert cert.details["node_residual"] <= 1e-12 and cert.details["midpoint_residual"] > 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -332,4 +383,5 @@ def test_certificate_json_round_trip(unit_field):
 def test_free_boundary_json_keeps_details(staircase, maximal_report):
     cert = certify.free_boundary_check(maximal_report.f, staircase)
     back = json.loads(json.dumps(cert.as_dict()))
-    assert back["details"]["residual"] == cert.details["residual"]
+    assert back["details"] == cert.details
+    assert set(back["details"]) == {"node_residual", "midpoint_residual"}

@@ -260,7 +260,8 @@ def test_solve_and_certify_take_each_boundary_trace_once(tmp_path, monkeypatch):
     # boundary.csv, the certificates and the certify payload share the
     # trace of f' cached on f.  Phi along f is evaluated once per
     # command on top of the solve's steps: the residual, boundary.csv, both
-    # fences, the free boundary identity and f'' share one cached weight
+    # fences, the free boundary nodes and f'' share one cached weight; the
+    # free boundary check reads Phi once more, at the midpoints
     traced, weighed = [], []
     circle_values = DiskFunction._circle_values
     evaluate = weight.WeightField.evaluate
@@ -286,7 +287,7 @@ def test_solve_and_certify_take_each_boundary_trace_once(tmp_path, monkeypatch):
     weighed.clear()
     assert run(["certify", "--field", "staircase", "--map", tmp_path / "coefficients.csv", "--out", tmp_path]) == 0
     assert traced == [512, 512]
-    assert weighed == [512]
+    assert weighed == [512, 512]
     weighed.clear()
     assert run(["spectrum", "--field", "staircase", "--init", "6.5", "--out", tmp_path]) == 0
     assert weighed == [512] * (steps + 1)
@@ -300,6 +301,21 @@ def test_certify_failure_exits_one(tmp_path, capsys):
     ])
     assert code == 1
     assert "FAIL supersolution" in capsys.readouterr().out
+
+
+def test_free_boundary_of_a_non_solution_exits_one(tmp_path, capsys):
+    # 2z is univalent, and |f'| = 2 misses the staircase weight 3 along
+    # |w| = 2 by 1 at every point of the circle
+    path = write_map(tmp_path / "two.csv", [0.0, 2.0])
+    code = run([
+        "certify", "--field", "staircase", "--map", path,
+        "--checks", "free_boundary", "--out", tmp_path,
+    ])
+    assert code == 1
+    assert "FAIL free_boundary" in capsys.readouterr().out
+    cert = json.loads((tmp_path / "certificates.json").read_text())["certificates"][0]
+    assert cert["pass"] is False
+    assert cert["details"] == {"node_residual": 1.0, "midpoint_residual": 1.0}
 
 
 def test_certificate_gates_read_the_map_on_its_own_grid(tmp_path, capsys):

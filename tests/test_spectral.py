@@ -155,6 +155,24 @@ def test_circle_blocks_are_the_one_radius_rows(m, n):
     assert block.tobytes() == b"".join(f.circle_trace(r, n).tobytes() for r in radii)
 
 
+@pytest.mark.parametrize("m,n", [(1, 8), (5, 8), (40, 64), (12, 512), (3000, 512)])
+@pytest.mark.parametrize("order", [0, 1])
+def test_turned_trace_reads_the_midpoints(m, n, order):
+    # the unimodular scale e^{i pi/n} turns the grid by half a step: the n
+    # values are those of f, or of f', at the midpoints between the nodes,
+    # also when f has more coefficients than n (the subsampled path)
+    rng = np.random.default_rng(m)
+    f = DiskFunction(random_coeffs(rng, m))
+    turn = np.exp(1j * np.pi / n)
+    g = derivative(f) if order else f
+    got = f.circle_trace(turn, n, order)
+    assert got.shape == (n,)
+    assert np.abs(got - g(turn * grid_points(n))).max() <= 1e-12 * max(1.0, np.abs(g.coeffs).sum())
+    # a real radius, given as an int or in a list, keeps the float bits
+    assert f.circle_trace(1, n, order).tobytes() == f.trace(n, order).tobytes()
+    assert f.circle_trace([0.5], n, order).tobytes() == f.circle_trace(0.5, n, order).tobytes()
+
+
 def test_call_is_horner():
     f = DiskFunction([1.0, 2.0, 3.0])
     z = 0.5 + 0.25j
