@@ -17,8 +17,8 @@ bit a cell, a row's first cell in its first byte's most significant bit,
 each row padded with unset bits to a whole byte (128 KiB at 1024 x 1024).
 Every kernel works on that storage and keeps the padding bits unset; the
 `mask` property unpacks a read-only boolean canvas for callers that want
-one, and the public mask functions (dilate, erode, fill_holes,
-boundary_cells) pack their argument and unpack their result.
+one.  On disk a region is raw PBM (P4), whose raster is its packed rows
+byte for byte, with a JSON sidecar for its basepoint.
 
 * Folds combine the rows bytewise (OR for unions, AND for intersections).
 * The one-cell morphology combines each row with the rows above and below
@@ -36,11 +36,10 @@ An operation holds its output, at most four packed canvases of temporaries
 (a dilation or erosion holds its input, its output and two shifted
 copies; the demo build also holds its levels and the running corridor)
 and a row block of at most _BLOCK_CELLS elements: bytes in a pass over
-packed rows, cells where the PBM text is written or read, a row block or
-chunk at a time.  No operation unpacks a whole canvas.
+packed rows, cells where area() counts them.  No operation unpacks a whole
+canvas.
 """
 
-import itertools
 import json
 import re
 from pathlib import Path
@@ -58,8 +57,6 @@ _BLOCK_CELLS = 1 << 16  # elements in one row block of a canvas-wide pass
 _BIT = np.array([0x80 >> k for k in range(8)], dtype=np.uint8)
 # the bits of a byte from column k on
 _FROM = np.array([0xFF >> k for k in range(8)], dtype=np.uint8)
-# the PBM text of each byte value's eight cells: a digit and a space each
-_TEXT = np.frombuffer(b"".join(" ".join(f"{b:08b}").encode() + b" " for b in range(256)), dtype=np.uint8).reshape(256, 16)
 
 
 def _row_blocks(h, width):
@@ -233,18 +230,6 @@ def _erode(bits):
     return out
 
 
-def dilate(mask):
-    """One-cell dilation of a boolean mask by its 4-neighbours (the cross stencil)."""
-    w = np.shape(mask)[1]
-    return _unpack(_dilate(_pack(mask), w), w)
-
-
-def erode(mask):
-    """One-cell erosion of a boolean mask by its 4-neighbours (the cross
-    stencil); cells off the canvas count as unset, so the border always erodes."""
-    return _unpack(_erode(_pack(mask)), np.shape(mask)[1])
-
-
 def _dilation_leaves(inner, outer, w):
     """Whether the one-cell dilation of packed rows inner reaches a cell
     outside outer."""
@@ -324,14 +309,6 @@ def _bounded_complement(bits, w):
     return start[keep], stop[keep]
 
 
-def fill_holes(mask):
-    """Fill bounded complement components (8-connected complement)."""
-    w = np.shape(mask)[1]
-    bits = _pack(mask)
-    _paint_onto(bits, w, *_bounded_complement(bits, w))
-    return _unpack(bits, w)
-
-
 def _one_frame(regions):
     """The regions as a list, checked non-empty and on one frame."""
     regions = list(regions)
@@ -395,11 +372,6 @@ def reduced_intersection(*regions):
     return _basepoint_component(
         inter, regions[0].shape[1], regions[0].basepoint, EmptyIntersectionError("intersection misses the basepoint")
     )
-
-
-def boundary_cells(mask):
-    """Cells of the region with a 4-neighbor outside it."""
-    return mask & ~erode(mask)
 
 
 def schoenfliess_test(region):
@@ -587,102 +559,55 @@ def build_shrinking_spiral_family(size=512):
 
 
 # ---------------------------------------------------------------------------
-# raster IO: portable bitmap plus a JSON sidecar for the basepoint
+# raster IO: raw portable bitmap plus a JSON sidecar for the basepoint
 
 def save_region(region, path):
-    """Write mask as ASCII PBM (P1) and basepoint metadata alongside.  The
-    text of a row block (two bytes a cell, at most _BLOCK_CELLS bytes) is
-    looked up a packed byte at a time, its rows cut to the raster's width
-    and written, a block at a time."""
+    """Write the region as raw PBM (P4), whose raster is its packed rows byte
+    for byte, and its basepoint metadata alongside."""
     path = Path(path)
     h, w = region.shape
     meta = {"basepoint": list(region.basepoint), "shape": [h, w], "area": region.area()}
-    rows, blocks = _row_blocks(h, 2 * w)
-    text = np.empty((rows, region.bits.shape[1], 16), dtype=np.uint8)
-    raster = np.empty((rows, 2 * w), dtype=np.uint8)
-    raster[:, -1] = ord("\n")
     with path.open("wb") as f:
-        f.write(f"P1\n{w} {h}\n".encode())
-        for r0, r1 in blocks:
-            np.take(_TEXT, region.bits[r0:r1], axis=0, out=text[: r1 - r0], mode="clip")
-            raster[: r1 - r0, :-1] = text[: r1 - r0].reshape(r1 - r0, -1)[:, : 2 * w - 1]
-            f.write(raster[: r1 - r0])
+        f.write(f"P4\n{w} {h}\n".encode())
+        f.write(region.bits)
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(meta, indent=2))
     return path
 
 
-_HEADER = re.compile(rb"\s*P1\s+(\d+)\s+(\d+)(?!\S)")
-# what a header cut short by a chunk's end may look like so far
-_HEADER_START = re.compile(rb"\s*(?:P(?:1(?:\s+(?:\d+(?:\s+\d*)?)?)?)?)?")
-_LINE_END = re.compile(rb"[\r\n]")
-
-
-def _uncommented(f):
-    """The file's bytes a chunk at a time, each `#` comment cut out up to
-    its line end; a comment that a chunk's end cuts runs on into the next."""
-    in_comment = False
-    while chunk := f.read(_BLOCK_CELLS):
-        if in_comment:
-            end = _LINE_END.search(chunk)
-            if end is None:
-                continue
-            chunk = chunk[end.start() :]
-        last = chunk.rfind(b"#")
-        in_comment = last >= 0 and _LINE_END.search(chunk, last) is None
-        if last >= 0:
-            chunk = re.sub(rb"#[^\r\n]*", b"", chunk)
-        yield chunk
+# the magic number, the width and the height, separated by whitespace and
+# `#` comments that run to their line end, then one whitespace byte
+_GAP = rb"(?:\s|#[^\r\n]*[\r\n])+"
+_HEADER = re.compile(rb"P4" + _GAP + rb"(\d+)" + _GAP + rb"(\d+)\s")
+_HEADER_BYTES = 1 << 12  # the longest header read
 
 
 def load_region(path):
-    """Read a plain PBM (P1) and its sidecar: `#` comments, optional whitespace
-    between bits, exactly width x height bits, each `0` or `1`, and a JSON
-    sidecar whose basepoint lies on the raster and whose shape, when given,
-    is the raster's.  Every rejection is a ValueError naming the file; a
-    missing sidecar is found past the header, before the raster is read.
-    The file is read a chunk at a time; its bits fill a row block of cells,
-    which is packed into the region's rows each time it is full."""
+    """Read a raw PBM (P4) and its sidecar: a header with `#` comments, then
+    exactly height rows of ceil(width / 8) bytes, and a JSON sidecar whose
+    basepoint lies on the raster and whose shape, when given, is the
+    raster's.  Every rejection is a ValueError naming the file; a missing
+    sidecar is found past the header, and the raster's size is checked
+    against the file's before the raster is allocated.  The raster is read
+    straight into the region's rows, whose padding bits are then unset
+    (they carry no meaning in the format)."""
     path = Path(path)
     with path.open("rb") as f:
-        chunks = _uncommented(f)
-        head = b""
-        for chunk in chunks:
-            head += chunk
-            header = _HEADER.match(head)
-            if header and header.end() < len(head) or not _HEADER_START.fullmatch(head):
-                break
-        header = _HEADER.match(head)
+        header = _HEADER.match(f.read(_HEADER_BYTES))
         if header is None:
-            raise ValueError(f"{path} is not an ASCII PBM file")
+            raise ValueError(f"{path} is not a raw PBM (P4) file")
         width, height = int(header[1]), int(header[2])
         sidecar = path.with_suffix(path.suffix + ".json")
         try:
             meta = sidecar.read_bytes()
         except FileNotFoundError:
             raise ValueError(f"{path} has no sidecar {sidecar.name}") from None
-        # a file holds at most one bit per byte, so a raster larger than the
-        # file is refused for its count below without being allocated
-        bits = _canvas(height if width * height <= path.stat().st_size else 0, width)
-        room = bits.shape[0] * width
-        stage = np.empty(_row_blocks(bits.shape[0], width)[0] * width, dtype=bool)
-        count = filled = done = 0
-        for chunk in itertools.chain([head[header.end() :]], chunks):
-            text = np.frombuffer(chunk.translate(None, b" \t\n\v\f\r"), dtype=np.uint8)
-            ones = text == ord("1")
-            if np.count_nonzero(ones) + np.count_nonzero(text == ord("0")) != text.size:
-                raise ValueError(f"{path} has a raster bit other than 0 or 1")
-            ones = ones[: max(min(text.size, room - count), 0)]
-            count += text.size
-            while ones.size:
-                n = min(ones.size, stage.size - filled)
-                stage[filled : filled + n] = ones[:n]
-                ones, filled = ones[n:], filled + n
-                if filled == stage.size or done * width + filled == room:
-                    rows = filled // width
-                    bits[done : done + rows] = np.packbits(stage[:filled].reshape(rows, width), axis=1)
-                    done, filled = done + rows, 0
-    if count != width * height:
-        raise ValueError(f"{path} holds {count} raster bits, not {width} x {height}")
+        held, size = path.stat().st_size - header.end(), height * ((width + 7) // 8)
+        if held != size:
+            raise ValueError(f"{path} holds {held} raster bytes, not the {size} of {width} x {height}")
+        bits = _canvas(height, width)
+        f.seek(header.end())
+        f.readinto(bits)
+    _clear_padding(bits, width)
     try:
         meta = json.loads(meta)
     except ValueError:

@@ -527,9 +527,12 @@ def radial_scan(fld, r_min=None, r_max=None, steps=10000):
     """Locate radii with r = Phi_radial(r): where scaled identities solve.
 
     Works only for rotation-invariant fields (radial profile available).
-    Returns maximal runs of grid points where |r - phi(r)| <= tol, with
-    tol = max(1e-4, spacing/2) so that single-point crossings are not missed
-    between nodes.
+    Returns, in order, the maximal runs of grid points where
+    |r - phi(r)| <= tol, with tol = max(1e-4, spacing/2), and a point
+    interval at each root that r - phi(r) crosses between two neighbours
+    outside the runs.  Those crossings are bisected together down to
+    adjacent floats; a sign change that is a jump of phi, with
+    |r - phi(r)| > tol at its end, is no root.
     """
     if fld.radial_profile is None:
         raise ValueError("radial_scan needs a rotation-invariant field")
@@ -541,10 +544,25 @@ def radial_scan(fld, r_min=None, r_max=None, steps=10000):
     r = np.linspace(r_min, r_max, int(steps))
     spacing = r[1] - r[0]
     tol = max(1e-4, 0.5 * spacing)
-    g = np.abs(r - fld.radial_profile(r))
+    gap = r - fld.radial_profile(r)
+    hit = np.abs(gap) <= tol
     # run edges: each run of hits starts at an even edge and ends before the next
-    edges = np.flatnonzero(np.diff(g <= tol, prepend=False, append=False))
+    edges = np.flatnonzero(np.diff(hit, prepend=False, append=False))
     intervals = [(float(r[a]), float(r[b - 1])) for a, b in zip(edges[::2], edges[1::2])]
+    # crossings between two neighbours outside the runs, each bracket
+    # [lo, hi] keeping lo's sign of the gap
+    sign = np.sign(gap)
+    i = np.flatnonzero((sign[:-1] * sign[1:] < 0) & ~hit[:-1] & ~hit[1:])
+    if i.size:
+        lo, hi, below = r[i], r[i + 1], sign[i]
+        while True:
+            mid = 0.5 * (lo + hi)
+            at = mid - fld.radial_profile(mid)
+            if not ((lo < mid) & (mid < hi)).any():
+                break
+            left = np.sign(at) == below
+            lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        intervals = sorted(intervals + [(float(x), float(x)) for x in mid[np.abs(at) <= tol]])
     return ScanResult(intervals=intervals, tolerance=tol, r_min=r_min, r_max=r_max, steps=int(steps))
 
 

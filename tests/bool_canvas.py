@@ -1,5 +1,7 @@
 """The region kernels on boolean canvases, one byte a cell, that the packed
 rows of `diskmap.regions` replaced; kept as the oracle of the packed kernels.
+The per-cell plain PBM (P1) writer that regions were once saved with is
+kept too, as the oracle of the cells behind the recorded P1 hashes.
 
 Each function takes and returns boolean masks (a basepoint where one is
 needed) and computes what the packed kernel of the same name computes, by
@@ -158,3 +160,11 @@ def kernel_of_shrinking(masks, basepoint):
         raise EmptyIntersectionError("intersection misses the basepoint")
     interior = erode(erode(dilate(inter)))
     return basepoint_component(interior, basepoint, EmptyIntersectionError("kernel interior misses the basepoint"))
+
+
+def per_cell_pbm(mask):
+    """The plain PBM (P1) text of a boolean mask, written a cell at a time."""
+    lines = ["P1", f"{mask.shape[1]} {mask.shape[0]}"]
+    for row in mask:
+        lines.append(" ".join("1" if v else "0" for v in row))
+    return ("\n".join(lines) + "\n").encode()

@@ -10,6 +10,7 @@ import time
 import numpy as np
 from scipy import ndimage
 
+import bool_canvas
 from diskmap import blaschke, certify, regions, regularity, solver, weight
 from diskmap.solver import SolveOptions
 from diskmap.spectral import (
@@ -250,7 +251,12 @@ def _random_simply_connected(rng, shape=(128, 128), base=(64, 64)):
         mask = mask | regions._disk(shape, (base[0] + int(dr), base[1] + int(dc)), radius)
     # the disks are packed rows, ORed bytewise
     labels, _ = ndimage.label(regions._unpack(mask, shape[1]), structure=CROSS)
-    return regions.RasterRegion(regions.fill_holes(labels == labels[base]), base)
+    return regions.RasterRegion(bool_canvas.fill_holes(labels == labels[base]), base)
+
+
+def boundary_cells(mask):
+    """Cells of the region with a 4-neighbour outside it."""
+    return mask & ~bool_canvas.erode(mask)
 
 
 def test_criterion_09_region_property_suites():
@@ -274,13 +280,12 @@ def test_criterion_09_region_property_suites():
             and not ((eu.mask & ~union) & ~holes).any()
         )
         # EU2: grow both arguments by a two-cell margin, result grows
-        a2 = regions.RasterRegion(regions.dilate(regions.dilate(a.mask)), base)
-        b2 = regions.RasterRegion(regions.dilate(regions.dilate(b.mask)), base)
+        a2 = regions.RasterRegion(bool_canvas.dilate(bool_canvas.dilate(a.mask)), base)
+        b2 = regions.RasterRegion(bool_canvas.dilate(bool_canvas.dilate(b.mask)), base)
         eu2 = not (eu.mask & ~regions.extended_union(a2, b2).mask).any()
         # EU3: boundary of the result comes from the arguments' boundaries
         eu3 = not (
-            regions.boundary_cells(eu.mask)
-            & ~(regions.boundary_cells(a.mask) | regions.boundary_cells(b.mask))
+            boundary_cells(eu.mask) & ~(boundary_cells(a.mask) | boundary_cells(b.mask))
         ).any()
         if not (eu1 and eu2 and eu3):
             eu_failures.append((case, eu1, eu2, eu3))
@@ -300,13 +305,12 @@ def test_criterion_09_region_property_suites():
             and (ri.mask == component).all()
         )
         # RI2: monotone under growing both arguments by two cells
-        a2 = regions.RasterRegion(regions.dilate(regions.dilate(a.mask)), base)
-        b2 = regions.RasterRegion(regions.dilate(regions.dilate(b.mask)), base)
+        a2 = regions.RasterRegion(bool_canvas.dilate(bool_canvas.dilate(a.mask)), base)
+        b2 = regions.RasterRegion(bool_canvas.dilate(bool_canvas.dilate(b.mask)), base)
         ri2 = not (ri.mask & ~regions.reduced_intersection(a2, b2).mask).any()
         # RI3: boundary containment
         ri3 = not (
-            regions.boundary_cells(ri.mask)
-            & ~(regions.boundary_cells(a.mask) | regions.boundary_cells(b.mask))
+            boundary_cells(ri.mask) & ~(boundary_cells(a.mask) | boundary_cells(b.mask))
         ).any()
         if not (ri1 and ri2 and ri3):
             ri_failures.append((case, ri1, ri2, ri3))

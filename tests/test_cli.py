@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bool_canvas
 import diskmap
 from diskmap import certify, cli, regions, regularity, solver, weight
 from diskmap.errors import NotUnivalentError
@@ -460,18 +461,28 @@ def test_geometry_demo(tmp_path, capsys):
     assert payload["kernel_schoenfliess"] is False
 
 
-# sha256 of every file `geometry --op demo --size 256` writes, recorded from
-# the distance-transform painter and the per-cell PBM writer
+# sha256 of every file `geometry --op demo --size 256` writes: the JSON
+# files recorded from the distance-transform painter, the regions as raw PBM
+# (P4)
 DEMO_256_SHA256 = {
     "geometry.json": "12c3cd8b888689f5c9e5b6c2c478f4ee813290d0cbdb6340332801828b822820",
-    "kernel.pbm": "46afd7e19662dac447da552c3caaf90a3d857e7077fa31a5e2e112c024242a26",
+    "kernel.pbm": "0f3ec4508796e55f8e87073441a90f3e42bcdc6d559973c83e80057c341ab140",
     "kernel.pbm.json": "51806a48fe0a0f4f28becf136988bf4216089129921d5faf8c697e657dcaf6cf",
-    "level_0.pbm": "0ef2696af1769fbde1e5674626fd42b15449d8dbb9e1497f5c56205b4f43f07e",
+    "level_0.pbm": "c8f10eee9f5e2b1c46ab01c8badd7444160276f5c5dff52dc858e7875193d1da",
     "level_0.pbm.json": "a056b1622234d2c6deb3ef5ef1ab774085afe36661806706c0b206c6f907f59c",
-    "level_1.pbm": "3062d1bc2e1934902609c4620c1fe4998fba2fe904fbe6eecda369e877ea8a04",
+    "level_1.pbm": "9e460253843664a9f1f0742bdcd5f92dd5602a9f302233869b44197f39583a3f",
     "level_1.pbm.json": "adf62bf02fb77d68b935473af4717696dd1f7ec7495e2b8b868aaa76115adbef",
-    "level_2.pbm": "d630b8f072d2ef27cb303d04446b4239db7910fd70c4b9dfad2c18afa5d94c68",
+    "level_2.pbm": "92d79aacbd2360daa28190fa871fb4c2206fa0bb3fa462451f3979d74542bf6d",
     "level_2.pbm.json": "0897414023ef319d216be098b874908c35f5bdd4c63f8e1c4e0422b6182fdbf7",
+}
+
+# sha256 of the same regions as the per-cell plain PBM (P1) writer wrote
+# them, recorded before regions were saved as P4
+DEMO_256_P1_SHA256 = {
+    "kernel.pbm": "46afd7e19662dac447da552c3caaf90a3d857e7077fa31a5e2e112c024242a26",
+    "level_0.pbm": "0ef2696af1769fbde1e5674626fd42b15449d8dbb9e1497f5c56205b4f43f07e",
+    "level_1.pbm": "3062d1bc2e1934902609c4620c1fe4998fba2fe904fbe6eecda369e877ea8a04",
+    "level_2.pbm": "d630b8f072d2ef27cb303d04446b4239db7910fd70c4b9dfad2c18afa5d94c68",
 }
 
 
@@ -479,6 +490,16 @@ def test_geometry_demo_bytes_pinned(tmp_path, capsys):
     assert run(["geometry", "--op", "demo", "--size", "256", "--out", tmp_path]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert got == DEMO_256_SHA256
+
+
+def test_geometry_demo_cells_match_the_p1_pins(tmp_path, capsys):
+    # the P4 files decode to the cells whose P1 text the old pins hashed
+    assert run(["geometry", "--op", "demo", "--size", "256", "--out", tmp_path]) == 0
+    got = {
+        name: hashlib.sha256(bool_canvas.per_cell_pbm(regions.load_region(tmp_path / name).mask)).hexdigest()
+        for name in DEMO_256_P1_SHA256
+    }
+    assert got == DEMO_256_P1_SHA256
 
 
 def test_near_boundary_spectrum_bytes_pinned(tmp_path):
@@ -520,6 +541,19 @@ def test_geometry_rejects_sidecar_basepoint_off_the_raster(tmp_path, capsys, op,
     err = capsys.readouterr().err
     assert "configuration error" in err and f"a.pbm has its sidecar basepoint {basepoint}" in err
     assert not (tmp_path / "out" / f"{op}.pbm").exists()
+
+
+def test_geometry_rejects_a_plain_pbm_naming_the_file(tmp_path, capsys):
+    # regions were once saved as plain PBM (P1); the reader takes raw PBM (P4) only
+    region = regions.RasterRegion(regions._unpack(regions._disk((32, 32), (16, 16), 10), 32), (16, 16))
+    regions.save_region(region, tmp_path / "a.pbm")
+    regions.save_region(region, tmp_path / "b.pbm")
+    (tmp_path / "b.pbm").write_bytes(bool_canvas.per_cell_pbm(region.mask))
+    inputs = f"{tmp_path}/a.pbm,{tmp_path}/b.pbm"
+    assert run(["geometry", "--op", "union", "--inputs", inputs, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "b.pbm is not a raw PBM (P4) file" in err
+    assert not (tmp_path / "out" / "union.pbm").exists()
 
 
 def test_geometry_rejects_a_region_without_its_sidecar(tmp_path, capsys):

@@ -866,6 +866,80 @@ def test_scan_constant_single_point():
     assert abs(a - 2.0) < 1e-3 and abs(b - 2.0) < 1e-3
 
 
+# the stiff cosine sets: c * eps * gamma >= 2.4, where Phi is steep enough
+# that r - Phi(r) crosses zero between two grid points of the scan
+STIFF_COSINE = [
+    (c, eps, gamma)
+    for c in (1.0, 1.5, 2.0, 2.5, 3.0)
+    for eps in (0.3, 0.5, 0.7, 0.9)
+    for gamma in (1.0, 2.0, 3.0, 4.0, 6.0)
+    if c * eps * gamma >= 2.4
+]
+
+
+def sign_scan_roots(fld, points=400_001):
+    """The roots of r = Phi(r) on [0, 1.5 sup]: each sign change of
+    r - Phi(r) on a dense grid, bisected 60 times."""
+    r = np.linspace(0.0, 1.5 * fld.sup_bound, points)
+    gap = r - fld.radial_profile(r)
+    i = np.flatnonzero(np.sign(gap[:-1]) * np.sign(gap[1:]) < 0)
+    lo, hi, below = r[i], r[i + 1], np.sign(gap[i])
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        left = np.sign(mid - fld.radial_profile(mid)) == below
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_scan_finds_every_root_of_the_stiff_cosine_sets():
+    # a root crossed between two grid points, each more than tol off it, was
+    # missed: 55 of the 59 sets lost a root, 40 their largest, and
+    # cosine_radial(1, 0.9, 3) reported none
+    assert len(STIFF_COSINE) == 59
+    for params in STIFF_COSINE:
+        fld = weight.cosine_radial_field(*params)
+        roots = sign_scan_roots(fld)
+        res = solver.radial_scan(fld)
+        spacing = (res.r_max - res.r_min) / (res.steps - 1)
+        a, b = np.array(res.intervals, dtype=float).reshape(-1, 2).T
+        # every root within a grid step of one interval, and one root to each
+        near = (a - spacing <= roots[:, None]) & (roots[:, None] <= b + spacing)
+        assert near.sum(axis=1).tolist() == [1] * roots.size, (params, roots, res.intervals)
+        assert near.sum(axis=0).tolist() == [1] * len(res.intervals), (params, roots, res.intervals)
+
+
+def test_scan_reports_a_crossed_root_as_a_point():
+    res = solver.radial_scan(weight.cosine_radial_field(1.0, 0.9, 3.0))
+    (a, b), = res.intervals
+    assert a == b == pytest.approx(0.6548094, abs=1e-7)
+
+
+def test_scan_takes_no_jump_of_the_profile_for_a_root():
+    # r - Phi(r) changes sign at r = 1, where Phi jumps from 2 to 0.5
+    fld = weight.WeightField(None, sup_bound=2.0, radial_profile=lambda r: np.where(r < 1.0, 2.0, 0.5))
+    assert solver.radial_scan(fld).intervals == []
+
+
+@pytest.mark.parametrize(
+    "fld",
+    [
+        weight.staircase_field(),
+        weight.gauss_radial_field(),
+        weight.plateau_reciprocal_field(),
+        weight.bounded_parabola_field(),
+        weight.constant_field(2.0),
+    ],
+    ids=lambda fld: fld.name,
+)
+def test_scan_of_a_builtin_is_its_tolerance_runs(fld):
+    # no builtin crosses a root between two grid points, each more than tol
+    # off it, so the scan reports the tolerance runs alone, as it did before
+    # it bisected crossings
+    res = solver.radial_scan(fld)
+    r = np.linspace(res.r_min, res.r_max, res.steps)
+    assert res.intervals == loop_runs(r, np.abs(r - fld.radial_profile(r)) <= res.tolerance)
+
+
 def test_scan_requires_radial_profile():
     f = weight.random_smooth_field(np.random.default_rng(0))
     with pytest.raises(ValueError, match="rotation-invariant"):
