@@ -28,7 +28,7 @@ def construct(zeros):
     """Build the product for the given interior zeros (empty list -> B == 1)."""
     zeros = np.atleast_1d(np.asarray(zeros, dtype=np.complex128)) if len(zeros) else np.zeros(0, np.complex128)
     mags = np.abs(zeros)
-    if zeros.size and (mags.min() <= 0.0 or mags.max() >= 1.0):
+    if zeros.size and not (mags.min() > 0.0 and mags.max() < 1.0):  # a NaN fails too
         raise ValueError("Blaschke zeros must satisfy 0 < |z_j| < 1")
     if zeros.size == 0:
         return BlaschkeProduct(zeros, 1.0)

@@ -14,6 +14,7 @@ computation error, 2 bad configuration or unreadable input.
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -70,7 +71,10 @@ def field_params(text):
         if "=" not in item:
             raise ConfigError(f"field_args entries look like name=value, got {item!r}")
         key, value = item.split("=", 1)
-        params[key.strip()] = float(value)
+        value = float(value)
+        if not math.isfinite(value):
+            raise ConfigError(f"field_args value {item!r} is not finite")
+        params[key.strip()] = value
     return params
 
 
@@ -107,13 +111,7 @@ def initial_map(text):
 
 
 def build_options(args):
-    return SolveOptions(
-        n=args.n,
-        max_iters=args.max_iters,
-        tol_update=args.tol,
-        tol_residual=args.tol_residual,
-        initial_map=args.init,
-    )
+    return SolveOptions(n=args.n, max_iters=args.max_iters, initial_map=args.init)
 
 
 def _jsonable(obj):
@@ -414,8 +412,6 @@ def build_parser():
         p.add_argument("--init", type=initial_map, default="auto", help="auto, a radius like 6.5, or csv:PATH (default %(default)s)")
         p.add_argument("--n", type=int, default=d.n, help="finest boundary grid the answer is solved on, power of two (default %(default)s)")
         p.add_argument("--max-iters", type=int, default=d.max_iters, help="iteration cap (default %(default)s)")
-        p.add_argument("--tol", type=float, default=d.tol_update, help="update tolerance, sup of |(U(f) - f)'| (default %(default)s)")
-        p.add_argument("--tol-residual", type=float, default=d.tol_residual, help="boundary residual target (default %(default)s)")
 
     p = command("solve", "run the Anderson-mixed fixed point solver")
     p.add_argument("--emit", type=_split_list, default="json,csv", help="comma subset of csv,svg,json (default %(default)s)")

@@ -47,6 +47,8 @@ CRITICAL_RADIUS = 0.999  # circle on which interior_critical_points counts
 RATE_FRACTIONS = (0.2, 0.5, 0.9)  # contraction_rate starts, as shares of the certified ball
 ANDERSON_DEPTH = 2  # residual differences kept for mixing
 GRAM_DROP = 1e-10  # relative pivot below which a history column counts as dependent
+TOL_UPDATE = 1e-10  # a grid settles when the sup of |(U(f) - f)'| falls below this
+TOL_RESIDUAL = 1e-8  # a settled solve converges when its boundary residual is at most this
 
 
 def scaled_identity(r):
@@ -56,10 +58,12 @@ def scaled_identity(r):
 
 @dataclass
 class SolveOptions:
+    """The settings of one solve: the finest grid n, the step budget
+    max_iters over every grid, and the start.  What counts as converged is
+    not a setting: TOL_UPDATE and TOL_RESIDUAL hold for every solve."""
+
     n: int = 512
     max_iters: int = 2000
-    tol_update: float = 1e-10
-    tol_residual: float = 1e-8
     initial_map: object = None  # None -> scaled_identity(sup_bound + 0.5); float -> that radius
 
     def resolve_init(self, field):
@@ -74,6 +78,8 @@ class SolveOptions:
         if isinstance(init, DiskFunction):
             return init
         if isinstance(init, (int, float)):
+            if not math.isfinite(init):
+                raise ValueError(f"initial_map radius must be finite, got {init}")
             return scaled_identity(float(init))
         raise ValueError("initial_map must be None, a radius, or a DiskFunction")
 
@@ -198,9 +204,9 @@ def solve(fld, zeros=(), options=None):
     least one step of its own.  A solve with n <= COARSE_GRID runs on n
     from its first step, and one with n above MAX_GRID raises ValueError
     before it.  Convergence means both: the sup over the grid of the last
-    update's derivative, |(U(f) - f)'|, below tol_update, and residual
-    below tol_residual.  max_iters bounds the steps over all grids.  A
-    budget spent below n still reports on n.
+    update's derivative, |(U(f) - f)'|, below TOL_UPDATE, and residual at
+    most TOL_RESIDUAL; neither tolerance is a setting.  max_iters bounds
+    the steps over all grids.  A budget spent below n still reports on n.
     """
     return _solve(fld, zeros, options, ANDERSON_DEPTH)
 
@@ -246,13 +252,6 @@ def _settled_tail(x):
     return tail < RESOLVED_RATIO, tail
 
 
-def check_tolerance(name, tol):
-    """A stopping tolerance must be finite and non-negative."""
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"{name} must be finite and non-negative, got {tol}")
-    return tol
-
-
 def _solve(fld, zeros, options, depth):
     """One iteration loop over every grid; depth 0 is the plain iteration.
 
@@ -280,8 +279,6 @@ def _solve(fld, zeros, options, depth):
     target = n = check_grid_size(options.n)
     if target > MAX_GRID:
         raise ValueError(f"grid size must be at most {MAX_GRID}, got {target}")
-    check_tolerance("tol_update", options.tol_update)
-    check_tolerance("tol_residual", options.tol_residual)
     b = blaschke_mod.construct(zeros)
     init = options.resolve_init(fld).coeffs
     n = min(target, max(COARSE_GRID, next_power_of_two(init.size)))
@@ -310,13 +307,13 @@ def _solve(fld, zeros, options, depth):
                 f"update norm is not finite after {len(sup_hist)} steps", history=sup_hist
             )
         if first_update is None:
-            first_update = max(dsup, options.tol_update)
+            first_update = max(dsup, TOL_UPDATE)
         if dsup > DIVERGENCE_FACTOR * max(first_update, 1.0):
             raise DivergenceError(
                 f"update norm {dsup:.3e} exceeded the divergence guard after {len(sup_hist)} steps",
                 history=sup_hist,
             )
-        if dsup < options.tol_update:
+        if dsup < TOL_UPDATE:
             x += r
             fine, tail = _settled_tail(x)
             if fine and n >= target:
@@ -361,7 +358,7 @@ def _solve(fld, zeros, options, depth):
         res = residual_sup(f, fld, n)
         if stop_reason == "max_iters":  # a settled grid's verdict already holds its tail
             tail = tail_ratio(derivative(f).coeffs)
-    if stop_reason == "tolerance" and not res <= options.tol_residual:
+    if stop_reason == "tolerance" and not res <= TOL_RESIDUAL:
         stop_reason = "residual"  # the update settled, the residual did not
     return SolveReport(
         f=f,

@@ -17,7 +17,6 @@ import numpy as np
 MIN_GRID = 8
 MAX_GRID = 1 << 15
 RESOLVED_RATIO = 1e-10
-EVAL_BLOCK = 1 << 16  # values per temporary in DiskFunction.__call__
 
 
 def is_power_of_two(n):
@@ -156,37 +155,14 @@ class DiskFunction:
         return got if size == n else got[..., :: size // n].copy()
 
     def __call__(self, z):
-        """Evaluate at z (a scalar or any complex array) by blocked Horner.
-
-        The coefficients are split into blocks of k ~ sqrt(degree).  Each
-        block is a Vandermonde product with the powers z**0 .. z**(k-1), and
-        the block sums are combined by Horner's rule in z**k.  Points go
-        through in chunks, so no temporary holds more than EVAL_BLOCK values.
-        The result has the shape of z.
-        """
+        """Evaluate at z (a scalar or any complex array) by Horner's rule,
+        highest coefficient first.  The result has the shape of z."""
         z = np.asarray(z, dtype=np.complex128)
-        c = self.coeffs
-        k = max(1, int(np.ceil(np.sqrt(c.size))))
-        blocks = -(-c.size // k)
-        padded = np.zeros(blocks * k, dtype=np.complex128)
-        padded[: c.size] = c
-        table = padded.reshape(blocks, k).T
-        flat = z.ravel()
-        out = np.empty(flat.size, dtype=np.complex128)
-        chunk = max(1, EVAL_BLOCK // (k + blocks))
-        for lo in range(0, flat.size, chunk):
-            zc = flat[lo : lo + chunk]
-            powers = np.empty((zc.size, k), dtype=np.complex128)
-            powers[:, 0] = 1.0
-            powers[:, 1:] = zc[:, None]
-            np.cumprod(powers, axis=1, out=powers)
-            sums = powers @ table
-            step = powers[:, -1] * zc
-            acc = sums[:, -1]
-            for b in range(blocks - 2, -1, -1):
-                acc = acc * step + sums[:, b]
-            out[lo : lo + chunk] = acc
-        return out.reshape(z.shape)
+        out = np.zeros(z.shape, dtype=np.complex128)
+        for c in self.coeffs[::-1]:
+            out *= z
+            out += c
+        return out
 
 
 def derivative(f):
@@ -234,7 +210,7 @@ def schwarz_integral(u):
 
 def poisson_extend(u, z):
     """Harmonic extension of real nodal data at points z, |z| <= 1: the real
-    part of schwarz_integral(u), evaluated by DiskFunction's chunked Horner.
+    part of schwarz_integral(u), evaluated by DiskFunction's Horner rule.
     """
     z = np.asarray(z, dtype=np.complex128)
     if np.any(np.abs(z) > 1.0 + 1e-12):

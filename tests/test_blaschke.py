@@ -38,7 +38,7 @@ def test_vanishes_exactly_at_zeros():
     assert np.abs(b(np.asarray(zeros))).max() < 1e-15
 
 
-@pytest.mark.parametrize("bad", [[0.0], [1.0], [1.5], [0.5, 1.0 + 0.0j]])
+@pytest.mark.parametrize("bad", [[0.0], [1.0], [1.5], [0.5, 1.0 + 0.0j], [np.nan], [complex(0.5, np.nan)]])
 def test_zero_validation(bad):
     with pytest.raises(ValueError):
         blaschke.construct(bad)

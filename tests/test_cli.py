@@ -77,13 +77,16 @@ def test_solve_nonconvergence_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("argv,code,reason", [
     (["--init", "6.5"], 0, "tolerance"),
     (["--init", "20", "--max-iters", "1"], 1, "max_iters"),
-    (["--init", "6.5", "--tol-residual", "1e-20"], 1, "residual"),
+    # 6z's residual (~1.8e-15) cannot meet a TOL_RESIDUAL of 1e-20
+    (["--init", "6.5"], 1, "residual"),
     # the n = 512 solve settles on an unresolved tail and refines to 8192
     (["--init", "1.0", "--zeros", "0.995"], 0, "tolerance"),
     # z^2 + z, a branched solution
     (["--init", "1.0", "--zeros", "-0.5"], 0, "tolerance"),
 ])
-def test_solve_report_records_stop_reason(tmp_path, argv, code, reason):
+def test_solve_report_records_stop_reason(monkeypatch, tmp_path, argv, code, reason):
+    if reason == "residual":
+        monkeypatch.setattr(solver, "TOL_RESIDUAL", 1e-20)
     assert run(["solve", "--field", "staircase", *argv, "--out", tmp_path, "--emit", "json"]) == code
     report = json.loads((tmp_path / "solve_report.json").read_text())
     assert report["stop_reason"] == reason
@@ -174,8 +177,7 @@ def test_solve_defaults_come_from_solve_options(capsys):
     with pytest.raises(SystemExit):
         cli.main(["solve", "--help"])
     text = " ".join(capsys.readouterr().out.split("options:", 1)[1].split())
-    for flag, value in (("--n", defaults.n), ("--max-iters", defaults.max_iters),
-                        ("--tol", defaults.tol_update), ("--tol-residual", defaults.tol_residual)):
+    for flag, value in (("--n", defaults.n), ("--max-iters", defaults.max_iters)):
         assert re.search(rf"{flag} \S+ .*?\(default ([^)]*)\)", text).group(1) == str(value), flag
 
 
@@ -204,11 +206,11 @@ def test_flags_override_the_config_file(tmp_path):
     # an int, a float and a string setting: the file replaces the defaults,
     # typed by the flags, and the flags given on the command line win
     cfgfile = tmp_path / "solve.cfg"
-    cfgfile.write_text("field=gauss_radial\nn=1024\ntol=1e-9\n")
+    cfgfile.write_text("field=gauss_radial\nn=1024\ninit=2.5\n")
     args = cli.parse_args(["solve", "--config", str(cfgfile)])
-    assert (args.field, args.n, args.tol) == ("gauss_radial", 1024, 1e-9)
-    args = cli.parse_args(["solve", "--config", str(cfgfile), "--field", "staircase", "--n", "2048", "--tol", "1e-11"])
-    assert (args.field, args.n, args.tol) == ("staircase", 2048, 1e-11)
+    assert (args.field, args.n, args.init) == ("gauss_radial", 1024, 2.5)
+    args = cli.parse_args(["solve", "--config", str(cfgfile), "--field", "staircase", "--n", "2048", "--init", "6.5"])
+    assert (args.field, args.n, args.init) == ("staircase", 2048, 6.5)
 
 
 def test_config_file_runs_each_converter_once(tmp_path, monkeypatch):
@@ -626,9 +628,29 @@ def test_config_errors_exit_two(tmp_path, argv, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--field", "staircase", "--zeros", "nan"],
+    ["--field", "staircase", "--zeros", "0.5+nanj"],
+    ["--field", "staircase", "--init", "nan"],
+    ["--field", "staircase", "--init", "inf"],
+    ["--field", "gauss_radial", "--field-args", "a=nan"],
+])
+def test_non_finite_numbers_exit_two_before_any_step(tmp_path, capsys, monkeypatch, argv):
+    # each used to take one step and exit 1 on a non-finite update or
+    # weight, with RuntimeWarnings on the way
+    steps = []
+    monkeypatch.setattr(solver, "_operator_step", lambda *a: steps.append(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["solve", *argv, "--out", tmp_path / "out"]) == 2
+    assert steps == []
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command,key,flag", [
     ("solve", "n", "--n"),
-    ("solve", "tol", "--tol"),
+    ("solve", "init", "--init"),
     ("certify", "n", "--n"),
     ("scan", "steps", "--steps"),
     ("geometry", "size", "--size"),
@@ -643,29 +665,20 @@ def test_config_value_is_typed_by_its_flag(tmp_path, capsys, command, key, flag)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["typed.cfg"]
 
 
-@pytest.mark.parametrize("argv,key", [
-    (["solve", "--field", "staircase", "--init", "6.5", "--tol", "nan"], "tol_update"),
-    (["solve", "--field", "staircase", "--init", "6.5", "--tol-residual", "-1"], "tol_residual"),
-])
-def test_bad_tolerance_exits_two(tmp_path, capsys, argv, key):
-    # nan used to stop the solve with a singular mixing system, and a
-    # negative residual target ran to "did not converge"
-    assert run(argv + ["--out", tmp_path / "out"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and f"{key} must be finite and non-negative" in err
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("command,flag,key", [
     ("solve", "--theta", "theta"),
     ("spectrum", "--theta", "theta"),
+    ("solve", "--tol", "tol"),
+    ("solve", "--tol-residual", "tol_residual"),
+    ("spectrum", "--tol", "tol"),
+    ("spectrum", "--tol-residual", "tol_residual"),
     ("certify", "--tol", "tol"),
     ("scan", "--scan-tol", "scan_tol"),
 ])
 def test_retired_settings_are_unknown(tmp_path, capsys, command, flag, key):
-    # every solve takes the undamped step, every certificate passes against
-    # TOL_CERT and a scan matches within max(1e-4, spacing/2): none of them
-    # is a setting any more
+    # every solve takes the undamped step and converges against TOL_UPDATE
+    # and TOL_RESIDUAL, every certificate passes against TOL_CERT and a scan
+    # matches within max(1e-4, spacing/2): none of them is a setting any more
     with pytest.raises(SystemExit) as exit_:
         run([command, flag, "0.5", "--out", tmp_path])
     assert exit_.value.code == 2

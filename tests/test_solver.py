@@ -33,6 +33,9 @@ def test_resolve_init_variants(staircase):
     assert SolveOptions(initial_map=g).resolve_init(staircase) is g
     with pytest.raises(ValueError):
         SolveOptions(initial_map="big").resolve_init(staircase)
+    for radius in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SolveOptions(initial_map=radius).resolve_init(staircase)
 
 
 def test_solve_rejects_bad_grid(staircase):
@@ -93,7 +96,7 @@ def _check_between_the_nodes(name, zeros, n):
     rep = solver.solve(fld, zeros=zeros, options=SolveOptions(n=n))
     assert rep.converged and rep.stop_reason == "tolerance"
     mid = _half_step_residual(rep.f, fld, rep.n)
-    assert mid <= max(rep.residual * 2.0, SolveOptions.tol_residual), (rep.residual, mid)
+    assert mid <= max(rep.residual * 2.0, solver.TOL_RESIDUAL), (rep.residual, mid)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -205,13 +208,16 @@ def test_non_finite_update_raises_divergence_on_that_step():
 @pytest.mark.parametrize("zeros,kwargs,reason", [
     ([], {"initial_map": 6.5}, "tolerance"),
     ([-0.5], {"initial_map": 1.0, "max_iters": 5}, "max_iters"),
-    # the update settles on 6z, whose residual (~1.8e-15) cannot meet 1e-20
-    ([], {"initial_map": 6.5, "tol_residual": 1e-20}, "residual"),
+    # the update settles on 6z, whose residual (~1.8e-15) cannot meet a
+    # TOL_RESIDUAL of 1e-20
+    ([], {"initial_map": 6.5}, "residual"),
     # max_iters bounds the whole run: the budget runs out on the first grid,
     # before the update settles there on an unresolved tail
     ([0.995], {"initial_map": 1.0, "max_iters": 3}, "max_iters"),
 ])
-def test_stop_reason(staircase, zeros, kwargs, reason):
+def test_stop_reason(monkeypatch, staircase, zeros, kwargs, reason):
+    if reason == "residual":
+        monkeypatch.setattr(solver, "TOL_RESIDUAL", 1e-20)
     rep = solver.solve(staircase, zeros=zeros, options=SolveOptions(n=512, **kwargs))
     assert rep.stop_reason == reason
     assert rep.converged == (reason == "tolerance")
@@ -221,7 +227,7 @@ def test_stop_reason(staircase, zeros, kwargs, reason):
         assert rep.iterations == len(rep.update_history) == kwargs["max_iters"]
         assert rep.update_history[-1] >= 1e-10
     if reason == "residual":
-        assert rep.update_history[-1] < 1e-10 and kwargs["tol_residual"] < rep.residual
+        assert rep.update_history[-1] < 1e-10 and solver.TOL_RESIDUAL < rep.residual
 
 
 def test_unresolved_tail_refines_whatever_the_stop_reason(staircase):
@@ -1024,7 +1030,7 @@ def test_contraction_rate_runs_plain_undamped_iteration(monkeypatch):
 def test_contraction_rate_keeps_the_callers_other_options(monkeypatch):
     fld = weight.gauss_radial_field(1.0, 0.1)
     cert = weight.contraction_certificate(fld, np.sqrt(0.2) * np.exp(-0.5))
-    base = SolveOptions(n=64, max_iters=5, tol_update=1e-9, tol_residual=1e-7)
+    base = SolveOptions(n=64, max_iters=5)
     seen = []
     inner = solver._solve
 
@@ -1036,9 +1042,7 @@ def test_contraction_rate_keeps_the_callers_other_options(monkeypatch):
     solver.contraction_rate(fld, cert, options=base)
     assert [depth for _, depth in seen] == [0, 0, 0]
     for (opts, _), frac in zip(seen, (0.2, 0.5, 0.9)):
-        assert dataclasses.replace(opts, initial_map=None) == SolveOptions(
-            n=64, max_iters=5, tol_update=1e-9, tol_residual=1e-7,
-        )
+        assert dataclasses.replace(opts, initial_map=None) == SolveOptions(n=64, max_iters=5)
         # each start is the scaled identity zero-padded to n
         want = solver._pad_coeffs(scaled_identity(frac * cert.sup_solution_bound).coeffs, 64)
         assert np.array_equal(opts.initial_map.coeffs, want)

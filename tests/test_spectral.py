@@ -223,12 +223,6 @@ def test_call_keeps_input_shape(degree):
     assert abs(scalar - _horner_reference(f.coeffs, 0.3 - 0.4j)) <= 1e-13 * np.abs(f.coeffs).sum()
 
 
-def test_call_chunks_many_points(monkeypatch):
-    monkeypatch.setattr(spectral, "EVAL_BLOCK", 64)
-    f = DiskFunction(np.arange(1.0, 101.0))
-    _assert_matches_horner(f, 0.99 * np.exp(1j * np.linspace(0.0, 6.0, 37)))
-
-
 def test_degree_and_resolved():
     assert DiskFunction([0.0, 1.0, 0.0, 0.0]).coeffs.size == 4  # trailing zeros are kept
     padded = np.zeros(512, dtype=complex)
