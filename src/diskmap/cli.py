@@ -449,8 +449,18 @@ def parse_args(argv=None):
     A pre-parser that knows only the commands and --config finds the file
     without running a converter; its values replace the defaults of the
     flags they name, and a flag given on the command line still wins.
+
+    argparse reads a token that starts with "-" as a flag unless it reads as
+    a plain negative number, so the token after --zeros or --init (say
+    -0.5,0.3 or -inf) is joined to that flag as its value unless it is one
+    of the command's own flags.
     """
     parser, commands = build_parser()
+    argv = [str(a) for a in (sys.argv[1:] if argv is None else argv)]
+    own = commands.get(argv[0] if argv else None, parser)._option_string_actions
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] in ("--zeros", "--init") and argv[i + 1].startswith("-") and argv[i + 1].split("=")[0] not in own:
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     pre_commands = pre.add_subparsers(dest="command")
     for name in commands:

@@ -494,6 +494,33 @@ def test_geometry_demo_bytes_pinned(tmp_path, capsys):
     assert got == DEMO_256_SHA256
 
 
+# sha256 of the demo at the benchmark's size (1024, whole bytes to a row)
+# and at 1001 (seven padding bits to a row)
+DEMO_SHA256 = {
+    1024: {
+        "geometry.json": "6531a7e6128ead50f59cb1ae60cf901955b910ebe5581ccec65cb701715dc32b",
+        "kernel.pbm": "870b0d8b8ef9a4b7d5551e5717eb68352a40b9612c2b71d71b95e4ca5da27953",
+        "level_0.pbm": "2cfa8afe8a6a0017af524e78b3151a93596b708af6dbb680dc6a89aa0c26c7dd",
+        "level_1.pbm": "dfd6fcec5b9fdc034d7dc1b2b152ea217c52222a14ada1907bb643ca69ad1e54",
+        "level_2.pbm": "a0b65a496357537f6470c17eeade60153f7553a4068e7afcfbf4be6fa9a57b6c",
+    },
+    1001: {
+        "geometry.json": "38fdf643155c59bfc078fa21cefdac091b3a45f45664131dbcdfeef67da790a0",
+        "kernel.pbm": "b1acb58bf32c0b4715c71d3c8d28de542345ef8252a82b10d0ddc35be0829d2d",
+        "level_0.pbm": "b83edbb9618815c4b36c7585e9d9a49b884459917fff048a38237169bee47eea",
+        "level_1.pbm": "6d1c17b07cd5ee5b0ee6acfc44842d88b7c62cf58cdce5114febaf98abec700f",
+        "level_2.pbm": "c063f0205d7cb5875b5a5851229ad23d8fd2a9c1e893cf69303b14cd707c574f",
+    },
+}
+
+
+@pytest.mark.parametrize("size", sorted(DEMO_SHA256))
+def test_geometry_demo_bytes_pinned_at_the_benchmark_size(tmp_path, capsys, size):
+    assert run(["geometry", "--op", "demo", "--size", str(size), "--out", tmp_path]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DEMO_SHA256[size]}
+    assert got == DEMO_SHA256[size]
+
+
 def test_geometry_demo_cells_match_the_p1_pins(tmp_path, capsys):
     # the P4 files decode to the cells whose P1 text the old pins hashed
     assert run(["geometry", "--op", "demo", "--size", "256", "--out", tmp_path]) == 0
@@ -645,6 +672,33 @@ def test_non_finite_numbers_exit_two_before_any_step(tmp_path, capsys, monkeypat
         assert run(["solve", *argv, "--out", tmp_path / "out"]) == 2
     assert steps == []
     assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spaced,joined", [
+    ("solve --zeros -0.5,0.3 --init 1.0", "solve --zeros=-0.5,0.3 --init 1.0"),
+    ("solve --init -inf --zeros -0.5+0.2j", "solve --init=-inf --zeros=-0.5+0.2j"),
+    ("spectrum --zeros -0.5,-0.25 --init -2e0", "spectrum --zeros=-0.5,-0.25 --init=-2e0"),
+], ids=["solve", "init-inf", "spectrum"])
+def test_a_value_after_zeros_or_init_may_start_with_a_minus(spaced, joined):
+    # argparse took these values for flags ("expected one argument"); they
+    # parse as they do when joined to their flag with "="
+    assert cli.parse_args(spaced.split()) == cli.parse_args(joined.split())
+
+
+def test_init_minus_inf_exits_two_as_not_finite(tmp_path, capsys, monkeypatch):
+    steps = []
+    monkeypatch.setattr(solver, "_operator_step", lambda *a: steps.append(a))
+    assert run(["solve", "--field", "staircase", "--init", "-inf", "--out", tmp_path / "out"]) == 2
+    assert steps == []
+    assert "initial_map radius must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["--zeros", "--init", "1.0"], ["--init", "--zeros=0.5"], ["--zeros", "-h"]])
+def test_a_flag_after_zeros_or_init_is_not_its_value(tmp_path, capsys, argv):
+    assert run(["solve", "--field", "staircase", *argv, "--out", tmp_path / "out"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

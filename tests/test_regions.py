@@ -600,6 +600,64 @@ def test_morphology_matches_ndimage_on_any_layout(shape, density, seed):
         assert np.array_equal(layout, before)
 
 
+def shifted_by_unpacking(bits, right):
+    """Packed rows shifted one cell by unpacking all 8 * nb bits of each row,
+    padding bits too, shifting them with unset cells coming in at the row
+    ends, and packing them again."""
+    cells = np.unpackbits(np.ascontiguousarray(bits), axis=1)
+    out = np.zeros_like(cells)
+    if right:
+        out[:, 1:] = cells[:, :-1]
+    else:
+        out[:, :-1] = cells[:, 1:]
+    return np.packbits(out, axis=1)
+
+
+def row_end_rows(rng, h, w):
+    """A random h x w boolean mask whose rows alternate a set last cell with
+    a set first cell, so carries meet every row end."""
+    mask = rng.random((h, w)) < 0.5
+    mask[::2, -1] = True
+    mask[1::2, 0] = True
+    return mask
+
+
+@pytest.mark.parametrize("right", [True, False], ids=["right", "left"])
+def test_shift_matches_the_unpacked_shift(right):
+    # widths 1-70 pack to whole bytes (w % 8 == 0) and to padded rows; the
+    # raw-byte rows also set every padding bit, and the last byte's low bit
+    # and the first byte's high bit carry across the row ends
+    rng = np.random.default_rng(7)
+    for w in range(1, 71):
+        for h in (1, 2, 5, 16):
+            masks = regions._pack(row_end_rows(rng, h, w)), rng.integers(0, 256, (h, (w + 7) // 8), dtype=np.uint8)
+            for bits in masks:
+                tall = np.ascontiguousarray(np.concatenate([bits, bits[::-1]]).T)
+                for layout in (bits, tall.T, np.repeat(bits, 2, axis=1)[:, ::2], np.asfortranarray(bits)):
+                    before = layout.copy()
+                    got = regions._shift(layout, right)
+                    assert got.dtype == np.uint8 and np.array_equal(got, shifted_by_unpacking(layout, right))
+                    assert np.array_equal(layout, before)
+    # a canvas of no rows or of no columns shifts to itself
+    for shape in ((0, 3), (3, 0)):
+        assert regions._shift(np.zeros(shape, dtype=np.uint8), right).shape == shape
+
+
+def test_run_edges_at_the_row_ends_match_the_bool_canvas():
+    # a run ending on a row's last cell and one starting on the next row's
+    # first cell, at every width from 1 to 70 and in blocks of a row or more
+    rng = np.random.default_rng(11)
+    for w in range(1, 71):
+        for h in (1, 2, 5, 16):
+            mask = row_end_rows(rng, h, w)
+            for block, diagonal, complement in itertools.product((1, 20, 1 << 16), (False, True), (False, True)):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(regions, "_BLOCK_CELLS", block)
+                    got = regions._runs(regions._pack(mask), w, diagonal, complement)
+                for g, want in zip(got, bool_canvas.runs(mask, diagonal, complement)):
+                    assert np.array_equal(g, want)
+
+
 @pytest.mark.parametrize("size", [256, 512, 1024])
 def test_runs_and_morphology_match_ndimage_on_the_demo_family(size):
     for level in regions.build_shrinking_spiral_family(size=size):
