@@ -306,8 +306,13 @@ class RasterRegion:
         return not _bounded_complement(self.bits, self.shape[1])[0].size
 
     def area(self):
-        blocks = _row_blocks(self.shape[0], 8 * self.bits.shape[1])[1]
-        return sum(int(np.count_nonzero(np.unpackbits(self.bits[r0:r1]).view(bool))) for r0, r1 in blocks)
+        # the set bits of the packed rows, whose padding bits are unset:
+        # eight bytes to a count in blocks of _BLOCK_CELLS bytes, then the
+        # bytes left over
+        flat = self.bits.reshape(-1)
+        whole = flat.size - flat.size % 8
+        words = [flat[a : min(a + _BLOCK_CELLS, whole)].view(np.uint64) for a in range(0, whole, _BLOCK_CELLS)]
+        return sum(int(np.bitwise_count(part).sum()) for part in words + [flat[whole:]])
 
     def same_frame(self, other):
         return self.shape == other.shape and self.basepoint == other.basepoint

@@ -527,9 +527,12 @@ def radial_scan(fld, r_min=None, r_max=None, steps=10000):
     Returns, in order, the maximal runs of grid points where
     |r - phi(r)| <= tol, with tol = max(1e-4, spacing/2), and a point
     interval at each root that r - phi(r) crosses between two neighbours
-    outside the runs.  Those crossings are bisected together down to
-    adjacent floats; a sign change that is a jump of phi, with
-    |r - phi(r)| > tol at its end, is no root.
+    outside the runs.  Those crossings are narrowed together, each round
+    reading 63 evenly spaced points in every bracket and keeping the first
+    step across which the sign leaves the bracket's lower end, until no
+    point falls inside; bisection then takes them down to adjacent floats.
+    A sign change that is a jump of phi, with |r - phi(r)| > tol at its
+    end, is no root.
     """
     if fld.radial_profile is None:
         raise ValueError("radial_scan needs a rotation-invariant field")
@@ -552,6 +555,16 @@ def radial_scan(fld, r_min=None, r_max=None, steps=10000):
     i = np.flatnonzero((sign[:-1] * sign[1:] < 0) & ~hit[:-1] & ~hit[1:])
     if i.size:
         lo, hi, below = r[i], r[i + 1], sign[i]
+        t, k = np.arange(65) / 64.0, np.arange(i.size)
+        while True:
+            x = lo[:, None] + (hi - lo)[:, None] * t
+            x[:, -1] = hi  # lo + (hi - lo) may round off hi
+            if not ((lo[:, None] < x) & (x < hi[:, None])).any():
+                break
+            off = np.sign(x - fld.radial_profile(x)) != below[:, None]
+            off[:, 0], off[:, -1] = False, True  # lo has below's sign and hi not, as first read
+            j = off.argmax(axis=1)
+            lo, hi = x[k, j - 1], x[k, j]
         while True:
             mid = 0.5 * (lo + hi)
             at = mid - fld.radial_profile(mid)

@@ -31,7 +31,8 @@ LATTICE_BLOCK = 1 << 13
 class WeightField:
     """Positive boundary weight Phi(xi, w) with a finite sup bound.
 
-    With fn None the field is radial: Phi(xi, w) = radial_profile(|w|).
+    It is given by fn(xi, w), or by fn None and a radial_profile, from which
+    Phi(xi, w) = radial_profile(|w|).
     """
 
     __slots__ = ("name", "sup_bound", "xi_dependent", "radial_profile", "_fn")
@@ -39,8 +40,13 @@ class WeightField:
     def __init__(self, fn, sup_bound, xi_dependent=False, radial_profile=None, name=None):
         if not np.isfinite(sup_bound) or sup_bound <= 0.0:
             raise ValueError("sup bound must be finite and positive")
+        if (fn is None) == (radial_profile is None):
+            raise ValueError("a field is given by fn or by its radial profile, exactly one")
         if fn is None:
-            fn = lambda xi, w: radial_profile(np.abs(np.broadcast_arrays(w, xi)[0]))
+            def fn(xi, w):
+                if w.shape != xi.shape:
+                    w = np.broadcast_arrays(w, xi)[0]
+                return radial_profile(np.abs(w))
         self._fn = fn
         self.sup_bound = float(sup_bound)
         self.xi_dependent = bool(xi_dependent)
@@ -91,9 +97,17 @@ def radial_piecewise_field(breakpoints, pieces, sup_bound, name=None):
             raise ValueError(f"pieces {i} and {i + 1} disagree at breakpoint {b}: {left} vs {right}")
 
     def profile(r):
+        # np.piecewise without its wrapper: every point lies in one piece,
+        # and a piece is called only on the points it holds, never on none
         r = np.asarray(r, dtype=np.float64)
         idx = np.searchsorted(breaks, r, side="left")
-        return np.piecewise(r, [idx == i for i in range(len(pieces))], pieces)
+        out = np.empty_like(r)
+        for i, piece in enumerate(pieces):
+            mask = idx == i
+            vals = r[mask]
+            if vals.size:
+                out[mask] = piece(vals)
+        return out
 
     sample = profile(np.linspace(0.0, 2.0 * sup_bound, 4097))
     if sample.min() <= 0.0:
@@ -107,8 +121,9 @@ def tabulated_field(path):
 
     Header `r,theta,phi` gives a polar grid in the image variable (theta wraps
     periodically); header `x,y,phi` gives a cartesian grid clamped at its
-    edges.  Values are clamped below at 1e-9 with a warning.  The sup bound is
-    the table maximum.
+    edges.  A polar table with one theta is a radial field, Phi(xi, w) =
+    profile(|w|), its profile linear in r between the rows.  Values are
+    clamped below at 1e-9 with a warning.  The sup bound is the table maximum.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -126,28 +141,32 @@ def tabulated_field(path):
     if nonfinite.size:
         raise ValueError(f"{name} has a non-finite phi in data row {nonfinite[0] + 1}")
 
-    profile = None
+    def finite(wb):
+        # np.clip keeps NaN, which would fall outside every grid cell
+        if not np.isfinite(wb).all():
+            raise NonFiniteWeightError(f"weight field {name!r} evaluated at a non-finite image point")
+        return wb
+
+    fn = profile = None
     if "r" in cols and "theta" in cols:
         ur, ut = np.unique(cols["r"]), np.unique(cols["theta"])
         grid = _pivot(cols["r"], cols["theta"], cols["phi"], ur, ut)
-        ut_ext = np.concatenate([ut, [ut[0] + 2.0 * np.pi]])
-        interp = _bilinear(ur, ut_ext, np.concatenate([grid, grid[:, :1]], axis=1))
-        coords = lambda wb: (np.clip(np.abs(wb), ur[0], ur[-1]), np.mod(np.angle(wb) - ut[0], 2.0 * np.pi) + ut[0])
         if ut.size == 1:
-            profile = lambda r: _floored(np.interp(np.clip(np.asarray(r, np.float64), ur[0], ur[-1]), ur, grid[:, 0]))
+            def profile(r):
+                r = np.clip(finite(np.asarray(r, np.float64)), ur[0], ur[-1])
+                return _floored(np.interp(r, ur, grid[:, 0]))
+        else:
+            ut_ext = np.concatenate([ut, [ut[0] + 2.0 * np.pi]])
+            interp = _bilinear(ur, ut_ext, np.concatenate([grid, grid[:, :1]], axis=1))
+            coords = lambda wb: (np.clip(np.abs(wb), ur[0], ur[-1]), np.mod(np.angle(wb) - ut[0], 2.0 * np.pi) + ut[0])
     elif "x" in cols and "y" in cols:
         ux, uy = np.unique(cols["x"]), np.unique(cols["y"])
         interp = _bilinear(ux, uy, _pivot(cols["x"], cols["y"], cols["phi"], ux, uy))
         coords = lambda wb: (np.clip(wb.real, ux[0], ux[-1]), np.clip(wb.imag, uy[0], uy[-1]))
     else:
         raise ValueError("tabulated weight needs columns r,theta,phi or x,y,phi")
-
-    def fn(xi, w):
-        wb = np.broadcast_arrays(w, xi)[0]
-        # np.clip keeps NaN, which would fall outside every grid cell
-        if not np.isfinite(wb).all():
-            raise NonFiniteWeightError(f"weight field {name!r} evaluated at a non-finite image point")
-        return _floored(interp(*coords(wb)))
+    if profile is None:
+        fn = lambda xi, w: _floored(interp(*coords(finite(np.broadcast_arrays(w, xi)[0]))))
 
     sup = float(cols["phi"].max())
     if sup <= 0.0:
@@ -499,23 +518,34 @@ def superharmonic_check(field):
     xi takes the lattice in blocks of LATTICE_BLOCK // (2n + 1) rows of
     Laplacians, read with one halo row on either side; the worst is the
     first highest in xi order, then raster order, as on the whole lattice.
+
+    A field with a radial profile is read on the rows Re w <= 0 alone.  It
+    is the same to the bit at w and -conj(w): |w| is hypot(Re w, Im w),
+    even in each argument, and the lattice's coordinates are k*h, so row -k
+    is row k negated exactly.  Its Laplacian keeps that symmetry bit for
+    bit, since the two row neighbours are added first and a + b == b + a.
+    Rows Re w <= 0 come first in raster order, so they hold the whole
+    lattice's first highest value at the same point.
     """
     M = field.sup_bound
     h = M / SUPERHARMONIC_N
     coords = np.arange(-SUPERHARMONIC_N, SUPERHARMONIC_N + 1) * h
     iy, inner = 1j * coords, coords[1:-1]
     rows = max(1, LATTICE_BLOCK // coords.size)
+    # Laplacian rows inner[:last]; a radial field's stop at Re w = 0
+    last = SUPERHARMONIC_N if field.radial_profile is not None else inner.size
     worst = -np.inf
     worst_point = 0.0 + 0.0j
     tol = 10.0 * h
     for x in _xi_lattice(field, SUPERHARMONIC_XI):
-        for a in range(0, inner.size, rows):
-            W = coords[a : a + rows + 2, None] + iy
+        for a in range(0, last, rows):
+            b = min(a + rows, last)
+            W = coords[a : b + 2, None] + iy
             logv = np.log(field.evaluate(x, W))
             lap = (
                 logv[2:, 1:-1] + logv[:-2, 1:-1] + logv[1:-1, 2:] + logv[1:-1, :-2] - 4.0 * logv[1:-1, 1:-1]
             ) / (h * h)
-            lap[np.hypot(inner[a : a + rows, None], inner[None, :]) > M] = -np.inf
+            lap[np.hypot(inner[a:b, None], inner[None, :]) > M] = -np.inf
             i, j = np.unravel_index(np.argmax(lap), lap.shape)
             if lap[i, j] > worst:
                 worst = float(lap[i, j])

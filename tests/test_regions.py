@@ -731,8 +731,8 @@ def test_save_region_holds_one_raster_of_temporaries(kernel_pbm, tmp_path):
     # 6.0 MiB with the text built in memory and then joined to its header,
     # 2.01 with the whole raster filled in place, 0.14 a row block at a
     # time, 0.16 with half the rows to a block, looked up a packed byte at
-    # a time; 0.07 writing the packed rows as they are (area() counts a
-    # row block of cells)
+    # a time; 0.07 writing the packed rows as they are (area() counting a
+    # row block of cells, or eight bytes to a count in blocks of bytes)
     kernel, path = kernel_pbm
     _, peak = traced(lambda: regions.save_region(kernel, tmp_path / "kernel.pbm"))
     assert peak < 0.12

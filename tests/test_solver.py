@@ -914,6 +914,33 @@ def test_scan_finds_every_root_of_the_stiff_cosine_sets():
         assert near.sum(axis=0).tolist() == [1] * len(res.intervals), (params, roots, res.intervals)
 
 
+def bisected_scan(fld):
+    """The default scan with its crossings bisected alone, as radial_scan
+    did before it multisected them: the oracle of where they land."""
+    r = np.linspace(0.0, 1.5 * fld.sup_bound, 10000)
+    tol = max(1e-4, 0.5 * (r[1] - r[0]))
+    gap = r - fld.radial_profile(r)
+    hit, sign = np.abs(gap) <= tol, np.sign(gap)
+    i = np.flatnonzero((sign[:-1] * sign[1:] < 0) & ~hit[:-1] & ~hit[1:])
+    lo, hi, below = r[i], r[i + 1], sign[i]
+    while True:
+        mid = 0.5 * (lo + hi)
+        at = mid - fld.radial_profile(mid)
+        if not ((lo < mid) & (mid < hi)).any():
+            break
+        left = np.sign(at) == below
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    return sorted(loop_runs(r, hit) + [(float(x), float(x)) for x in mid[np.abs(at) <= tol]])
+
+
+def test_scan_multisection_lands_where_bisection_does():
+    # each bracket holds one root of the stiff cosine sets, so 63 points a
+    # round find the adjacent floats that bisection alone finds
+    for params in STIFF_COSINE:
+        fld = weight.cosine_radial_field(*params)
+        assert solver.radial_scan(fld).intervals == bisected_scan(fld), params
+
+
 def test_scan_reports_a_crossed_root_as_a_point():
     res = solver.radial_scan(weight.cosine_radial_field(1.0, 0.9, 3.0))
     (a, b), = res.intervals

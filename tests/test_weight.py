@@ -59,6 +59,40 @@ def test_piecewise_profile_matches_loop(shape):
     assert np.array_equal(got, want, equal_nan=True)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    widths=st.lists(st.floats(0.05, 3.0), max_size=5),
+    radii=st.lists(st.floats(0.0, 20.0), max_size=30),
+    at_breaks=st.lists(st.integers(0, 4), max_size=6),
+    scalar=st.booleans(),
+)
+def test_piecewise_profile_matches_np_piecewise(widths, radii, at_breaks, scalar):
+    # the pieces meet at 2 on every breakpoint and differ between them; each
+    # fails the test if it is called on no points, which np.piecewise never does
+    breaks = np.cumsum(widths)
+    edges = np.concatenate([[0.0], breaks, [np.inf]])
+
+    def piece(i):
+        def fn(r):
+            assert r.size, f"piece {i} called on no points"
+            if i == breaks.size:
+                return 2.0 + 0.1 * (i + 1) * (r - edges[i])
+            return 2.0 - 0.1 * (i + 1) * (r - edges[i]) * (r - edges[i + 1])
+
+        return fn
+
+    pieces = [piece(i) for i in range(breaks.size + 1)]
+    f = weight.radial_piecewise_field(breaks, pieces, sup_bound=10.0)
+    # exact breakpoints, 0 and a radius past the last breakpoint among them
+    r = np.array(radii + [breaks[k % breaks.size] for k in at_breaks if breaks.size] + [0.0, edges[-2] + 1.0])
+    if scalar:
+        r = r[0]
+    want = np.piecewise(r, [np.searchsorted(breaks, r, side="left") == i for i in range(len(pieces))], pieces)
+    got = f.radial_profile(r)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def test_piecewise_rejects_jump():
     with pytest.raises(ValueError, match="disagree"):
         weight.radial_piecewise_field(
@@ -112,6 +146,15 @@ def test_radial_field_evaluates_its_profile_at_the_modulus():
     w = np.array([[0.0, 1.0j, -2.0], [0.6 + 0.8j, 1.5, -0.3j]])
     assert np.array_equal(f.evaluate(xi, w), 1.0 + np.abs(w))
     assert f.evaluate(xi[:, None], np.array([0.5, 2.0])).shape == (3, 2)
+
+
+def test_a_field_is_given_by_fn_or_by_its_radial_profile():
+    # a radial profile is read as the field's own, by scan and the lattice
+    # checks, so a field may not carry one beside a fn
+    with pytest.raises(ValueError, match="exactly one"):
+        weight.WeightField(lambda xi, w: np.ones(np.shape(w)), 1.0, radial_profile=lambda r: np.ones_like(r))
+    with pytest.raises(ValueError, match="exactly one"):
+        weight.WeightField(None, 1.0)
 
 
 def test_random_smooth_field_sup_is_attained():
@@ -223,12 +266,33 @@ def test_tabulated_radial_profile_applies_the_floor(tmp_path):
     _write_csv(path, ["r", "theta", "phi"], [(r, 0.0, -0.5 if r == 1.0 else 1.0) for r in radii])
     f = weight.tabulated_field(path)
     r = np.array([0.9, 1.0, 1.1])
+    w = r * np.exp(0.3j)
     with pytest.warns(UserWarning, match="clamped"):
         profile = f.radial_profile(r)
     with pytest.warns(UserWarning, match="clamped"):
-        field = f.evaluate(1.0, r * np.exp(0.3j))
+        field = f.evaluate(1.0, w)
+    with pytest.warns(UserWarning, match="clamped"):
+        at_modulus = f.radial_profile(np.abs(w))
     assert np.allclose(profile, [0.25, weight.TABULATED_FLOOR, 0.25], rtol=0.0, atol=1e-12)
-    assert np.allclose(profile, field, rtol=0.0, atol=1e-12)
+    assert np.array_equal(field, at_modulus)
+
+
+def one_theta_table(path, rows=40):
+    """A radial table of `rows` radii on [0, 3] at theta 0, and its field."""
+    _write_csv(path, ["r", "theta", "phi"], [(r, 0.0, 2.0 + np.cos(3.0 * r)) for r in np.linspace(0.0, 3.0, rows)])
+    return weight.tabulated_field(path)
+
+
+def test_a_one_theta_table_is_its_profile_at_the_modulus(tmp_path):
+    # the solve reads the Phi that scan and the scale check read, and Phi is
+    # the same to the bit at w and -conj(w), as the superharmonic check's
+    # half lattice needs
+    f = one_theta_table(tmp_path / "radial.csv")
+    rng = np.random.default_rng(5)
+    w = rng.uniform(-4.0, 4.0, 100_000) + 1j * rng.uniform(-4.0, 4.0, 100_000)
+    got = f.evaluate(rng.uniform(-1.0, 1.0, w.size), w)
+    assert np.array_equal(got, f.radial_profile(np.abs(w)))
+    assert np.array_equal(got, f.evaluate(1.0, -np.conj(w)))
 
 
 def rgi_tabulated(header, a, b, phi, w):
@@ -293,10 +357,15 @@ def test_tabulated_rejects_nan_phi(tmp_path):
         weight.tabulated_field(path)
 
 
-@pytest.mark.parametrize("header", [["r", "theta", "phi"], ["x", "y", "phi"]])
-def test_tabulated_rejects_nan_image_point(tmp_path, header):
+@pytest.mark.parametrize(
+    "header,bs",
+    # polar, cartesian, and a polar table with one theta, a radial field
+    [(["r", "theta", "phi"], (0.0, 1.0, 2.0)), (["x", "y", "phi"], (0.0, 1.0, 2.0)), (["r", "theta", "phi"], (0.0,))],
+    ids=["header0", "header1", "header2"],
+)
+def test_tabulated_rejects_nan_image_point(tmp_path, header, bs):
     path = tmp_path / "table.csv"
-    _write_csv(path, header, [(a, b, 2.0 + a) for a in (0.0, 1.0, 2.0) for b in (0.0, 1.0, 2.0)])
+    _write_csv(path, header, [(a, b, 2.0 + a) for a in (0.0, 1.0, 2.0) for b in bs])
     f = weight.tabulated_field(path)
     assert np.isfinite(f.evaluate(1.0, np.array([0.5 + 0.5j]))).all()
     for bad in (complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0)):
@@ -527,12 +596,9 @@ def test_superharmonic_check_holds_no_coordinate_grids():
     assert _peak_mib(lambda: weight.superharmonic_check(weight.staircase_field())) < 1.0
 
 
-def test_superharmonic_check_of_a_xi_dependent_field_goes_in_row_blocks(monkeypatch):
-    # 3.59 MiB with the whole lattice of one xi; the result is that of the
-    # whole lattice, which is copied here
-    fld = weight.random_smooth_field(np.random.default_rng(7))
-    got = []
-    assert _peak_mib(lambda: got.append(weight.superharmonic_check(fld))) < 1.0
+def whole_lattice_superharmonic(fld):
+    """The worst Laplacian and its point on every xi's whole lattice at once,
+    in the check's order: the oracle of its blocks."""
     n, h = weight.SUPERHARMONIC_N, fld.sup_bound / weight.SUPERHARMONIC_N
     coords = np.arange(-n, n + 1) * h
     W = coords[:, None] + 1j * coords[None, :]
@@ -542,7 +608,45 @@ def test_superharmonic_check_of_a_xi_dependent_field_goes_in_row_blocks(monkeypa
     ) / (h * h)
     lap[:, np.hypot(coords[1:-1, None], coords[None, 1:-1]) > fld.sup_bound] = -np.inf
     k, i, j = np.unravel_index(np.argmax(lap), lap.shape)
-    assert got[0].worst == lap[k, i, j] and got[0].worst_point == W[i + 1, j + 1]
+    return lap[k, i, j], W[i + 1, j + 1]
+
+
+def test_superharmonic_check_of_a_xi_dependent_field_goes_in_row_blocks(monkeypatch):
+    # 3.59 MiB with the whole lattice of one xi; the result is that of the
+    # whole lattice, which is computed here
+    fld = weight.random_smooth_field(np.random.default_rng(7))
+    got = []
+    assert _peak_mib(lambda: got.append(weight.superharmonic_check(fld))) < 1.0
+    worst, point = whole_lattice_superharmonic(fld)
+    assert got[0].worst == worst and got[0].worst_point == point
+
+
+RADIAL_FIELDS = {
+    "staircase": lambda tmp: weight.staircase_field(),
+    "gauss_radial": lambda tmp: weight.gauss_radial_field(),
+    "cosine_radial": lambda tmp: weight.cosine_radial_field(2.0, 0.9, 4.0),
+    "bounded_parabola": lambda tmp: weight.bounded_parabola_field(),
+    "plateau_reciprocal": lambda tmp: weight.plateau_reciprocal_field(),
+    "constant": lambda tmp: weight.constant_field(2.0),
+    "one_theta_table": lambda tmp: one_theta_table(tmp / "radial.csv"),
+    "user_profile": lambda tmp: weight.WeightField(None, 2.5, radial_profile=lambda r: 2.0 + np.sin(r) * np.exp(-r)),
+}
+
+
+@pytest.mark.parametrize("name", list(RADIAL_FIELDS))
+def test_superharmonic_check_of_a_radial_field_reads_half_its_lattice(name, tmp_path, monkeypatch):
+    # a radial field is read on the rows Re w <= 0 and their halo row at
+    # Re w = h, in blocks; its result is the whole lattice's to the bit
+    fld = RADIAL_FIELDS[name](tmp_path)
+    got = []
+    assert _peak_mib(lambda: got.append(weight.superharmonic_check(fld))) < 1.0
+    worst, point = whole_lattice_superharmonic(fld)
+    assert got[0].worst == worst and got[0].worst_point == point
+    reads = []
+    evaluate = weight.WeightField.evaluate
+    monkeypatch.setattr(weight.WeightField, "evaluate", lambda self, xi, w: reads.append(w) or evaluate(self, xi, w))
+    assert weight.superharmonic_check(fld) == got[0]
+    assert max(float(np.max(w.real)) for w in reads) == fld.sup_bound / weight.SUPERHARMONIC_N
 
 
 def test_superharmonic_bump_fails():
