@@ -29,12 +29,9 @@ from .regions import (
 )
 from .regularity import SpectrumReport, second_derivative, spectrum_report
 from .solver import (
-    RateReport,
     ScanResult,
     SolveOptions,
     SolveReport,
-    apply_operator,
-    contraction_rate,
     radial_scan,
     residual_sup,
     scaled_identity,

@@ -20,9 +20,6 @@ class BlaschkeProduct:
         self.zeros = np.asarray(zeros, dtype=np.complex128)
         self.eta = complex(eta)
 
-    def __call__(self, z):
-        return evaluate(self, z)
-
 
 def construct(zeros):
     """Build the product for the given interior zeros (empty list -> B == 1)."""

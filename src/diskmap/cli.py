@@ -428,7 +428,9 @@ def build_parser():
     field_args(p)
     p.add_argument("--r-min", type=float, default=0.0, help="scan lower endpoint (default %(default)s)")
     p.add_argument("--r-max", type=float, help="scan upper endpoint (default 1.5 * sup bound)")
-    p.add_argument("--steps", type=int, default=10000, help="scan resolution (default %(default)s)")
+    p.add_argument("--steps", type=int, default=10000, help="scan resolution (default %(default)s); a grid bracket reports "
+                   "at most one root and the run tolerance is half a spacing, so a coarse grid merges runs and hides roots "
+                   "(--steps 2 on the staircase reads [(0.0, 9.0)])")
 
     p = command("geometry", "raster region algebra and the shrinking demo")
     p.add_argument("--op", default="demo", help="demo, union, or intersection (default %(default)s)")

@@ -288,19 +288,6 @@ class RasterRegion:
         mask.flags.writeable = False
         return mask
 
-    def validate(self):
-        """Basepoint inside, one 4-connected component, empty margin ring."""
-        w = self.shape[1]
-        if not _at(self.bits, w, self.basepoint):
-            raise ValueError("basepoint not inside the region")
-        sides = self.bits[:, [0, (w - 1) >> 3]] & _BIT[[0, (w - 1) & 7]]
-        if self.bits[[0, -1]].any() or sides.any():
-            raise ValueError("region touches the canvas margin")
-        count = _component_count(self.bits, w)
-        if count != 1:
-            raise ValueError(f"region has {count} 4-connected components")
-        return self
-
     def is_simply_connected(self):
         """No bounded complement component (complement taken 8-connected)."""
         return not _bounded_complement(self.bits, self.shape[1])[0].size

@@ -17,12 +17,12 @@ requested n, a coarse fixed point that resolves f' is zero-padded straight
 to n, which then takes at least one step.
 The update is measured where every verdict reads the map, as the sup of
 |(U(f) - f)'| over the grid.  max_iters bounds the steps of the whole run,
-and the update histories span every grid.  With depth 0 the same loop is
-the plain iteration.
+and the update history spans every grid.  With ANDERSON_DEPTH 0, which
+only tests select, the same loop is the plain iteration.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +44,9 @@ PAIR_BLOCK = 1 << 12  # edge pairs tested at once in polygon_is_simple
 DIVERGENCE_FACTOR = 1e6
 COARSE_GRID = 512  # grid a solve starts on at the least, SolveOptions.n's default
 CRITICAL_RADIUS = 0.999  # circle on which interior_critical_points counts
-RATE_FRACTIONS = (0.2, 0.5, 0.9)  # contraction_rate starts, as shares of the certified ball
-ANDERSON_DEPTH = 2  # residual differences kept for mixing
+# residual differences kept for mixing; 0 is the plain iteration, which only
+# tests select
+ANDERSON_DEPTH = 2
 GRAM_DROP = 1e-10  # relative pivot below which a history column counts as dependent
 TOL_UPDATE = 1e-10  # a grid settles when the sup of |(U(f) - f)'| falls below this
 TOL_RESIDUAL = 1e-8  # a settled solve converges when its boundary residual is at most this
@@ -73,7 +74,7 @@ class SolveOptions:
             # radial weight that grows with |w|, plain steps from there descend
             # onto the maximal solution.  Where the fixed points repel the
             # plain step, which one a solve reaches depends on the start
-            # (see _solve)
+            # (see solve)
             return scaled_identity(field.sup_bound + 0.5)
         if isinstance(init, DiskFunction):
             return init
@@ -92,7 +93,6 @@ class SolveReport:
     converged: bool
     residual: float
     update_history: list
-    update_history_l2: list
     univalent: bool
     locally_univalent: bool
     zeros: tuple
@@ -162,18 +162,6 @@ def _operator_step(plan, fld, fvals):
     return prim, fprime
 
 
-def apply_operator(f, fld, b, n):
-    """One application of the update operator at grid size n.
-
-    Returns (U(f), U(f)', tail_ratio of U(f)').  The derivative is
-    truncated to degree n-2 so that it is exactly the derivative of the
-    returned primitive.
-    """
-    plan = _plan(b, n)
-    prim, fprime = _operator_step(plan, fld, f.trace(plan.n))
-    return DiskFunction(prim), DiskFunction(fprime), tail_ratio(fprime)
-
-
 def boundary_weight(f, fld, n):
     """Phi(xi_j, f(xi_j)) on the n-point grid, the weight that every verdict
     compares |f'| with; cached on f per (fld, n), hence read-only."""
@@ -191,24 +179,6 @@ def _pad_coeffs(c, n):
     out = np.zeros(n, dtype=np.complex128)
     out[: min(c.size, n)] = c[:n]
     return out
-
-
-def solve(fld, zeros=(), options=None):
-    """Run the Anderson-mixed iteration to a certified fixed point.
-
-    The run starts on COARSE_GRID points (or on the initial map's own grid,
-    if that is finer), and the grid doubles each time the update settles on
-    an f' whose spectral tail is unresolved; at 2**15 that stops the run as
-    "unresolved".  Below options.n, the finest grid the answer is solved
-    on, a resolved f' is zero-padded straight to n, which then takes at
-    least one step of its own.  A solve with n <= COARSE_GRID runs on n
-    from its first step, and one with n above MAX_GRID raises ValueError
-    before it.  Convergence means both: the sup over the grid of the last
-    update's derivative, |(U(f) - f)'|, below TOL_UPDATE, and residual at
-    most TOL_RESIDUAL; neither tolerance is a setting.  max_iters bounds
-    the steps over all grids.  A budget spent below n still reports on n.
-    """
-    return _solve(fld, zeros, options, ANDERSON_DEPTH)
 
 
 def _mixing_weights(dR, r):
@@ -252,28 +222,40 @@ def _settled_tail(x):
     return tail < RESOLVED_RATIO, tail
 
 
-def _solve(fld, zeros, options, depth):
-    """One iteration loop over every grid; depth 0 is the plain iteration.
+def solve(fld, zeros=(), options=None):
+    """Run the Anderson-mixed iteration to a certified fixed point.
 
-    The grids are those of solve.  With r = U(x) - x the step is r itself,
-    undamped.  It leaves lambda of an error mode with eigenvalue lambda of
-    U', where a step damped by t in (0, 1) leaves 1 - t + t lambda, about
-    1 - t when lambda is small.  At the solved fixed points the largest
-    |lambda| (real Jacobian, central differences, n = 128) is 0.003 to 0.11
-    on seeded random fields, 0.04 on ripple_analytic, 0.06 to 0.52 (all
-    negative) on the criterion-8 Gauss fields and 0.71 on z^2 + z.  Where
-    the fixed points repel the plain step (cosine_radial(2, 0.9, 4): lambda
-    = -4.9 at 3.327z, -7.2 at 1.968z), mixing converges as a secant solve,
-    and which fixed point it reaches depends on the start: the default
-    start reaches 1.968z, not the maximal 3.327z.
+    The run starts on COARSE_GRID points (or on the initial map's own grid,
+    if that is finer), and the grid doubles each time the update settles on
+    an f' whose spectral tail is unresolved; at 2**15 that stops the run as
+    "unresolved".  Below options.n, the finest grid the answer is solved
+    on, a resolved f' is zero-padded straight to n, which then takes at
+    least one step of its own.  A solve with n <= COARSE_GRID runs on n
+    from its first step, and one with n above MAX_GRID raises ValueError
+    before it.  Convergence means both: the sup over the grid of the last
+    update's derivative, |(U(f) - f)'|, below TOL_UPDATE, and residual at
+    most TOL_RESIDUAL; neither tolerance is a setting.  max_iters bounds
+    the steps over all grids.  A budget spent below n still reports on n.
 
-    Anderson mixing subtracts sum_i gamma_i (dX_i + dR_i), where dX_i
-    and dR_i are the last changes of x and r and gamma fits r by the dR_i in
-    least squares.  The history holds the last depth steps taken, newest
-    first: dX_i is the step itself, and a full history's newest dR_i reuses
-    the row it evicts, so a grid that settles on its first step allocates
-    none.  A new grid starts with a fresh plan, an empty mixing history and
-    a new reference update for the divergence guard.
+    With r = U(x) - x the step is r itself, undamped.  It leaves lambda of
+    an error mode with eigenvalue lambda of U', where a step damped by t in
+    (0, 1) leaves 1 - t + t lambda, about 1 - t when lambda is small.  At
+    the solved fixed points the largest |lambda| (real Jacobian, central
+    differences, n = 128) is 0.003 to 0.11 on seeded random fields, 0.04
+    on ripple_analytic, 0.06 to 0.52 (all negative) on the criterion-8
+    Gauss fields and 0.71 on z^2 + z.  Where the fixed points repel the
+    plain step (cosine_radial(2, 0.9, 4): lambda = -4.9 at 3.327z, -7.2 at
+    1.968z), mixing converges as a secant solve, and which fixed point it
+    reaches depends on the start: the default start reaches 1.968z, not the
+    maximal 3.327z.
+
+    Anderson mixing subtracts sum_i gamma_i (dX_i + dR_i), where dX_i and
+    dR_i are the last changes of x and r and gamma fits r by the dR_i in
+    least squares.  The history holds the last ANDERSON_DEPTH steps taken,
+    newest first: dX_i is the step itself, and a full history's newest dR_i
+    reuses the row it evicts, so a grid that settles on its first step
+    allocates none.  A new grid starts with a fresh plan, an empty mixing
+    history and a new reference update for the divergence guard.
     """
     options = options or SolveOptions()
     target = n = check_grid_size(options.n)
@@ -283,7 +265,7 @@ def _solve(fld, zeros, options, depth):
     init = options.resolve_init(fld).coeffs
     n = min(target, max(COARSE_GRID, next_power_of_two(init.size)))
     x = _pad_coeffs(init, n)  # updated in place
-    sup_hist, l2_hist = [], []
+    sup_hist = []
     doublings = 0
     plan = None
     stop_reason = "max_iters"
@@ -300,7 +282,6 @@ def _solve(fld, zeros, options, depth):
         # sup over the grid of |(U(f) - f)'| = |sum_k k r_k xi^k|, the
         # derivative that the residual and every certificate read
         dsup = float(np.abs(np.fft.ifft(plan.k * r, norm="forward")).max())
-        l2_hist.append(math.sqrt(np.vdot(r, r).real))
         sup_hist.append(dsup)
         if not math.isfinite(dsup):
             raise DivergenceError(
@@ -335,8 +316,8 @@ def _solve(fld, zeros, options, depth):
                 step -= g * dx
                 step -= g * dr
             del dx, dr
-        if depth:
-            if len(dR) == depth:  # the oldest differences go; -r reuses a row
+        if ANDERSON_DEPTH:
+            if len(dR) == ANDERSON_DEPTH:  # the oldest differences go; -r reuses a row
                 del dX[-1]
                 dR.insert(0, np.negative(r, out=dR.pop()))
             else:
@@ -367,7 +348,6 @@ def _solve(fld, zeros, options, depth):
         converged=stop_reason == "tolerance",
         residual=res,
         update_history=sup_hist,
-        update_history_l2=l2_hist,
         univalent=univalent,
         locally_univalent=locally_univalent,
         zeros=tuple(np.asarray(zeros, dtype=np.complex128)) if len(zeros) else (),
@@ -509,7 +489,7 @@ def interior_critical_points(f, n):
 
 
 # ---------------------------------------------------------------------------
-# scans and rates
+# scans
 
 @dataclass
 class ScanResult:
@@ -532,7 +512,10 @@ def radial_scan(fld, r_min=None, r_max=None, steps=10000):
     step across which the sign leaves the bracket's lower end, until no
     point falls inside; bisection then takes them down to adjacent floats.
     A sign change that is a jump of phi, with |r - phi(r)| > tol at its
-    end, is no root.
+    end, is no root.  A bracket reports at most one root, and the run
+    tolerance is half a spacing once that exceeds 1e-4, so a coarse grid
+    merges runs and hides roots: with steps=2 the staircase reads
+    [(0.0, 9.0)], and cosine_radial(2, 0.9, 4) one of its five roots.
     """
     if fld.radial_profile is None:
         raise ValueError("radial_scan needs a rotation-invariant field")
@@ -574,53 +557,3 @@ def radial_scan(fld, r_min=None, r_max=None, steps=10000):
             lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
         intervals = sorted(intervals + [(float(x), float(x)) for x in mid[np.abs(at) <= tol]])
     return ScanResult(intervals=intervals, tolerance=tol, r_min=r_min, r_max=r_max, steps=int(steps))
-
-
-@dataclass
-class RateReport:
-    observed_rate: float
-    certified_ratio: float
-    limit: DiskFunction
-    limit_gap: float
-    runs: int
-
-
-def contraction_rate(fld, certificate, options=None):
-    """Empirical contraction rate against a valid certificate.
-
-    Runs plain undamped Picard steps (no mixing) from scaled
-    identities inside the certified ball, zero-padded to options.n so that
-    every step runs on options.n: the rate is a property of one operator.
-    The certificate bounds every consecutive update ratio by its `ratio`,
-    so the observed maximum should not exceed it (plus discretization slack).
-    """
-    if not certificate.valid:
-        raise ValueError("contraction_rate needs a valid contraction certificate")
-    base = options or SolveOptions()
-    reports = []
-    for frac in RATE_FRACTIONS:
-        init = scaled_identity(float(frac) * certificate.sup_solution_bound).coeffs
-        opts = replace(base, initial_map=DiskFunction(_pad_coeffs(init, base.n)))
-        reports.append(_solve(fld, (), opts, 0))
-
-    rate = 0.0
-    for rep in reports:
-        h = rep.update_history_l2
-        for a, bb in zip(h[:-1], h[1:]):
-            if a > 1e-11 and bb > 0.0:
-                rate = max(rate, bb / a)
-
-    gap = 0.0
-    nmax = max(rep.n for rep in reports)
-    for i in range(len(reports)):
-        for j in range(i + 1, len(reports)):
-            diff = np.abs(reports[i].f.trace(nmax) - reports[j].f.trace(nmax)).max()
-            gap = max(gap, float(diff))
-
-    return RateReport(
-        observed_rate=float(rate),
-        certified_ratio=float(certificate.ratio),
-        limit=reports[0].f,
-        limit_gap=gap,
-        runs=len(reports),
-    )

@@ -11,6 +11,7 @@ import numpy as np
 from scipy import ndimage
 
 import bool_canvas
+import probes
 from diskmap import blaschke, certify, regions, regularity, solver, weight
 from diskmap.solver import SolveOptions
 from diskmap.spectral import (
@@ -36,7 +37,7 @@ def test_criterion_01_maximal_solution(staircase):
     # maximal solution is targeted from just above the weight's sup bound;
     # the stationarity of 5.5z is asserted alongside as documentation
     b = blaschke.construct([])
-    stationary = solver.apply_operator(solver.scaled_identity(5.5), staircase, b, 512)[0]
+    stationary = probes.apply_operator(solver.scaled_identity(5.5), staircase, b, 512)[0]
     stat_gap = float(np.abs(stationary.coeffs[:2] - [0.0, 5.5]).max())
 
     t0 = time.perf_counter()
@@ -160,7 +161,7 @@ def test_criterion_06_fixed_point_equivalence():
         ]
         rep = solver.solve(fld, zeros=zeros)
         b = blaschke.construct(zeros)
-        updated, _, _ = solver.apply_operator(rep.f, fld, b, rep.n)
+        updated, _, _ = probes.apply_operator(rep.f, fld, b, rep.n)
         defect = float(np.abs(updated.trace(rep.n) - rep.f.trace(rep.n)).max())
         small = defect <= 1e-8 and rep.residual <= 1e-8
         worst_sol = max(worst_sol, defect, rep.residual)
@@ -168,7 +169,7 @@ def test_criterion_06_fixed_point_equivalence():
         bumped = rep.f.coeffs.copy()
         bumped[3] += 1e-3
         pert = DiskFunction(bumped)
-        upd_p, _, _ = solver.apply_operator(pert, fld, b, rep.n)
+        upd_p, _, _ = probes.apply_operator(pert, fld, b, rep.n)
         p_defect = float(np.abs(upd_p.trace(rep.n) - pert.trace(rep.n)).max())
         p_res = solver.residual_sup(pert, fld, rep.n)
         big = p_defect > 1e-6 and p_res > 1e-6
@@ -202,7 +203,7 @@ def test_criterion_07_contraction_suite():
         cert = weight.contraction_certificate(fld, lipschitz=c * eps * gamma)
         ok = ok and cert.valid and cert.ratio < 0.5
         qs.append(cert.ratio)
-        rr = solver.contraction_rate(fld, cert)
+        rr = probes.contraction_rate(fld, cert)
         worst_rate_excess = max(worst_rate_excess, rr.observed_rate - cert.ratio)
         worst_gap = max(worst_gap, rr.limit_gap)
         ok = ok and rr.observed_rate <= cert.ratio + 0.05 and rr.limit_gap <= 1e-6
@@ -316,7 +317,7 @@ def test_criterion_09_region_property_suites():
             ri_failures.append((case, ri1, ri2, ri3))
 
     fam = regions.build_shrinking_spiral_family(size=512)
-    terms_ok = all(r.validate() and r.is_simply_connected() for r in fam)
+    terms_ok = all(probes.validate(r) and r.is_simply_connected() for r in fam)
     kernel = regions.kernel_of_shrinking(fam)
     demo_ok = terms_ok and not regions.schoenfliess_test(kernel)
 

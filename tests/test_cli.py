@@ -15,6 +15,7 @@ import pytest
 
 import bool_canvas
 import diskmap
+import probes
 from diskmap import certify, cli, regions, regularity, solver, weight
 from diskmap.errors import NotUnivalentError
 from diskmap.spectral import DiskFunction
@@ -954,7 +955,7 @@ def test_write_json_leaves_no_file_for_a_value_it_cannot_write(tmp_path):
 def test_rate_report_asdict_matches_retired_as_dict_but_for_the_limit(tmp_path):
     # RateReport was never serialized; its as_dict left out the limit map,
     # which is a DiskFunction and has no JSON form
-    rep = solver.RateReport(0.25, 0.5, DiskFunction([0.0, 1.0]), 1e-12, 3)
+    rep = probes.RateReport(0.25, 0.5, DiskFunction([0.0, 1.0]), 1e-12, 3)
     fields = dataclasses.asdict(rep)
     assert isinstance(fields.pop("limit"), DiskFunction)
     cli.write_json(tmp_path / "new.json", fields)

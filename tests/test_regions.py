@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 import bool_canvas
+import probes
 from diskmap import regions
 from diskmap.errors import EmptyIntersectionError, InvalidSequenceError
 from diskmap.regions import RasterRegion
@@ -75,27 +76,27 @@ def random_region(rng):
 # structure and validation
 
 def test_validate_accepts_disk():
-    disk_region(30).validate()
+    probes.validate(disk_region(30))
 
 
 def test_validate_rejects_bad_basepoints():
     with pytest.raises(ValueError, match="outside the canvas"):
-        RasterRegion(disk_mask(SHAPE, BASE, 10), (-1, 5)).validate()
+        probes.validate(RasterRegion(disk_mask(SHAPE, BASE, 10), (-1, 5)))
     with pytest.raises(ValueError, match="not inside"):
-        RasterRegion(disk_mask(SHAPE, BASE, 10), (5, 5)).validate()
+        probes.validate(RasterRegion(disk_mask(SHAPE, BASE, 10), (5, 5)))
 
 
 def test_validate_rejects_margin_contact():
     mask = np.zeros(SHAPE, dtype=bool)
     mask[0:20, 30:40] = True
     with pytest.raises(ValueError, match="margin"):
-        RasterRegion(mask, (5, 35)).validate()
+        probes.validate(RasterRegion(mask, (5, 35)))
 
 
 def test_validate_rejects_disconnected():
     mask = disk_mask(SHAPE, (40, 40), 10) | disk_mask(SHAPE, (90, 90), 10)
     with pytest.raises(ValueError, match="components"):
-        RasterRegion(mask, (40, 40)).validate()
+        probes.validate(RasterRegion(mask, (40, 40)))
 
 
 def test_simple_connectivity():
@@ -119,7 +120,7 @@ def test_a_region_owns_its_cells():
     region = RasterRegion(mask, BASE)
     mask[BASE] = False
     assert region.mask[BASE] and region.area() == 900
-    region.validate()
+    probes.validate(region)
     with pytest.raises(ValueError, match="read-only"):
         region.mask[BASE] = False
     assert region.mask[BASE]
@@ -170,8 +171,8 @@ def test_region_algebra_laws(seed):
 
     # the union construction leaves no holes and stays valid
     assert eu.is_simply_connected()
-    eu.validate()
-    ri.validate()
+    probes.validate(eu)
+    probes.validate(ri)
 
     # independent routes: union plus its bounded complement components;
     # intersection's basepoint component
@@ -275,7 +276,7 @@ def test_schoenfliess_open_slit_width_threshold(width, verdict):
     mask = disk_mask(SHAPE, BASE, 40).copy()
     mask[24:65, 64 : 64 + width] = False
     reg = RasterRegion(mask, (80, 64))
-    reg.validate()
+    probes.validate(reg)
     assert reg.is_simply_connected()
     assert regions.schoenfliess_test(reg) is verdict
 
@@ -284,7 +285,7 @@ def test_schoenfliess_buried_slot_fails():
     mask = disk_mask(SHAPE, BASE, 40).copy()
     mask[30:60, 64:66] = False
     reg = RasterRegion(mask, (80, 64))
-    reg.validate()
+    probes.validate(reg)
     assert not reg.is_simply_connected()
     assert not regions.schoenfliess_test(reg)
 
@@ -319,12 +320,12 @@ def test_demo_family_terms_are_clean():
     # and the empty margin hold by construction at every canvas size
     for size in (512, 1000, 1024):
         for f in regions.build_shrinking_spiral_family(size=size):
-            f.validate()
+            probes.validate(f)
             assert f.is_simply_connected()
     fam = regions.build_shrinking_spiral_family(size=256)
     assert [f.area() for f in fam] == [34567, 33211, 31642]
     for f in fam:
-        f.validate()
+        probes.validate(f)
         assert f.is_simply_connected()
     # the first two corridors are wide enough to stay raster-accessible; the
     # last term's two-cell throat sits exactly at the sealing width, so the

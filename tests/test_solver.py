@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import diskmap
+import probes
 from diskmap import blaschke, certify, regularity, solver, spectral, weight
 from diskmap.errors import DivergenceError
 from diskmap.solver import SolveOptions, scaled_identity
@@ -68,7 +69,7 @@ def test_unresolved_tail_at_the_largest_grid_raises(monkeypatch):
 def test_scaled_identities_are_fixed_points(staircase, r):
     b = blaschke.construct([])
     f = scaled_identity(r)
-    u, u_prime, tail = solver.apply_operator(f, staircase, b, 256)
+    u, u_prime, tail = probes.apply_operator(f, staircase, b, 256)
     assert np.abs(u.coeffs[:2] - f.coeffs).max() < 1e-13
     assert np.abs(u.coeffs[2:]).max() < 1e-13
     assert np.abs(u_prime.coeffs[0] - r) < 1e-13
@@ -238,7 +239,7 @@ def test_unresolved_tail_refines_whatever_the_stop_reason(staircase):
     assert (rep.n, rep.doublings, rep.stop_reason) == (8192, 4, "tolerance")
     assert spectral.resolved(spectral.derivative(rep.f).coeffs)
     # one loop, one report: 7 + 2 + 2 + 2 + 2 steps on the grids 512 .. 8192
-    assert rep.iterations == len(rep.update_history) == len(rep.update_history_l2) == 15
+    assert rep.iterations == len(rep.update_history) == 15
 
 
 def test_symmetric_map_refines_on_its_windowed_tail():
@@ -277,13 +278,15 @@ def test_report_tail_ratio_is_the_refinement_measure():
         assert rep.tail_ratio == spectral.tail_ratio(spectral.derivative(rep.f).coeffs), name
 
 
-def test_anderson_matches_plain_damped_iteration_in_fewer_steps():
+def test_anderson_matches_plain_damped_iteration_in_fewer_steps(monkeypatch):
     # the plain iteration takes the same undamped step; it needs as many
     # steps as mixing on 6z and on seeds 9, 13 and 16, and more elsewhere
     steps = {"mixed": 0, "plain": 0}
     for name, fld, zeros, opts in _oracle_cases():
-        mixed = solver._solve(fld, zeros, opts, solver.ANDERSON_DEPTH)
-        plain = solver._solve(fld, zeros, opts, 0)
+        mixed = solver.solve(fld, zeros, opts)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "ANDERSON_DEPTH", 0)
+            plain = solver.solve(fld, zeros, opts)
         assert mixed.converged and plain.converged, name
         assert mixed.n == plain.n, name
         gap = np.abs(mixed.f.trace(mixed.n) - plain.f.trace(plain.n)).max()
@@ -485,7 +488,7 @@ def test_sequenced_solve_matches_the_solve_on_the_fine_grid_alone(seed, monkeypa
     grids.clear()
     # the same start zero-padded to n runs on the fine grid alone
     padded = DiskFunction(solver._pad_coeffs(opts.resolve_init(fld).coeffs, 32768))
-    direct = solver._solve(fld, (), dataclasses.replace(opts, initial_map=padded), solver.ANDERSON_DEPTH)
+    direct = solver.solve(fld, options=dataclasses.replace(opts, initial_map=padded))
     assert set(grids) == {32768}
     assert (rep.n, rep.converged, rep.stop_reason) == (direct.n, direct.converged, direct.stop_reason)
     assert rep.converged
@@ -517,9 +520,8 @@ def test_the_coarse_grids_double_only_while_f_prime_is_unresolved(monkeypatch):
 ])
 def test_an_initial_map_with_n_coefficients_takes_every_step_on_n(field, zeros, monkeypatch):
     # the first grid is the initial map's own when that is finer than
-    # COARSE_GRID: a cold start zero-padded to n, as contraction_rate's runs
-    # begin, never visits a coarse grid (the warm start below is one or two
-    # steps)
+    # COARSE_GRID: a cold start zero-padded to n never visits a coarse grid
+    # (the warm start below is one or two steps)
     init = DiskFunction(solver._pad_coeffs(scaled_identity(field.sup_bound + 0.5).coeffs, 4096))
     grids = _grids(monkeypatch)
     rep = solver.solve(field, zeros=zeros, options=SolveOptions(n=4096, initial_map=init))
@@ -1020,59 +1022,58 @@ def test_contraction_rate_respects_certificate():
     f = weight.gauss_radial_field(1.0, 0.1)
     L = np.sqrt(0.2) * np.exp(-0.5)
     cert = weight.contraction_certificate(f, L)
-    rr = solver.contraction_rate(f, cert)
+    rr = probes.contraction_rate(f, cert)
     assert rr.runs == 3
     assert rr.observed_rate <= cert.ratio + 0.05
     assert rr.limit_gap < 1e-8
 
 
+def _picard_runs(monkeypatch):
+    """Record (start, max_iters, (x, norms)) of each probes.picard run."""
+    runs = []
+    inner = probes.picard
+
+    def spy(fld, start, max_iters):
+        runs.append((start.copy(), max_iters, inner(fld, start, max_iters)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(probes, "picard", spy)
+    return runs
+
+
 def test_contraction_rate_runs_plain_undamped_iteration(monkeypatch):
     fld = weight.gauss_radial_field(1.0, 0.1)
     cert = weight.contraction_certificate(fld, np.sqrt(0.2) * np.exp(-0.5))
-    reports = []
-    inner = solver._solve
-
-    def spy(*args):
-        reports.append(inner(*args))
-        return reports[-1]
-
-    monkeypatch.setattr(solver, "_solve", spy)
-    solver.contraction_rate(fld, cert)
-    assert len(reports) == 3
+    runs = _picard_runs(monkeypatch)
+    probes.contraction_rate(fld, cert)
+    assert len(runs) == 3
     b = blaschke.construct([])
     n = SolveOptions().n
-    for rep, frac in zip(reports, (0.2, 0.5, 0.9)):
-        assert rep.n == n
-        f = DiskFunction(solver._pad_coeffs(scaled_identity(frac * cert.sup_solution_bound).coeffs, n))
+    for start, _, (x, norms) in runs:
+        assert x.size == n
+        f = DiskFunction(start)
         want = []
-        for _ in range(rep.iterations):
-            u, _, _ = solver.apply_operator(f, fld, b, n)
+        for _ in range(len(norms)):
+            u, _, _ = probes.apply_operator(f, fld, b, n)
             delta = u.coeffs - f.coeffs
             want.append(float(np.sqrt(np.square(np.abs(delta)).sum())))
             f = DiskFunction(f.coeffs + 1.0 * delta)
-        np.testing.assert_allclose(rep.update_history_l2, want, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(rep.f.coeffs, f.coeffs, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(norms, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(x, f.coeffs, rtol=1e-12, atol=1e-15)
 
 
 def test_contraction_rate_keeps_the_callers_other_options(monkeypatch):
     fld = weight.gauss_radial_field(1.0, 0.1)
     cert = weight.contraction_certificate(fld, np.sqrt(0.2) * np.exp(-0.5))
-    base = SolveOptions(n=64, max_iters=5)
-    seen = []
-    inner = solver._solve
-
-    def spy(fld, zeros, options, depth):
-        seen.append((options, depth))
-        return inner(fld, zeros, options, depth)
-
-    monkeypatch.setattr(solver, "_solve", spy)
-    solver.contraction_rate(fld, cert, options=base)
-    assert [depth for _, depth in seen] == [0, 0, 0]
-    for (opts, _), frac in zip(seen, (0.2, 0.5, 0.9)):
-        assert dataclasses.replace(opts, initial_map=None) == SolveOptions(n=64, max_iters=5)
-        # each start is the scaled identity zero-padded to n
+    runs = _picard_runs(monkeypatch)
+    probes.contraction_rate(fld, cert, options=SolveOptions(n=64, max_iters=5))
+    assert len(runs) == 3
+    for (start, max_iters, (x, norms)), frac in zip(runs, (0.2, 0.5, 0.9)):
+        # each start is the scaled identity zero-padded to n, and the budget
+        # bounds the steps: five are too few to settle
         want = solver._pad_coeffs(scaled_identity(frac * cert.sup_solution_bound).coeffs, 64)
-        assert np.array_equal(opts.initial_map.coeffs, want)
+        assert np.array_equal(start, want)
+        assert (max_iters, len(norms), x.size) == (5, 5, 64)
 
 
 def test_contraction_rate_measures_one_grid(monkeypatch):
@@ -1081,11 +1082,27 @@ def test_contraction_rate_measures_one_grid(monkeypatch):
     fld = weight.gauss_radial_field(1.0, 0.1)
     cert = weight.contraction_certificate(fld, np.sqrt(0.2) * np.exp(-0.5))
     grids = _grids(monkeypatch)
-    solver.contraction_rate(fld, cert, options=SolveOptions(n=4096))
+    probes.contraction_rate(fld, cert, options=SolveOptions(n=4096))
     assert set(grids) == {4096}
+
+
+@pytest.mark.parametrize("n", [512, 4096])
+def test_contraction_rate_runs_the_solves_plain_iteration(n, monkeypatch):
+    # the probe's Picard loop and the solve with no mixing are one iteration:
+    # the same coefficients, bit for bit, in the same number of steps
+    fld = weight.gauss_radial_field(1.0, 0.1)
+    cert = weight.contraction_certificate(fld, np.sqrt(0.2) * np.exp(-0.5))
+    monkeypatch.setattr(solver, "ANDERSON_DEPTH", 0)
+    for frac in probes.RATE_FRACTIONS:
+        start = solver._pad_coeffs(scaled_identity(frac * cert.sup_solution_bound).coeffs, n)
+        x, norms = probes.picard(fld, start, SolveOptions().max_iters)
+        rep = solver.solve(fld, options=SolveOptions(n=n, initial_map=DiskFunction(start)))
+        assert (rep.n, rep.stop_reason) == (n, "tolerance")
+        assert rep.iterations == len(norms) > 1
+        assert rep.f.coeffs.tobytes() == x.tobytes()
 
 
 def test_contraction_rate_requires_valid_certificate(staircase):
     cert = weight.contraction_certificate(staircase, 4.0 / 3.0)
     with pytest.raises(ValueError, match="valid"):
-        solver.contraction_rate(staircase, cert)
+        probes.contraction_rate(staircase, cert)
