@@ -1,7 +1,7 @@
 """Spectral solver and certificates for conformal disk maps with a
 prescribed boundary derivative modulus."""
 
-from .blaschke import BlaschkeProduct, construct as blaschke_product
+from .blaschke import construct as blaschke_product
 from .certify import (
     Certificate,
     check_starlike,

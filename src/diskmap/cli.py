@@ -282,7 +282,7 @@ def cmd_scan(args):
     payload = {"field": fld.name}
 
     if fld.radial_profile is not None:
-        scan = radial_scan(fld, r_min=args.r_min, r_max=args.r_max, steps=args.steps)
+        scan = radial_scan(fld)
         payload["radial_scan"] = scan
         print(f"radial scan: {len(scan.intervals)} solution interval(s) {scan.intervals}")
     else:
@@ -426,11 +426,6 @@ def build_parser():
 
     p = command("scan", "scaled-identity scan plus field condition checks")
     field_args(p)
-    p.add_argument("--r-min", type=float, default=0.0, help="scan lower endpoint (default %(default)s)")
-    p.add_argument("--r-max", type=float, help="scan upper endpoint (default 1.5 * sup bound)")
-    p.add_argument("--steps", type=int, default=10000, help="scan resolution (default %(default)s); a grid bracket reports "
-                   "at most one root and the run tolerance is half a spacing, so a coarse grid merges runs and hides roots "
-                   "(--steps 2 on the staircase reads [(0.0, 9.0)])")
 
     p = command("geometry", "raster region algebra and the shrinking demo")
     p.add_argument("--op", default="demo", help="demo, union, or intersection (default %(default)s)")
@@ -498,7 +493,3 @@ def main(argv=None):
         # library-level input validation (grid sizes, canvas sizes, ...)
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -40,7 +40,7 @@ def spectrum_report(f):
     """
     d = np.abs(derivative(f).coeffs)
     global_peak = d.max()
-    if d.size == 0 or global_peak == 0.0:
+    if global_peak == 0.0:
         return SpectrumReport("undetermined", 0.0, 0.0, (0, 0), 0, "undetermined: empty spectral window")
     # stored coefficient vectors keep trailing rounding noise from the solve
     # grid; trim it so the window frames the actual signal range

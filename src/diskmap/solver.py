@@ -50,6 +50,7 @@ ANDERSON_DEPTH = 2
 GRAM_DROP = 1e-10  # relative pivot below which a history column counts as dependent
 TOL_UPDATE = 1e-10  # a grid settles when the sup of |(U(f) - f)'| falls below this
 TOL_RESIDUAL = 1e-8  # a settled solve converges when its boundary residual is at most this
+SCAN_STEPS = 10000  # grid points of radial_scan on [0, 1.5 sup_bound]
 
 
 def scaled_identity(r):
@@ -130,10 +131,10 @@ class _Plan:
     inv_k: np.ndarray  # 1/k for k = 1 .. n-1, the primitive's divisors
 
 
-def _plan(b, n):
+def _plan(zeros, n):
     n = check_grid_size(n)
     nodes = grid_points(n)
-    trace = blaschke_mod.evaluate(b, nodes) if b.zeros.size else None
+    trace = blaschke_mod.evaluate(zeros, nodes) if zeros.size else None
     k = np.arange(n, dtype=np.float64)
     return _Plan(n, nodes, trace, k, 1.0 / k[1:])
 
@@ -261,7 +262,7 @@ def solve(fld, zeros=(), options=None):
     target = n = check_grid_size(options.n)
     if target > MAX_GRID:
         raise ValueError(f"grid size must be at most {MAX_GRID}, got {target}")
-    b = blaschke_mod.construct(zeros)
+    zeros = blaschke_mod.construct(zeros)
     init = options.resolve_init(fld).coeffs
     n = min(target, max(COARSE_GRID, next_power_of_two(init.size)))
     x = _pad_coeffs(init, n)  # updated in place
@@ -272,7 +273,7 @@ def solve(fld, zeros=(), options=None):
 
     for _ in range(options.max_iters):
         if plan is None:
-            plan = _plan(b, n)
+            plan = _plan(zeros, n)
             dX, dR = [], []  # the last changes of x and r, newest first
             first_update = None
         fvals = np.fft.ifft(x, norm="forward")
@@ -288,7 +289,7 @@ def solve(fld, zeros=(), options=None):
                 f"update norm is not finite after {len(sup_hist)} steps", history=sup_hist
             )
         if first_update is None:
-            first_update = max(dsup, TOL_UPDATE)
+            first_update = dsup
         if dsup > DIVERGENCE_FACTOR * max(first_update, 1.0):
             raise DivergenceError(
                 f"update norm {dsup:.3e} exceeded the divergence guard after {len(sup_hist)} steps",
@@ -350,7 +351,7 @@ def solve(fld, zeros=(), options=None):
         update_history=sup_hist,
         univalent=univalent,
         locally_univalent=locally_univalent,
-        zeros=tuple(np.asarray(zeros, dtype=np.complex128)) if len(zeros) else (),
+        zeros=tuple(zeros),
         field_name=fld.name,
         tail_ratio=tail,
         stop_reason=stop_reason,
@@ -495,36 +496,33 @@ def interior_critical_points(f, n):
 class ScanResult:
     intervals: list
     tolerance: float
-    r_min: float
+    r_min: float  # the grid read, SCAN_STEPS points on [r_min, r_max]
     r_max: float
     steps: int
 
 
-def radial_scan(fld, r_min=None, r_max=None, steps=10000):
+def radial_scan(fld):
     """Locate radii with r = Phi_radial(r): where scaled identities solve.
 
     Works only for rotation-invariant fields (radial profile available).
-    Returns, in order, the maximal runs of grid points where
-    |r - phi(r)| <= tol, with tol = max(1e-4, spacing/2), and a point
-    interval at each root that r - phi(r) crosses between two neighbours
-    outside the runs.  Those crossings are narrowed together, each round
-    reading 63 evenly spaced points in every bracket and keeping the first
-    step across which the sign leaves the bracket's lower end, until no
-    point falls inside; bisection then takes them down to adjacent floats.
-    A sign change that is a jump of phi, with |r - phi(r)| > tol at its
-    end, is no root.  A bracket reports at most one root, and the run
-    tolerance is half a spacing once that exceeds 1e-4, so a coarse grid
-    merges runs and hides roots: with steps=2 the staircase reads
-    [(0.0, 9.0)], and cosine_radial(2, 0.9, 4) one of its five roots.
+    The grid is SCAN_STEPS points on [0, 1.5 * sup_bound], which holds
+    every root, since r = Phi(r) <= sup_bound.  Returns, in order, the
+    maximal runs of grid points where |r - phi(r)| <= tol, with
+    tol = max(1e-4, spacing/2), and a point interval at each root that
+    r - phi(r) crosses between two neighbours outside the runs.  Those
+    crossings are narrowed together, each round reading 63 evenly spaced
+    points in every bracket and keeping the first step across which the
+    sign leaves the bracket's lower end, until no point falls inside: lo
+    and hi are then adjacent floats, and 0.5 * (lo + hi), one of the two,
+    is the root.  A sign change that is a jump of phi, with
+    |r - phi(r)| > tol at its end, is no root.  A bracket reports at most
+    one root, so two roots closer than one spacing,
+    1.5 * sup_bound / (SCAN_STEPS - 1), are reported as at most one.
     """
     if fld.radial_profile is None:
         raise ValueError("radial_scan needs a rotation-invariant field")
-    M = fld.sup_bound
-    r_min = 0.0 if r_min is None else float(r_min)
-    r_max = 1.5 * M if r_max is None else float(r_max)
-    if not (r_max > r_min and steps >= 2):
-        raise ValueError("need r_max > r_min and at least two steps")
-    r = np.linspace(r_min, r_max, int(steps))
+    r_max = 1.5 * fld.sup_bound
+    r = np.linspace(0.0, r_max, SCAN_STEPS)
     spacing = r[1] - r[0]
     tol = max(1e-4, 0.5 * spacing)
     gap = r - fld.radial_profile(r)
@@ -548,12 +546,7 @@ def radial_scan(fld, r_min=None, r_max=None, steps=10000):
             off[:, 0], off[:, -1] = False, True  # lo has below's sign and hi not, as first read
             j = off.argmax(axis=1)
             lo, hi = x[k, j - 1], x[k, j]
-        while True:
-            mid = 0.5 * (lo + hi)
-            at = mid - fld.radial_profile(mid)
-            if not ((lo < mid) & (mid < hi)).any():
-                break
-            left = np.sign(at) == below
-            lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        mid = 0.5 * (lo + hi)
+        at = mid - fld.radial_profile(mid)
         intervals = sorted(intervals + [(float(x), float(x)) for x in mid[np.abs(at) <= tol]])
-    return ScanResult(intervals=intervals, tolerance=tol, r_min=r_min, r_max=r_max, steps=int(steps))
+    return ScanResult(intervals=intervals, tolerance=tol, r_min=0.0, r_max=r_max, steps=SCAN_STEPS)

@@ -32,7 +32,8 @@ class WeightField:
     """Positive boundary weight Phi(xi, w) with a finite sup bound.
 
     It is given by fn(xi, w), or by fn None and a radial_profile, from which
-    Phi(xi, w) = radial_profile(|w|).
+    Phi(xi, w) = radial_profile(|w|).  evaluate broadcasts xi and w
+    together, so fn always gets complex arrays of one shape.
     """
 
     __slots__ = ("name", "sup_bound", "xi_dependent", "radial_profile", "_fn")
@@ -43,10 +44,7 @@ class WeightField:
         if (fn is None) == (radial_profile is None):
             raise ValueError("a field is given by fn or by its radial profile, exactly one")
         if fn is None:
-            def fn(xi, w):
-                if w.shape != xi.shape:
-                    w = np.broadcast_arrays(w, xi)[0]
-                return radial_profile(np.abs(w))
+            fn = lambda xi, w: radial_profile(np.abs(w))
         self._fn = fn
         self.sup_bound = float(sup_bound)
         self.xi_dependent = bool(xi_dependent)
@@ -61,6 +59,8 @@ class WeightField:
         """
         xi = np.asarray(xi, dtype=np.complex128)
         w = np.asarray(w, dtype=np.complex128)
+        if xi.shape != w.shape:
+            xi, w = np.broadcast_arrays(xi, w)
         out = np.asarray(self._fn(xi, w), dtype=np.float64)
         if not np.isfinite(out).all():
             raise NonFiniteWeightError(f"weight field {self.name!r} is not finite")
@@ -166,7 +166,7 @@ def tabulated_field(path):
     else:
         raise ValueError("tabulated weight needs columns r,theta,phi or x,y,phi")
     if profile is None:
-        fn = lambda xi, w: _floored(interp(*coords(finite(np.broadcast_arrays(w, xi)[0]))))
+        fn = lambda xi, w: _floored(interp(*coords(finite(w))))
 
     sup = float(cols["phi"].max())
     if sup <= 0.0:
@@ -297,11 +297,10 @@ def ripple_field(smooth=True):
     """
 
     def fn(xi, w):
-        wb = np.broadcast_arrays(w, xi)[0]
-        osc = np.cos(wb.real)
+        osc = np.cos(w.real)
         if not smooth:
             osc = np.abs(osc)
-        return 2.0 + osc * np.exp(-np.square(np.abs(wb)))
+        return 2.0 + osc * np.exp(-np.square(np.abs(w)))
 
     name = "ripple_analytic" if smooth else "ripple_kink"
     return WeightField(fn, sup_bound=3.0, name=name)
@@ -342,9 +341,8 @@ def random_smooth_field(rng):
     delta = rng.uniform(0.0, 2.0 * np.pi)
 
     def fn(xi, w):
-        xb, wb = np.broadcast_arrays(xi, w)
-        ang = np.exp(alpha * np.cos(np.angle(xb) - t0))
-        rad = np.exp(beta * np.cos(gamma * np.square(np.abs(wb)) + delta))
+        ang = np.exp(alpha * np.cos(np.angle(xi) - t0))
+        rad = np.exp(beta * np.cos(gamma * np.square(np.abs(w)) + delta))
         return c * ang * rad
 
     return WeightField(

@@ -79,7 +79,7 @@ def test_criterion_02_branched_solution(staircase):
 
 
 def test_criterion_03_radial_scan(staircase):
-    scan = solver.radial_scan(staircase, r_min=0.1, r_max=7.0, steps=10000)
+    scan = solver.radial_scan(staircase)
     ok = len(scan.intervals) == 1
     if ok:
         a, b = scan.intervals[0]

@@ -29,7 +29,8 @@ def test_unimodular_on_circle_and_positive_at_origin(zeros):
     v = blaschke.evaluate(b, np.array(0.0 + 0.0j))
     assert abs(v.imag) < 1e-15
     assert v.real > 0.0
-    assert abs(b.eta * np.prod(-b.zeros) - v) < 1e-15
+    # eta = conj(u)/|u| with u = prod(-z_j), so B(0) = eta * u = |u|
+    assert abs(abs(np.prod(-b)) - v) < 1e-15
 
 
 def test_vanishes_exactly_at_zeros():
@@ -67,8 +68,8 @@ def stacked_log_derivative(b, z):
     """The (n, zeros) broadcast form that log_derivative replaced, kept as
     its oracle."""
     zz = np.asarray(z, dtype=np.complex128)[..., None]
-    first = 1.0 / (zz - b.zeros)
-    second = np.conj(b.zeros) / (1.0 - np.conj(b.zeros) * zz)
+    first = 1.0 / (zz - b)
+    second = np.conj(b) / (1.0 - np.conj(b) * zz)
     return (first + second).sum(axis=-1)
 
 
@@ -91,12 +92,23 @@ def test_log_derivative_per_zero_agrees_with_the_stacked_sum(count):
 
 
 def test_derivative_trace_consistent():
-    b = blaschke.construct([0.4, 0.2 - 0.3j])
-    n = 64
-    pts = grid_points(n)
-    want = blaschke.evaluate(b, pts) * blaschke.log_derivative(b, pts)
-    got = blaschke.evaluate(b, pts) * blaschke.log_derivative(b, pts)
-    assert np.abs(got - want).max() == 0.0
+    # B' = B * B'/B against closed forms on the circle and inside it
+    pts = np.concatenate([grid_points(64), 0.9 * grid_points(64)])
+
+    def factor(a, z):
+        # the normalized factor of one zero a and its derivative
+        eta = np.conj(-a) / abs(a)
+        return eta * (z - a) / (1.0 - np.conj(a) * z), eta * (1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z) ** 2
+
+    def derivative(b):
+        return blaschke.evaluate(b, pts) * blaschke.log_derivative(b, pts)
+
+    # one zero at -1/2: B(z) = (z + 1/2)/(1 + z/2), so B'(z) = (3/4)/(1 + z/2)^2
+    assert np.abs(derivative(blaschke.construct([-0.5])) - 0.75 / (1.0 + 0.5 * pts) ** 2).max() <= 1e-13
+    # two zeros: the product rule over the normalized factors of each
+    (b1, d1), (b2, d2) = factor(0.4, pts), factor(0.2 - 0.3j, pts)
+    want = d1 * b2 + b1 * d2
+    assert np.abs(derivative(blaschke.construct([0.4, 0.2 - 0.3j])) - want).max() <= 1e-13
 
 
 def test_pole_collision_guard():

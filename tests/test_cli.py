@@ -424,8 +424,7 @@ def test_certify_subset_of_checks(tmp_path, capsys):
 
 def test_scan_staircase(tmp_path, capsys):
     code = run([
-        "scan", "--field", "staircase", "--r-min", "0.1", "--r-max", "7.0",
-        "--steps", "10000", "--out", tmp_path,
+        "scan", "--field", "staircase", "--out", tmp_path,
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -638,7 +637,7 @@ def test_spectrum_solves_when_given_field(tmp_path):
     ["solve", "--field", "constant:nope"],
     ["certify", "--field", "staircase"],
     ["certify", "--field", "staircase", "--map", "missing.csv"],
-    ["scan", "--field", "staircase", "--steps", "x"],
+    ["certify", "--field", "staircase", "--map", "{tmp}/map.csv", "--checks", "bogus"],
     ["geometry", "--op", "demo", "--size", "100"],
     ["geometry", "--op", "bogus"],
     ["geometry", "--op", "union", "--inputs", "one.pbm"],
@@ -646,12 +645,20 @@ def test_spectrum_solves_when_given_field(tmp_path):
     # above the largest grid: it used to climb to 32768 and exit 1, calling
     # the resolved map 6z unresolved
     ["solve", "--field", "staircase", "--init", "6.5", "--n", "65536"],
+    ["solve", "--config", "{tmp}/missing.cfg"],
+    ["solve", "--field", "gauss_radial", "--field-args", "c"],
+    ["solve"],
+    ["certify", "--field", "staircase", "--map", "{tmp}/two_columns.csv"],
+    ["certify", "--field", "staircase", "--map", "{tmp}/gapped.csv"],
 ])
 def test_config_errors_exit_two(tmp_path, argv, capsys):
     # every check runs before the first output is written, so no --out
-    # directory is left behind
+    # directory is left behind; {tmp} holds a good map and two bad ones
+    write_map(tmp_path / "map.csv", [0.0, 6.0])
+    (tmp_path / "two_columns.csv").write_text("k,re_ck\n0,0.0\n1,6.0\n")
+    (tmp_path / "gapped.csv").write_text("k,re_ck,im_ck\n0,0.0,0.0\n2,6.0,0.0\n")
     out = tmp_path / "out"
-    assert run(argv + ["--out", out]) == 2
+    assert run([a.format(tmp=tmp_path) for a in argv] + ["--out", out]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
 
@@ -707,7 +714,6 @@ def test_a_flag_after_zeros_or_init_is_not_its_value(tmp_path, capsys, argv):
     ("solve", "n", "--n"),
     ("solve", "init", "--init"),
     ("certify", "n", "--n"),
-    ("scan", "steps", "--steps"),
     ("geometry", "size", "--size"),
     ("spectrum", "max_iters", "--max-iters"),
 ])
@@ -729,11 +735,15 @@ def test_config_value_is_typed_by_its_flag(tmp_path, capsys, command, key, flag)
     ("spectrum", "--tol-residual", "tol_residual"),
     ("certify", "--tol", "tol"),
     ("scan", "--scan-tol", "scan_tol"),
+    ("scan", "--r-min", "r_min"),
+    ("scan", "--r-max", "r_max"),
+    ("scan", "--steps", "steps"),
 ])
 def test_retired_settings_are_unknown(tmp_path, capsys, command, flag, key):
     # every solve takes the undamped step and converges against TOL_UPDATE
     # and TOL_RESIDUAL, every certificate passes against TOL_CERT and a scan
-    # matches within max(1e-4, spacing/2): none of them is a setting any more
+    # reads SCAN_STEPS points on [0, 1.5 sup] and matches within
+    # max(1e-4, spacing/2): none of them is a setting any more
     with pytest.raises(SystemExit) as exit_:
         run([command, flag, "0.5", "--out", tmp_path])
     assert exit_.value.code == 2

@@ -53,6 +53,20 @@ def test_zero_map_is_undetermined():
     assert "empty" in rep.claim
 
 
+@pytest.mark.parametrize("coeffs,reason", [
+    ([0.0, 0.0, 0.0, 0.0], "empty spectral window"),
+    ([0.0, 6.0], "empty spectral window"),
+    (np.concatenate([[0.0, 1.0], np.zeros(30), [1e-3]]), "at the rounding noise floor"),
+    ([0.0, 1.0, 1.0], "too few usable coefficients"),
+    # f' = 1 + 2z + 3z^2 + ...: |d_k| grows, which neither decay model admits
+    (np.ones(64), "no admissible decay model"),
+], ids=["zero", "linear", "noise_floor", "few_points", "growing"])
+def test_an_undetermined_spectrum_names_its_reason(coeffs, reason):
+    rep = regularity.spectrum_report(DiskFunction(coeffs))
+    assert rep.decay == "undetermined" and rep.rate == 0.0
+    assert rep.claim.startswith("undetermined: ") and reason in rep.claim
+
+
 def test_report_as_dict_round_trips():
     rep = regularity.spectrum_report(map_with_derivative_decay(lambda k: 0.7**k))
     d = dataclasses.asdict(rep)

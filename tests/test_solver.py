@@ -206,6 +206,18 @@ def test_non_finite_update_raises_divergence_on_that_step():
     assert not np.isfinite(err.value.history[0])
 
 
+def test_an_update_past_the_divergence_guard_raises():
+    # Phi = exp(|w|) from 2z: the updates stay finite and below 1e6 times
+    # the first one (5.389) for 13 steps, then the 14th reads 2.004e7, past
+    # 1e6 times the larger of the first update and 1
+    fld = weight.WeightField(None, 1.0, radial_profile=np.exp)
+    with pytest.raises(DivergenceError, match="exceeded the divergence guard after 14 steps") as err:
+        solver.solve(fld, options=SolveOptions(initial_map=2.0, n=64))
+    history = err.value.history
+    assert len(history) == 14 and np.isfinite(history).all()
+    assert history[-1] > solver.DIVERGENCE_FACTOR * history[0] > max(history[:-1])
+
+
 @pytest.mark.parametrize("zeros,kwargs,reason", [
     ([], {"initial_map": 6.5}, "tolerance"),
     ([-0.5], {"initial_map": 1.0, "max_iters": 5}, "max_iters"),
@@ -852,7 +864,7 @@ def test_interior_critical_point_count(coeffs, count):
 # radial scans
 
 def test_scan_staircase_band(staircase):
-    res = solver.radial_scan(staircase, r_min=0.1, r_max=7.0, steps=10000)
+    res = solver.radial_scan(staircase)
     assert len(res.intervals) == 1
     a, b = res.intervals[0]
     assert abs(a - 3.0) < 1e-3
@@ -981,11 +993,6 @@ def test_scan_requires_radial_profile():
         solver.radial_scan(f)
 
 
-def test_scan_rejects_bad_range(staircase):
-    with pytest.raises(ValueError):
-        solver.radial_scan(staircase, r_min=2.0, r_max=1.0)
-
-
 def loop_runs(r, mask):
     """The per-step run loop radial_scan used before its run edges, as the oracle."""
     intervals = []
@@ -1008,10 +1015,14 @@ def loop_runs(r, mask):
 @example(mask=[True, False, True])
 @example(mask=[False, True, True, False])
 def test_scan_runs_match_the_loop(mask):
-    # the profile sits on r exactly where the mask holds and 1 away elsewhere
+    # the profile sits on r exactly where the mask holds and 1 away
+    # elsewhere; sup 2/3 puts the scan on [0, 1], at one point per entry
     hits = np.array(mask)
-    fld = weight.WeightField(None, sup_bound=1.0, radial_profile=lambda r: r - np.where(hits, 0.0, 1.0))
-    res = solver.radial_scan(fld, r_min=0.0, r_max=1.0, steps=hits.size)
+    fld = weight.WeightField(None, sup_bound=2.0 / 3.0, radial_profile=lambda r: r - np.where(hits, 0.0, 1.0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "SCAN_STEPS", hits.size)
+        res = solver.radial_scan(fld)
+    assert (res.r_min, res.r_max, res.steps) == (0.0, 1.0, hits.size)
     assert res.intervals == loop_runs(np.linspace(0.0, 1.0, hits.size), hits)
 
 

@@ -41,6 +41,12 @@ def test_grid_size_validation(n, ok):
             check_grid_size(n)
 
 
+@pytest.mark.parametrize("coeffs", [[], np.zeros((2, 3))], ids=["empty", "two_dimensional"])
+def test_disk_function_rejects_coefficients_that_are_no_vector(coeffs):
+    with pytest.raises(ValueError, match="non-empty 1-d array"):
+        DiskFunction(coeffs)
+
+
 def test_power_of_two_helpers():
     assert is_power_of_two(8) and not is_power_of_two(12)
     assert next_power_of_two(5) == 8

@@ -109,6 +109,27 @@ def test_piecewise_rejects_bad_breakpoints():
         )
 
 
+@pytest.mark.parametrize("build,match", [
+    (lambda tmp: weight.WeightField(None, 0.0, radial_profile=np.exp), "sup bound must be finite and positive"),
+    (lambda tmp: weight.WeightField(None, np.inf, radial_profile=np.exp), "sup bound must be finite and positive"),
+    (lambda tmp: weight.WeightField(None, np.nan, radial_profile=np.exp), "sup bound must be finite and positive"),
+    (lambda tmp: weight.radial_piecewise_field([1.0], [np.exp], sup_bound=3.0), "one more piece than breakpoints"),
+    (lambda tmp: weight.cosine_radial_field(eps=1.0), "0 <= eps < 1"),
+    (lambda tmp: weight.tabulated_field(_table(tmp, "")), "empty table"),
+    (lambda tmp: weight.tabulated_field(_table(tmp, "r,theta,psi\n1.0,0.0,2.0\n")), "needs a 'phi' column"),
+    (lambda tmp: weight.tabulated_field(_table(tmp, "r,theta,phi\n1.0,0.0,-1.0\n2.0,0.0,0.0\n")), "no positive values"),
+], ids=["sup_zero", "sup_inf", "sup_nan", "pieces", "eps_one", "empty_table", "no_phi", "no_positive"])
+def test_field_constructors_reject_bad_input(tmp_path, build, match):
+    with pytest.raises(ValueError, match=match):
+        build(tmp_path)
+
+
+def _table(tmp, text):
+    path = tmp / "table.csv"
+    path.write_text(text)
+    return path
+
+
 def test_piecewise_rejects_nonpositive_profile():
     with pytest.raises(ValueError, match="positive"):
         weight.radial_piecewise_field([], [lambda r: 1.0 - r], sup_bound=1.0)
@@ -146,6 +167,25 @@ def test_radial_field_evaluates_its_profile_at_the_modulus():
     w = np.array([[0.0, 1.0j, -2.0], [0.6 + 0.8j, 1.5, -0.3j]])
     assert np.array_equal(f.evaluate(xi, w), 1.0 + np.abs(w))
     assert f.evaluate(xi[:, None], np.array([0.5, 2.0])).shape == (3, 2)
+
+
+def test_evaluate_hands_fn_xi_and_w_of_one_shape():
+    # evaluate broadcasts xi and w when their shapes differ, and passes
+    # complex arrays of one shape through as they are
+    seen = []
+
+    def fn(xi, w):
+        seen.append((xi, w))
+        return np.ones(w.shape)
+
+    f = weight.WeightField(fn, 1.0)
+    w = np.zeros((3, 4), dtype=np.complex128)
+    for xi in (1.0, np.ones((3, 1)), np.ones(4)):
+        assert f.evaluate(xi, w).shape == (3, 4)
+    xi = np.ones((3, 4), dtype=np.complex128)
+    f.evaluate(xi, w)
+    assert [(a.shape, b.shape, a.dtype, b.dtype) for a, b in seen] == [((3, 4), (3, 4), np.complex128, np.complex128)] * 4
+    assert seen[-1][0] is xi and seen[-1][1] is w
 
 
 def test_a_field_is_given_by_fn_or_by_its_radial_profile():
