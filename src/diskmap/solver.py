@@ -44,6 +44,10 @@ PAIR_BLOCK = 1 << 12  # edge pairs tested at once in polygon_is_simple
 DIVERGENCE_FACTOR = 1e6
 COARSE_GRID = 512  # grid a solve starts on at the least, SolveOptions.n's default
 CRITICAL_RADIUS = 0.999  # circle on which interior_critical_points counts
+# sum_{k>=2} k |c_k| <= DOMINANCE |c_1|, |c_1| > MIN_LINEAR: the linear term
+# decides univalence and the critical points (see _linear_dominates)
+DOMINANCE = 0.5
+MIN_LINEAR = 1e-12
 # residual differences kept for mixing; 0 is the plain iteration, which only
 # tests select
 ANDERSON_DEPTH = 2
@@ -94,7 +98,7 @@ class SolveReport:
     converged: bool
     residual: float
     update_history: list
-    univalent: bool
+    univalent: bool  # false with prescribed zeros; else univalence(f, n)
     locally_univalent: bool
     zeros: tuple
     field_name: str
@@ -335,7 +339,7 @@ def solve(fld, zeros=(), options=None):
     # before the trace of f' is cached on f, to keep the checks' temporaries
     # below the iteration's peak; an overflowing map's nan values are verdicts
     with np.errstate(over="ignore", invalid="ignore"):
-        univalent = univalence(f, n)
+        univalent = len(zeros) == 0 and univalence(f, n)  # a critical point folds the disk
         locally_univalent = bool(len(zeros) == 0 and interior_critical_points(f, n) == 0)
         res = residual_sup(f, fld, n)
         if stop_reason == "max_iters":  # a settled grid's verdict already holds its tail
@@ -452,15 +456,50 @@ def univalence(f, n):
     The winding count rejects both.  One O(n) angle pass reads the turns of
     the edges about f(0): their sum is the winding count, and a polygon
     star-shaped about f(0) is simple without the sweep of polygon_is_simple,
-    which decides the rest.  The verdict is cached on f per n, like its
-    traces, so a certificate gate on a map the solve already checked costs
-    nothing.
+    which decides the rest.  A map whose linear term dominates
+    (_linear_dominates) passes before any of this, with no trace.  The
+    verdict is cached on f per n, like its traces, so a certificate gate on
+    a map the solve already checked costs nothing.
     """
     n = check_grid_size(n)
     return f.memo(("univalence", n), lambda: _univalence(f, n))
 
 
+def _linear_dominates(f):
+    """S = sum_{k>=2} k |c_k| <= DOMINANCE |c_1|, every coefficient finite
+    and |c_1| > MIN_LINEAR: then f is univalent and f' has no zero in the
+    closed disk, and the sampled checks reach exactly that verdict on every
+    grid, so the coefficients decide it.  One O(n) pass, cached on f.
+
+    |f' - c_1| <= S <= |c_1|/2 on the closed disk: f' has no zero there
+    (Rouche), its trace on |z| = CRITICAL_RADIUS stays within 30 degrees of
+    arg c_1 with modulus at least |c_1|/2, above the 1e-13 at which it
+    counts as vanishing, so the argument-principle count is 0.  Re(f'/c_1) > 0 makes
+    f univalent (Noshiro-Warschawski; Duren, Univalent Functions, 1983,
+    Thm 2.16).  On the grid, g = (f - c_0)/z has |g - c_1| <= |c_1|/4 and
+    |dg/dt| <= S, so |d arg g/dt| <= 2/3 and each polygon edge turns about
+    f(0) by an angle in [(2 pi/n)/3, (2 pi/n) 5/3], inside (0, pi), with
+    turns summing to 2 pi: the winding count is 1 and the star test passes
+    at every n.  The smallest turn, 2 pi/(3 * 2**15) ~ 6.4e-5, is far above
+    the trace's rounding, about 1e-15 (|c_0| + |c_1|) next to |P - c_0| >=
+    3 |c_1|/4, unless |c_0| outgrows |c_1| by some ten orders: there only
+    this verdict still holds.
+    """
+    return f.memo(("linear_dominates",), lambda: _dominance(f.coeffs))
+
+
+def _dominance(c):
+    if c.size < 2 or not np.isfinite(c).all():
+        return False
+    lin = abs(c[1])
+    with np.errstate(over="ignore"):
+        s = np.abs(c[2:]) @ np.arange(2.0, c.size)
+    return bool(lin > MIN_LINEAR and s <= DOMINANCE * lin)
+
+
 def _univalence(f, n):
+    if _linear_dominates(f):
+        return True
     P = f.trace(n)
     turn = np.angle(_edge_ratios(P - f.coeffs[0]))
     if np.rint(turn.sum() / (2.0 * np.pi)) != 1:  # nan through a vertex at f(0)
@@ -478,7 +517,11 @@ def interior_critical_points(f, n):
     solver treats local univalence as "no prescribed zeros and none detected
     here".  A trace that vanishes at a node counts at least one, and so does
     one whose angle sum is not finite (0/0 ratios, or values that overflow).
+    A map whose linear term dominates (_linear_dominates) has none, and
+    that verdict needs no trace.
     """
+    if _linear_dominates(f):
+        return 0
     vals = f.circle_trace(CRITICAL_RADIUS, n, 1)
     vanishes = np.abs(vals).min() < 1e-13
     ratios = _edge_ratios(vals)

@@ -92,9 +92,10 @@ class DiskFunction:
 
     What is derived from the map once is cached on it through memo(key,
     build): the boundary traces of f and f' (trace(n, order), one per
-    (n, order)), the univalence verdicts, the weight along f and the fence
-    lattice extremes.  f' is cached only as its traces, never as a second
-    copy of the coefficients.  The contract is stated here once:
+    (n, order)), the univalence verdicts and the dominance of the linear
+    term they start from, the weight along f and the fence lattice
+    extremes.  f' is cached only as its traces, never as a second copy of
+    the coefficients.  The contract is stated here once:
     coefficients, and fields used in a key, are not mutated after use, and
     cached arrays are read-only because every caller shares them.
     """
@@ -135,11 +136,15 @@ class DiskFunction:
     def _circle_values(self, r, n, order):
         """One zero-padded inverse FFT of the coefficients of f, or with
         order 1 of f' (k c_k, formed straight into the padded buffer),
-        scaled in place by r**k unless r is the scalar 1."""
+        scaled in place by r**k unless r is the scalar 1, and transformed in
+        place; f's own n coefficients on the unit circle need no buffer."""
         if order not in (0, 1):
             raise ValueError(f"order must be 0 or 1, got {order}")
         r = np.asarray(r)
         c = self.coeffs
+        unit = r.ndim == 0 and r == 1.0
+        if unit and not order and c.size == n:
+            return np.fft.ifft(c, norm="forward")
         m = max(c.size - order, 1)
         size = max(n, next_power_of_two(m))
         padded = np.zeros(r.shape + (size,), dtype=np.complex128)
@@ -147,10 +152,9 @@ class DiskFunction:
             np.multiply(np.arange(1, c.size), c[1:], out=padded[..., : c.size - 1])
         else:
             padded[..., :m] = c
-        if r.ndim or r != 1.0:
+        if not unit:
             padded[..., :m] *= np.power(r[..., None], np.arange(m))
-        got = np.fft.ifft(padded, axis=-1, norm="forward")
-        del padded
+        got = np.fft.ifft(padded, axis=-1, norm="forward", out=padded)
         # a copy, so that a cached trace does not pin the big-point transform
         return got if size == n else got[..., :: size // n].copy()
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import diskmap
 import probes
 from diskmap import blaschke, certify, regularity, solver, spectral, weight
-from diskmap.errors import DivergenceError
+from diskmap.errors import DivergenceError, NotUnivalentError
 from diskmap.solver import SolveOptions, scaled_identity
 from diskmap.spectral import DiskFunction
 
@@ -454,9 +454,9 @@ def test_a_solved_map_holds_its_traces_and_no_second_copy_of_its_coefficients():
 
 
 def test_the_near_boundary_zero_solve_holds_only_the_history_it_fills(staircase):
-    # 18 steps on 512 .. 8192, most of them mixed; near the critical point
-    # the boundary turns back about 0, so the polygon sweep runs in pair
-    # blocks (2.35 MiB with preallocated rows and 16k-pair blocks)
+    # 18 steps on 512 .. 8192, most of them mixed; the prescribed zero
+    # decides the univalence verdict, so no polygon sweep runs on the
+    # solved map (2.35 MiB with preallocated rows and 16k-pair blocks)
     assert _solve_peak_mib(staircase, [0.995], SolveOptions(n=8192, initial_map=1.0)) < 2.0
 
 
@@ -737,15 +737,21 @@ def test_univalence_looks_once_at_each_map(staircase):
     assert [key for key in f._memo if key[0] == "univalence"] == [("univalence", 64)]
 
 
+def _bound_off():
+    """The sampled path alone: the coefficient bound patched off."""
+    return mock.patch.object(solver, "_linear_dominates", return_value=False)
+
+
 def test_univalence_sweeps_through_polygon_is_simple(staircase, maximal_report):
     # a critical point at 0.95 loops the boundary once about f(0), so the
     # star test refuses it and polygon_is_simple finds the crossing; 6z is
-    # star-shaped about f(0) and needs no sweep
+    # star-shaped about f(0) and needs no sweep (its linear term would
+    # decide it first, so the bound is off)
     looped = solver.solve(staircase, zeros=[0.95], options=SolveOptions(initial_map=1.0))
     assert looped.n == 512
     for f, verdict, calls in ((looped.f, False, 1), (maximal_report.f, True, 0)):
-        fresh = DiskFunction(f.coeffs)  # the solve's verdict is cached on f
-        with mock.patch.object(solver, "polygon_is_simple", wraps=solver.polygon_is_simple) as sweep:
+        fresh = DiskFunction(f.coeffs)  # a fresh map has no cached verdict
+        with _bound_off(), mock.patch.object(solver, "polygon_is_simple", wraps=solver.polygon_is_simple) as sweep:
             assert solver.univalence(fresh, 512) is verdict
         assert sweep.call_count == calls
 
@@ -781,18 +787,20 @@ def _shifted(f, shift):
 def test_univalence_with_f0_off_the_origin(maximal_report, branched_report):
     # one angle pass about f(0) gives the winding count and the star test;
     # with f(0) = 0.3, or f(0) so far off that 0 lies outside the curve,
-    # each verdict is the two-pass one
+    # each verdict is the two-pass one (the bound is off: it would decide
+    # 6z and the random solves before the angle pass)
     maps = [maximal_report.f, branched_report.f]
     maps += [solver.solve(weight.random_smooth_field(np.random.default_rng(seed))).f for seed in range(3)]
     verdicts = set()
     for f in maps:
         for shift in (0.3, _clear_of_origin(f.trace(512))):
-            got = solver.univalence(_shifted(f, shift), 512)
+            with _bound_off():
+                got = solver.univalence(_shifted(f, shift), 512)
             assert got == _two_pass_univalence(_shifted(f, shift), 512)
             verdicts.add(got)
     assert verdicts == {True, False}
     # 6z moved clear of 0 is star-shaped about f(0): no sweep
-    with mock.patch.object(solver, "_pair_blocks", wraps=solver._pair_blocks) as sweep:
+    with _bound_off(), mock.patch.object(solver, "_pair_blocks", wraps=solver._pair_blocks) as sweep:
         assert solver.univalence(_shifted(maximal_report.f, 13.0), 512)
     assert not sweep.called
 
@@ -858,6 +866,98 @@ def test_no_public_function_or_option_takes_a_seed():
 def test_interior_critical_point_count(coeffs, count):
     with np.errstate(over="ignore", invalid="ignore"):
         assert solver.interior_critical_points(DiskFunction(coeffs), 256) == count
+
+
+def _sampled(coeffs, n):
+    """(univalence, interior critical points) of a fresh map on the
+    sampled path alone."""
+    f = DiskFunction(coeffs)
+    with _bound_off(), np.errstate(over="ignore", invalid="ignore"):
+        return solver.univalence(f, n), solver.interior_critical_points(f, n)
+
+
+def _perturbed_identity(rng, n, ratio):
+    """c_1 z plus one to three random monomials of degree below 8 or up to
+    2n, or a dense random tail, scaled so that sum_{k>=2} k |c_k| = ratio
+    |c_1|."""
+    deg = 2 * n + 1
+    c = np.zeros(deg, dtype=complex)
+    if rng.random() < 2 / 3:
+        k = rng.integers(2, rng.choice([8, deg]), size=rng.integers(1, 4))
+    else:
+        k = np.arange(2, deg)
+    c[k] = (rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)) / k ** rng.uniform(1.0, 3.0)
+    c[1] = rng.uniform(0.1, 10.0) * np.exp(2j * np.pi * rng.random())
+    c[2:] *= ratio * abs(c[1]) / (np.abs(c[2:]) @ np.arange(2, deg))
+    return c
+
+
+@pytest.mark.parametrize("n", [8, 64, 512, 4096])
+def test_the_coefficient_bound_reaches_the_sampled_verdicts(n):
+    # S = sum_{k>=2} k |c_k| on both sides of |c_1| / 2, with f(0) at 0, in
+    # the unit square, and so far off that 0 lies outside the curve
+    rng = np.random.default_rng(n)
+    seen = set()
+    for ratio in [0.5, *rng.uniform(0.05, 1.5, size=30)]:
+        c = _perturbed_identity(rng, n, ratio)
+        shifts = (0.0, complex(*rng.uniform(-1.0, 1.0, size=2)), _clear_of_origin(DiskFunction(c).trace(n)))
+        for shift in shifts:
+            c[0] = shift
+            f = DiskFunction(c.copy())
+            held = solver._linear_dominates(f)
+            got = (solver.univalence(f, n), solver.interior_critical_points(f, n))
+            assert got == _sampled(c, n)
+            assert got == (True, 0) or not held
+            seen.add((held, got))
+    assert (True, (True, 0)) in seen and (False, (True, 0)) in seen
+    assert {got for held, got in seen if not held} - {(True, 0)}
+
+
+@pytest.mark.parametrize("coeffs", [
+    [0.0, 1.0, np.nan],
+    [0.0, 1e308, 1e308],  # S overflows to inf
+    [0.0, 0.0, 1.0],  # c_1 = 0
+    [1.0],
+    [0.0, solver.MIN_LINEAR],
+    [0.0, 1.0, np.nextafter(0.25, 1.0)],  # S just above |c_1| / 2
+], ids=["nan", "overflow", "z2", "constant", "tiny_linear", "just_above"])
+def test_the_coefficient_bound_refuses_to_the_sampled_path(coeffs):
+    f = DiskFunction(coeffs)
+    assert not solver._linear_dominates(f)
+    with mock.patch.object(
+        DiskFunction, "_circle_values", autospec=True, side_effect=DiskFunction._circle_values
+    ) as transform, np.errstate(over="ignore", invalid="ignore"):
+        got = (solver.univalence(f, 64), solver.interior_critical_points(f, 64))
+    assert transform.call_count == 2  # the trace of f and f' on the critical circle
+    assert got == _sampled(coeffs, 64)
+    assert solver._linear_dominates(DiskFunction([0.0, 1.0, 0.25]))  # S = |c_1| / 2 holds
+
+
+def test_a_dominant_linear_term_takes_no_transform(maximal_report):
+    solved = solver.solve(weight.random_smooth_field(np.random.default_rng(0)))
+    for f in (maximal_report.f, solved.f):
+        fresh = DiskFunction(f.coeffs)
+        with mock.patch.object(
+            DiskFunction, "circle_trace", autospec=True, side_effect=DiskFunction.circle_trace
+        ) as circle:
+            assert solver.interior_critical_points(fresh, 512) == 0
+            assert solver.univalence(fresh, 512)
+        assert not circle.called
+        assert not [key for key in fresh._memo if key[0] == "trace"]
+
+
+@pytest.mark.parametrize("zeros,n", [([0.995], 8192), ([-0.5], 512)])
+def test_a_solve_with_zeros_is_not_univalent_by_its_zeros(staircase, zeros, n):
+    with mock.patch.object(solver, "univalence", wraps=solver.univalence) as verdict:
+        rep = solver.solve(staircase, zeros=zeros, options=SolveOptions(n=n, initial_map=1.0))
+    assert rep.n == n and not rep.univalent and not rep.locally_univalent
+    assert not verdict.called
+    # the coefficients do not carry the zeros: certify reads the polygon
+    assert not solver._linear_dominates(rep.f)
+    with mock.patch.object(solver, "_edge_ratios", wraps=solver._edge_ratios) as turns:
+        with pytest.raises(NotUnivalentError):
+            certify.check_supersolution(rep.f, staircase)
+    assert turns.called
 
 
 # ---------------------------------------------------------------------------
